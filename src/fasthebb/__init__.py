@@ -36,7 +36,6 @@ from .rules import (
 from .tensor import (
     AllocationTracker,
     Tensor,
-    deterministic_mode,
     elementwise,
     matmul,
     reduce_sum,

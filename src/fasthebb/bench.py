@@ -13,6 +13,7 @@ import json
 import os
 import platform
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -156,9 +157,8 @@ def bench_kernels(
     rule_names = rule_names or [rules.RULE_SWTA, rules.RULE_HPCA]
     tol = EQUIV_TOL[np.dtype(dtype).itemsize]
     report = BenchReport(environment=_environment(dtype))
-    limiter = threadpool_limits if threadpool_limits is not None else None
-    ctx = limiter(limits=thread_count()) if limiter else _null_context()
-    with ctx:
+    pinned = threadpool_limits(limits=thread_count()) if threadpool_limits else nullcontext()
+    with pinned:
         for rule in rule_names:
             for b, n, s in grid:
                 rng = np.random.default_rng(seed)
@@ -187,11 +187,3 @@ def bench_kernels(
                     )
                 )
     return report
-
-
-class _null_context:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False

@@ -16,7 +16,7 @@ _LAYER_KEY_RE = re.compile(r"^layer\d+$")
 KNOWN_KEYS = {
     "data": {
         "kind", "num", "test_num", "dims", "clusters", "separation",
-        "noise_std", "seed", "path", "test_path", "cov_diag", "classes",
+        "noise_std", "seed", "path", "test_path", "cov_diag",
     },
     "model": {"init_seed"},  # plus layer1, layer2, ...
     "train": {

@@ -4,7 +4,7 @@ sample-efficiency regime splitting, and the FHDS dump format."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -18,7 +18,6 @@ from .errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from .tensor import Tensor
 
 __all__ = [
     "Dataset",
@@ -28,7 +27,6 @@ __all__ = [
     "synth_gaussian",
     "synth_clusters",
     "split_regime",
-    "train_val_split",
     "save_dataset",
     "load_dataset",
 ]
@@ -68,13 +66,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.images)
-
-    @property
-    def feature_dim(self) -> int:
-        return int(np.prod(self.images.shape[1:]))
-
-    def tensor(self) -> Tensor:
-        return Tensor(self.images)
 
     def subset(self, indices: np.ndarray, split: Optional[str] = None) -> "Dataset":
         return Dataset(
@@ -204,18 +195,6 @@ def split_regime(dataset: Dataset, regime: Regime) -> tuple[Dataset, Dataset]:
     mask = np.zeros(len(dataset), dtype=bool)
     mask[labeled_idx] = True
     return dataset.subset(labeled_idx), dataset.subset(np.flatnonzero(~mask))
-
-
-def train_val_split(
-    dataset: Dataset, val_fraction: float = 0.2, seed: int = 0
-) -> tuple[Dataset, Dataset]:
-    """Seeded train/validation split (default 80/20)."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(dataset))
-    n_val = int(round(val_fraction * len(dataset)))
-    val_idx = np.sort(order[:n_val])
-    train_idx = np.sort(order[n_val:])
-    return dataset.subset(train_idx, "train"), dataset.subset(val_idx, "val")
 
 
 def save_dataset(path, dataset: Dataset) -> None:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import data as dio
-from .config import parse_config
 from .data import Dataset
 from .errors import ConfigError
 from .layers import ConvGeometry, Flatten, HebbLayer, MaxPool, ReLU, init_weights
@@ -120,33 +119,24 @@ def build_stack(cfg: dict, input_shape: tuple[int, int, int], hebb_lr: float) ->
             c, h, w = shape
             stack.append(MaxPool(window, stride))
             shape = (c, (h - window) // stride + 1, (w - window) // stride + 1)
-        elif kind == "dense":
-            n = _opt(opts, "n", int)
-            s = int(np.prod(shape))
-            params = LearningParams(
-                eta=_opt(opts, "lr", float, hebb_lr),
-                temperature=_opt(opts, "t", float, 1.0),
-                rule=_opt(opts, "rule", str, "swta"),
-            )
-            stack.append(
-                HebbLayer(
-                    weights=init_weights(n, s, seed=init_seed + i),
-                    params=params,
-                    update_impl=_opt(opts, "impl", str, "fast"),
+        elif kind in ("dense", "conv"):
+            geometry, size, out_hw = None, int(np.prod(shape)), ()
+            if kind == "conv":
+                if len(shape) != 3:
+                    raise ConfigError(f"{key}: conv needs image-shaped input")
+                c, h, w = shape
+                geometry = ConvGeometry(
+                    kernel_h=_opt(opts, "kh", int, _opt(opts, "k", int, 3)),
+                    kernel_w=_opt(opts, "kw", int, _opt(opts, "k", int, 3)),
+                    in_channels=c,
+                    stride=_opt(opts, "stride", int, 1),
+                    padding=_opt(opts, "pad", int, 0),
                 )
-            )
-            shape = (n,)
-        elif kind == "conv":
-            if len(shape) != 3:
-                raise ConfigError(f"{key}: conv needs image-shaped input")
-            c, h, w = shape
-            geometry = ConvGeometry(
-                kernel_h=_opt(opts, "kh", int, _opt(opts, "k", int, 3)),
-                kernel_w=_opt(opts, "kw", int, _opt(opts, "k", int, 3)),
-                in_channels=c,
-                stride=_opt(opts, "stride", int, 1),
-                padding=_opt(opts, "pad", int, 0),
-            )
+                size = geometry.patch_size
+                out_hw = (
+                    (h + 2 * geometry.padding - geometry.kernel_h) // geometry.stride + 1,
+                    (w + 2 * geometry.padding - geometry.kernel_w) // geometry.stride + 1,
+                )
             n = _opt(opts, "n", int)
             params = LearningParams(
                 eta=_opt(opts, "lr", float, hebb_lr),
@@ -155,15 +145,13 @@ def build_stack(cfg: dict, input_shape: tuple[int, int, int], hebb_lr: float) ->
             )
             stack.append(
                 HebbLayer(
-                    weights=init_weights(n, geometry.patch_size, seed=init_seed + i),
+                    weights=init_weights(n, size, seed=init_seed + i),
                     params=params,
                     geometry=geometry,
                     update_impl=_opt(opts, "impl", str, "fast"),
                 )
             )
-            oh = (h + 2 * geometry.padding - geometry.kernel_h) // geometry.stride + 1
-            ow = (w + 2 * geometry.padding - geometry.kernel_w) // geometry.stride + 1
-            shape = (n, oh, ow)
+            shape = (n, *out_hw)
         else:
             raise ConfigError(f"{key}: unknown layer kind {kind!r}")
     return stack

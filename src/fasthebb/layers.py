@@ -26,6 +26,7 @@ __all__ = [
     "Flatten",
     "extract_patches",
     "conv_forward",
+    "layer_rows",
     "hebb_update",
     "apply_update",
     "relu",
@@ -57,11 +58,8 @@ class PatchBatch:
     """
 
     patches: Tensor
-    origin: np.ndarray  # (b_eff, 3) of (image_index, row_offset, col_offset)
-    source_shape: tuple[int, int, int, int]
     out_h: int
     out_w: int
-    geometry: ConvGeometry
 
 
 @dataclass(frozen=True)
@@ -74,10 +72,6 @@ class HebbLayer:
     update_impl: str = "fast"
 
     @property
-    def kind(self) -> str:
-        return "dense" if self.geometry is None else "conv"
-
-    @property
     def num_neurons(self) -> int:
         return self.weights.shape[1]
 
@@ -87,9 +81,8 @@ class HebbLayer:
 
     def forward(self, x: Tensor) -> Tensor:
         if self.geometry is None:
-            b = x.shape[0]
-            flat = tc.reshape(x, (b, 1, self.input_size))
-            return tc.reshape(rules.forward_linear(self.weights, flat), (b, self.num_neurons))
+            y = rules.forward_linear(self.weights, layer_rows(self, x))
+            return tc.reshape(y, (x.shape[0], self.num_neurons))
         return conv_forward(self, x)
 
 
@@ -159,21 +152,7 @@ def extract_patches(images: Tensor, geometry: ConvGeometry) -> PatchBatch:
     flat = np.transpose(windows, (0, 2, 3, 1, 4, 5)).reshape(
         b * out_h * out_w, 1, g.patch_size
     )
-    img_idx, row_idx, col_idx = np.meshgrid(
-        np.arange(b), np.arange(out_h) * g.stride, np.arange(out_w) * g.stride,
-        indexing="ij",
-    )
-    origin = np.stack(
-        [img_idx.ravel(), row_idx.ravel(), col_idx.ravel()], axis=1
-    )
-    return PatchBatch(
-        patches=Tensor(flat, dtype=images.dtype),
-        origin=origin,
-        source_shape=(b, c, h, w),
-        out_h=out_h,
-        out_w=out_w,
-        geometry=g,
-    )
+    return PatchBatch(Tensor(flat, dtype=images.dtype), out_h, out_w)
 
 
 def conv_forward(layer: HebbLayer, images: Tensor) -> Tensor:
@@ -188,15 +167,18 @@ def conv_forward(layer: HebbLayer, images: Tensor) -> Tensor:
     return Tensor(np.transpose(grid, (0, 3, 1, 2)), dtype=y.dtype)
 
 
+def layer_rows(layer: HebbLayer, x: Tensor) -> Tensor:
+    """The layer's input as the b_eff x 1 x S rows its kernels see: each
+    sample flattened (dense) or each of its patches (conv)."""
+    if layer.geometry is None:
+        return tc.reshape(x, (x.shape[0], 1, layer.input_size))
+    return extract_patches(x, layer.geometry).patches
+
+
 def hebb_update(layer: HebbLayer, x: Tensor, keep_intermediates: bool = False) -> UpdateResult:
     """Compute (but do not apply) the layer's weight update from its input."""
     kernel = rules.update_fn(layer.params.rule, layer.update_impl)
-    if layer.geometry is None:
-        b = x.shape[0]
-        flat = tc.reshape(x, (b, 1, layer.input_size))
-        return kernel(layer.weights, flat, layer.params, keep_intermediates)
-    batch = extract_patches(x, layer.geometry)
-    return kernel(layer.weights, batch.patches, layer.params, keep_intermediates)
+    return kernel(layer.weights, layer_rows(layer, x), layer.params, keep_intermediates)
 
 
 def apply_update(layer: HebbLayer, result: UpdateResult) -> HebbLayer:

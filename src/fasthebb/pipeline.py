@@ -7,20 +7,20 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import layers as ly, rules, tensor as tc
-from .data import Dataset, train_val_split
+from .data import Dataset
 from .errors import (
     BadMagic,
     CorruptFile,
     EmptyLabeledSet,
-    ShapeMismatch,
     VersionMismatch,
 )
-from .layers import Flatten, HebbLayer, MaxPool, ReLU
+from .layers import HebbLayer
 from .tensor import Tensor
 
 __all__ = [
@@ -89,10 +89,7 @@ def _batch_iter(n: int, batch_size: int, rng) -> list[np.ndarray]:
 
 def _layer_metric(layer: HebbLayer, x: Tensor) -> float:
     """Cheap per-batch training metric computed from the layer's own input."""
-    if layer.geometry is not None:
-        x = ly.extract_patches(x, layer.geometry).patches
-    else:
-        x = tc.reshape(x, (x.shape[0], 1, layer.input_size))
+    x = ly.layer_rows(layer, x)
     y = rules.forward_linear(layer.weights, x)
     if layer.params.rule == rules.RULE_SWTA:
         r = tc.softmax(y, layer.params.temperature, dim=1)
@@ -367,7 +364,7 @@ class CheckpointData:
 
 
 def load_checkpoint(path) -> CheckpointData:
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     if raw[:4] != CKPT_MAGIC:
         raise BadMagic(f"{path}: expected FHB1 magic, got {raw[:4]!r}")
     try:

@@ -7,15 +7,16 @@ Shapes follow the (batch b, neuron n, size s) convention:
 * outputs Y: B x N x 1
 
 The naive kernels materialize the full B x N x S per-sample update and then
-aggregate over b; the fast kernels contract b early so their largest
-temporary is O(N(B+S) + N^2).  Both forms of a rule are algebraically
-identical; tests hold them to 1e-10 relative Frobenius error in double
-precision.
+aggregate over b; the fast kernels contract b early with matrix products, so
+their largest temporary is max(N*B, N*S, N*N) elements, as counted by
+:class:`~fasthebb.tensor.AllocationTracker` and reported as
+``peak_temp_elements``.  Both forms of a rule are algebraically identical;
+tests hold them to 1e-10 relative Frobenius error in double precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,7 +51,6 @@ class LearningParams:
     eta: float = 1e-3
     temperature: float = 1.0
     rule: str = RULE_SWTA
-    center_inputs: bool = False  # optional per-batch mean subtraction
 
     def __post_init__(self):
         if not self.eta > 0:
@@ -95,13 +95,6 @@ def _check_update_shapes(w: Tensor, x: Tensor) -> tuple[int, int, int]:
     return x.shape[0], w.shape[1], w.shape[2]
 
 
-def _maybe_center(x: Tensor, params: LearningParams) -> Tensor:
-    if not params.center_inputs:
-        return x
-    mean = tc.elementwise("scale", tc.reduce_sum(x, 0), 1.0 / x.shape[0])
-    return tc.elementwise("sub", x, mean)
-
-
 def forward_linear(w: Tensor, x: Tensor) -> Tensor:
     """Y[b,n] = sum_s W[n,s] * X[b,s] (dot product, no bias)."""
     b, n, s = _check_update_shapes(w, x)
@@ -139,7 +132,6 @@ def swta_update_naive(
     """Reference SWTA path: builds the B x N x S per-sample update, then
     aggregates with score-weighted coefficients C = R / sum_b R."""
     b, n, s = _check_update_shapes(w, x)
-    x = _maybe_center(x, params)
     with AllocationTracker() as tr:
         y, r, c = _swta_scores(w, x, params)
         diff = tc.elementwise("sub", x, w)  # B x N x S
@@ -164,7 +156,6 @@ def swta_update_fast(
     with Q = sum_b (C*R).
     """
     b, n, s = _check_update_shapes(w, x)
-    x = _maybe_center(x, params)
     with AllocationTracker() as tr:
         y, r, c = _swta_scores(w, x, params)
         cr = tc.elementwise("mul", c, r)  # B x N x 1
@@ -189,7 +180,6 @@ def hpca_update_naive(
     delta_w  = (eta/B) * sum_b Y[b,n] * E[b,n,s]
     """
     b, n, s = _check_update_shapes(w, x)
-    x = _maybe_center(x, params)
     with AllocationTracker() as tr:
         y = forward_linear(w, x)  # B x N x 1
         mask = tc.reshape(tc.tril_mask(n, dtype=w.dtype), (1, n, n))
@@ -219,7 +209,6 @@ def hpca_update_fast(
     P = (Y^T Y) * L;  delta_w = (eta/B) * (matmul(Y^T, X) - matmul(P, W))
     """
     b, n, s = _check_update_shapes(w, x)
-    x = _maybe_center(x, params)
     with AllocationTracker() as tr:
         y = forward_linear(w, x)  # B x N x 1
         y_t = tc.transpose(tc.reshape(y, (1, b, n)))  # 1 x N x B

@@ -5,17 +5,14 @@ broadcasting rules: only extent-1 (singleton) dimensions broadcast, any other
 mismatch raises :class:`ShapeMismatch`.  All operations are pure functions
 returning new tensors.
 
-Two pieces of global state are provided as context managers:
-
-* :func:`deterministic_mode` -- when on (the default), reductions accumulate
-  strictly left to right so results are bitwise reproducible.
-* :class:`AllocationTracker` -- counts elements of every tensor allocated
-  through this module, so kernels can report the largest temporary they built.
+:func:`reduce_sum` adds strictly left to right, bit for bit like a sequential
+loop; which numpy routine does that is chosen from the input's shape alone.
+:class:`AllocationTracker` is a context manager that counts elements of every
+tensor allocated through this module, so kernels can report the largest
+temporary they built.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -24,8 +21,6 @@ from .errors import InvalidTemperature, ShapeMismatch
 __all__ = [
     "Tensor",
     "AllocationTracker",
-    "deterministic_mode",
-    "is_deterministic",
     "matmul",
     "elementwise",
     "reduce_sum",
@@ -35,24 +30,7 @@ __all__ = [
     "reshape",
 ]
 
-_DETERMINISTIC = True
 _TRACKERS: list["AllocationTracker"] = []
-
-
-@contextmanager
-def deterministic_mode(enabled: bool = True):
-    """Toggle strict left-to-right reduction order within a scope."""
-    global _DETERMINISTIC
-    prev = _DETERMINISTIC
-    _DETERMINISTIC = enabled
-    try:
-        yield
-    finally:
-        _DETERMINISTIC = prev
-
-
-def is_deterministic() -> bool:
-    return _DETERMINISTIC
 
 
 class AllocationTracker:
@@ -113,23 +91,11 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def tolist(self):
-        return self.data.tolist()
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
-
-    @staticmethod
-    def zeros(shape, dtype=np.float64) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=dtype), dtype=dtype)
-
-    @staticmethod
-    def from_array(arr, dtype=None) -> "Tensor":
-        arr = np.asarray(arr)
-        return Tensor(arr, dtype=dtype or arr.dtype)
 
 
 def _wrap_shared(arr: np.ndarray) -> Tensor:
@@ -206,22 +172,19 @@ def elementwise(op: str, a: Tensor, b) -> Tensor:
 def reduce_sum(a: Tensor, dim_index: int) -> Tensor:
     """Sum along one dimension, keeping it as a singleton.
 
-    In deterministic mode the accumulation is strictly left to right along
-    the reduced dimension (matching a sequential loop bit for bit).
+    The accumulation is strictly left to right along the reduced dimension:
+    every result is bit for bit ``acc = 0.0; for v in values: acc += v``.
     """
     if not 0 <= dim_index < a.ndim:
         raise IndexError(f"dim {dim_index} out of range for shape {a.shape}")
-    if a.shape[dim_index] == 1:
-        return _wrap_new(a.data.copy())
-    if _DETERMINISTIC:
-        # cumsum accumulates sequentially; its last slice is the L-to-R sum
-        out = np.cumsum(a.data, axis=dim_index)
-        idx = [slice(None)] * a.ndim
-        idx[dim_index] = slice(-1, None)
-        out = out[tuple(idx)].copy()
-    else:
-        out = np.sum(a.data, axis=dim_index, keepdims=True)
-    return _wrap_new(out)
+    if int(np.prod(a.shape[dim_index + 1 :])) > 1:
+        # on a row-major array numpy then adds whole trailing slices in order
+        return _wrap_new(np.sum(a.data, axis=dim_index, keepdims=True))
+    # the reduced dim is innermost, where np.sum would add in pairs; cumsum
+    # adds sequentially, and + 0.0 starts the sum from +0.0 as np.sum does
+    idx = [slice(None)] * a.ndim
+    idx[dim_index] = slice(-1, None)
+    return _wrap_new(np.cumsum(a.data, axis=dim_index)[tuple(idx)] + 0.0)
 
 
 def softmax(y: Tensor, temperature: float, dim: int = 1) -> Tensor:

@@ -47,8 +47,9 @@ class TestConfigParser:
         assert cfg["train"]["epochs"] == "4"
 
     def test_unknown_key_is_error(self):
-        with pytest.raises(ConfigError):
-            parse_config("[data]\nkind = clusters\nbogus = 1\n")
+        for line in ("bogus = 1", "classes = 10"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(f"[data]\nkind = clusters\n{line}\n")
 
     def test_unknown_section_is_error(self):
         with pytest.raises(ConfigError):

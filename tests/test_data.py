@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fasthebb import data as dio
-from fasthebb.data import Dataset, Regime, load_cifar10, split_regime, train_val_split
+from fasthebb.data import Dataset, Regime, load_cifar10, split_regime
 from fasthebb.errors import (
     BadCovariance,
     BadLabel,
@@ -152,16 +152,6 @@ class TestSplitRegime:
         counts = np.bincount(labeled.labels, minlength=10)
         assert counts.max() - counts.min() <= 1
         assert counts.sum() == round(0.03 * 500)
-
-
-class TestTrainValSplit:
-    def test_sizes_and_determinism(self):
-        ds = make_labeled_dataset(100, 10)
-        tr1, val1 = train_val_split(ds, 0.2, seed=5)
-        tr2, val2 = train_val_split(ds, 0.2, seed=5)
-        assert len(tr1) == 80 and len(val1) == 20
-        np.testing.assert_array_equal(tr1.images, tr2.images)
-        np.testing.assert_array_equal(val1.images, val2.images)
 
 
 class TestFhdsFormat:

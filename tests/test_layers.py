@@ -45,9 +45,6 @@ class TestExtractPatches:
         batch = extract_patches(img, ConvGeometry(2, 2, 1))
         expected = [[1, 2, 4, 5], [2, 3, 5, 6], [4, 5, 7, 8], [5, 6, 8, 9]]
         np.testing.assert_array_equal(batch.patches.data.reshape(4, 4), expected)
-        np.testing.assert_array_equal(
-            batch.origin, [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1]]
-        )
 
     def test_full_image_kernel(self):
         rng = np.random.default_rng(0)

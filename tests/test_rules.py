@@ -225,16 +225,6 @@ def test_delta_linear_in_eta(rule):
     np.testing.assert_array_equal(two.delta_w.data, 2.0 * one.delta_w.data)
 
 
-@pytest.mark.parametrize("rule", ["swta", "hpca"])
-def test_centering_flag(rule):
-    w, x = rand_case(8, 2, 3, seed=6)
-    params = LearningParams(eta=0.1, rule=rule, center_inputs=True)
-    centered = x.data - x.data.mean(axis=0, keepdims=True)
-    direct = rules.update_fn(rule, "fast")(w, Tensor(centered), LearningParams(eta=0.1, rule=rule))
-    flagged = rules.update_fn(rule, "fast")(w, x, params)
-    np.testing.assert_allclose(flagged.delta_w.data, direct.delta_w.data, rtol=1e-12)
-
-
 def test_update_fn_unknown():
     with pytest.raises(ValueError):
         rules.update_fn("swta", "turbo")

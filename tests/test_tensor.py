@@ -94,6 +94,17 @@ class TestElementwise:
             tc.elementwise("add", T(np.ones((2, 3))), T(np.ones((1, 2, 3))))
 
 
+def _sequential_sum(data, dim):
+    """Sum along ``dim`` one term at a time, left to right, from 0.0."""
+    out = np.empty(data.shape[:dim] + (1,) + data.shape[dim + 1 :])
+    for idx in np.ndindex(out.shape):
+        acc = 0.0
+        for k in range(data.shape[dim]):
+            acc += data[idx[:dim] + (k,) + idx[dim + 1 :]]
+        out[idx] = acc
+    return out
+
+
 class TestReduceSum:
     def test_singleton_dim_unchanged(self):
         a = T(np.arange(4.0).reshape(1, 4))
@@ -111,21 +122,31 @@ class TestReduceSum:
             ba = tc.reduce_sum(tc.reduce_sum(a, 1), 0)
             np.testing.assert_allclose(ab.data, ba.data, rtol=1e-12)
 
-    def test_deterministic_matches_sequential_loop(self):
+    @pytest.mark.parametrize(
+        "shape, dims",
+        [
+            ((13, 7), (1, 0)),
+            ((200, 1, 1), (0,)),
+            ((4097, 33), (0,)),
+            ((7, 300), (1,)),
+            ((4, 5, 6), (1,)),
+        ],
+        ids=["13x7", "200x1x1", "4097x33", "7x300", "4x5x6"],
+    )
+    def test_deterministic_matches_sequential_loop(self, shape, dims):
         rng = np.random.default_rng(11)
-        a = Tensor(rng.standard_normal((13, 7)) * 1e3)
-        with tc.deterministic_mode(True):
-            total = tc.reduce_sum(tc.reduce_sum(a, 1), 0).item()
-        expected = 0.0
-        partials = []
-        for row in a.data:  # inner dim first, matching reduction order
-            acc = 0.0
-            for value in row:
-                acc += value
-            partials.append(acc)
-        for value in partials:
-            expected += value
-        assert total == expected
+        a = Tensor(rng.standard_normal(shape) * 1e3)
+        got, expected = a, a.data
+        for dim in dims:  # reduced in the listed order
+            got = tc.reduce_sum(got, dim)
+            expected = _sequential_sum(expected, dim)
+        np.testing.assert_array_equal(got.data, expected)
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_sum_starts_from_positive_zero(self, dim):
+        # dim 0 takes the np.sum branch, dim 1 the cumsum branch
+        out = tc.reduce_sum(T(np.full((3, 4), -0.0)), dim)
+        assert not np.signbit(out.data).any()
 
 
 class TestSoftmax:
