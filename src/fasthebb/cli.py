@@ -13,7 +13,7 @@ import numpy as np
 
 from . import bench as bench_mod, pipeline
 from .config import load_config, parse_config
-from .data import Regime, split_regime
+from .data import REGIME_FRACTIONS, Regime, split_regime
 from .errors import (
     BadCovariance,
     BadLabel,
@@ -66,7 +66,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("probe", help="train a linear probe on labeled subset")
     p.add_argument("--ckpt", required=True, help="pretrained checkpoint")
-    p.add_argument("--regime", type=int, required=True, help="labeled percent")
+    p.add_argument("--regime", type=int, required=True, choices=REGIME_FRACTIONS, help="labeled percent")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="checkpoint output (default: update --ckpt)")
 
@@ -100,6 +100,8 @@ def _parse_grid(spec: str) -> list[tuple[int, int, int]]:
         key = key.strip().upper()
         if key not in ("B", "N", "S"):
             raise ConfigError(f"grid axis must be B, N or S, got {key!r}")
+        if not all(v.strip().isdigit() and int(v) > 0 for v in values.split(",")):
+            raise ConfigError(f"grid axis {key} needs integers >= 1, got {values!r}")
         axes[key] = [int(v) for v in values.split(",")]
     for key in ("B", "N", "S"):
         if key not in axes:
@@ -165,9 +167,11 @@ def _cmd_bench(args) -> int:
     grid = _parse_grid(args.grid)
     rule_names = [r.strip() for r in args.rule.split(",") if r.strip()]
     dtype = np.float32 if args.float32 else np.float64
-    report = bench_mod.bench_kernels(
-        grid, rule_names, reps=args.reps, seed=args.seed, dtype=dtype
-    )
+    try:
+        report = bench_mod.bench_kernels(grid, rule_names, reps=args.reps, seed=args.seed, dtype=dtype)
+    except ValueError as exc:  # argument checks: --reps floor, --rule, FASTHEBB_THREADS
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     with open(args.out, "w") as fh:
         fh.write(report.to_csv())
     if args.json_out:

@@ -10,7 +10,7 @@ from .data import Dataset
 from .errors import ConfigError
 from .layers import ConvGeometry, Flatten, HebbLayer, MaxPool, ReLU, init_weights
 from .pipeline import TrainConfig
-from .rules import LearningParams
+from .rules import LearningParams, update_fn
 from .tensor import Tensor
 
 __all__ = ["build_dataset", "build_stack", "build_train_config", "restore_stack"]
@@ -93,6 +93,13 @@ def _opt(opts: dict, key: str, cast, default=None):
         raise ConfigError(f"bad layer option {key}={opts[key]!r}") from exc
 
 
+_HEBB_OPTIONS = {"n", "lr", "t", "rule", "impl"}
+_LAYER_OPTIONS = {  # the options each layer kind reads
+    "relu": set(), "flatten": set(), "maxpool": {"window", "stride"},
+    "dense": _HEBB_OPTIONS, "conv": {"k", "kh", "kw", "stride", "pad"} | _HEBB_OPTIONS,
+}
+
+
 def build_stack(cfg: dict, input_shape: tuple[int, int, int], hebb_lr: float) -> list:
     """Build the stage list from the [model] section, inferring each
     Hebbian layer's input size from the shapes that precede it."""
@@ -106,6 +113,9 @@ def build_stack(cfg: dict, input_shape: tuple[int, int, int], hebb_lr: float) ->
     shape: tuple = input_shape  # (C, H, W) or (F,)
     for i, key in enumerate(layer_keys):
         kind, opts = _parse_layer_spec(section[key])
+        unknown = sorted(set(opts) - _LAYER_OPTIONS.get(kind, set(opts)))  # unknown kinds fail below
+        if unknown:
+            raise ConfigError(f"{key}: {kind} layer has no option {unknown[0]!r}")
         if kind == "relu":
             stack.append(ReLU())
         elif kind == "flatten":
@@ -138,17 +148,22 @@ def build_stack(cfg: dict, input_shape: tuple[int, int, int], hebb_lr: float) ->
                     (w + 2 * geometry.padding - geometry.kernel_w) // geometry.stride + 1,
                 )
             n = _opt(opts, "n", int)
-            params = LearningParams(
-                eta=_opt(opts, "lr", float, hebb_lr),
-                temperature=_opt(opts, "t", float, 1.0),
-                rule=_opt(opts, "rule", str, "swta"),
-            )
+            impl = _opt(opts, "impl", str, "fast")
+            try:
+                params = LearningParams(
+                    eta=_opt(opts, "lr", float, hebb_lr),
+                    temperature=_opt(opts, "t", float, 1.0),
+                    rule=_opt(opts, "rule", str, "swta"),
+                )
+                update_fn(params.rule, impl)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
             stack.append(
                 HebbLayer(
                     weights=init_weights(n, size, seed=init_seed + i),
                     params=params,
                     geometry=geometry,
-                    update_impl=_opt(opts, "impl", str, "fast"),
+                    update_impl=impl,
                 )
             )
             shape = (n, *out_hw)

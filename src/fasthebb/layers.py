@@ -8,6 +8,7 @@ a single larger mini-batch, and aggregation runs over all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "extract_patches",
     "conv_forward",
     "layer_rows",
+    "layer_output",
     "hebb_update",
     "apply_update",
     "relu",
@@ -81,8 +83,7 @@ class HebbLayer:
 
     def forward(self, x: Tensor) -> Tensor:
         if self.geometry is None:
-            y = rules.forward_linear(self.weights, layer_rows(self, x))
-            return tc.reshape(y, (x.shape[0], self.num_neurons))
+            return layer_output(self, rules.forward_linear(self.weights, layer_rows(self, x)), x)
         return conv_forward(self, x)
 
 
@@ -159,20 +160,29 @@ def conv_forward(layer: HebbLayer, images: Tensor) -> Tensor:
     """Convolution as patch extraction followed by the dense forward pass."""
     if layer.geometry is None:
         raise ShapeMismatch("conv_forward needs a conv layer")
-    batch = extract_patches(images, layer.geometry)
-    y = rules.forward_linear(layer.weights, batch.patches)  # b_eff x N x 1
-    b = images.shape[0]
-    n = layer.num_neurons
-    grid = y.data.reshape(b, batch.out_h, batch.out_w, n)
-    return Tensor(np.transpose(grid, (0, 3, 1, 2)), dtype=y.dtype)
+    patches = extract_patches(images, layer.geometry).patches
+    return layer_output(layer, rules.forward_linear(layer.weights, patches), images)
 
 
 def layer_rows(layer: HebbLayer, x: Tensor) -> Tensor:
     """The layer's input as the b_eff x 1 x S rows its kernels see: each
-    sample flattened (dense) or each of its patches (conv)."""
-    if layer.geometry is None:
+    sample flattened (dense) or each of its patches (conv).  Input that is
+    already b_eff x 1 x S rows passes through unchanged."""
+    if layer.geometry is None or x.ndim == 3:
         return tc.reshape(x, (x.shape[0], 1, layer.input_size))
     return extract_patches(x, layer.geometry).patches
+
+
+def layer_output(layer: HebbLayer, y: Tensor, x: Tensor) -> Tensor:
+    """The b_eff x N x 1 forward ``y`` of ``layer_rows(layer, x)`` as the
+    stage output: B x N (dense) or B x N x out_h x out_w (conv)."""
+    b, n, g = x.shape[0], layer.num_neurons, layer.geometry
+    if g is None:
+        return tc.reshape(y, (b, n))
+    out_h = _out_extent(x.shape[2], g.kernel_h, g.stride, g.padding)
+    out_w = _out_extent(x.shape[3], g.kernel_w, g.stride, g.padding)
+    grid = y.data.reshape(b, out_h, out_w, n)
+    return Tensor(np.transpose(grid, (0, 3, 1, 2)), dtype=y.dtype)
 
 
 def hebb_update(layer: HebbLayer, x: Tensor, keep_intermediates: bool = False) -> UpdateResult:
@@ -198,13 +208,17 @@ def relu(x: Tensor) -> Tensor:
 
 
 def max_pool(x: Tensor, window: int, stride: int) -> Tensor:
-    """Max pooling over the last two dims of a BxCxHxW tensor."""
+    """Max pooling over the last two dims of a BxCxHxW tensor, as an
+    ``np.maximum`` fold over the ``window`` strided column slices, then over
+    the ``window`` strided row slices.  NaN propagates; of tied maxima
+    (``+0.0``, ``-0.0``) the last in row-major window order wins."""
     if x.ndim != 4:
         raise ShapeMismatch(f"expected BxCxHxW input, got {x.shape}")
-    b, c, h, w = x.shape
-    out_h = _out_extent(h, window, stride, 0)
-    out_w = _out_extent(w, window, stride, 0)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        x.data, (window, window), axis=(2, 3)
-    )[:, :, ::stride, ::stride]
-    return Tensor(windows.max(axis=(4, 5)), dtype=x.dtype)
+    if window < 1 or stride < 1:
+        raise GeometryError(f"window and stride must be >= 1, got {window} and {stride}")
+    out = x.data
+    for axis in (3, 2):
+        span = (_out_extent(out.shape[axis], window, stride, 0) - 1) * stride + 1
+        lead = (slice(None),) * axis
+        out = reduce(np.maximum, [out[lead + (slice(k, k + span, stride),)] for k in range(window)])
+    return Tensor(out, dtype=x.dtype)

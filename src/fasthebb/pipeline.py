@@ -87,18 +87,26 @@ def _batch_iter(n: int, batch_size: int, rng) -> list[np.ndarray]:
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _layer_metric(layer: HebbLayer, x: Tensor) -> float:
-    """Cheap per-batch training metric computed from the layer's own input."""
-    x = ly.layer_rows(layer, x)
-    y = rules.forward_linear(layer.weights, x)
+def _layer_metric(layer: HebbLayer, rows: Tensor, y: Tensor) -> float:
+    """Cheap per-batch training metric from the layer's rows and their forward y."""
     if layer.params.rule == rules.RULE_SWTA:
         r = tc.softmax(y, layer.params.temperature, dim=1)
         return float(np.mean(np.max(r.data, axis=1)))
     # HPCA: residual of the full reconstruction sum over all neurons
     b, n, _ = y.shape
     recon = tc.matmul(tc.reshape(y, (1, b, n)), layer.weights)  # 1 x B x S
-    resid = tc.elementwise("sub", tc.reshape(x, (1, b, x.shape[2])), recon)
+    resid = tc.elementwise("sub", tc.reshape(rows, (1, b, rows.shape[2])), recon)
     return float(np.mean(np.linalg.norm(resid.data[0], axis=1)))
+
+
+def _hebb_stage(layer: HebbLayer, x: Tensor, train: bool) -> tuple[HebbLayer, float, Tensor]:
+    """One batch through one Hebbian layer: its rows feed the update and one forward,
+    whose y gives metric and output; both die before the next layer builds its rows."""
+    rows = ly.layer_rows(layer, x)
+    if train:
+        layer = ly.apply_update(layer, ly.hebb_update(layer, rows))
+    y = rules.forward_linear(layer.weights, rows)
+    return layer, _layer_metric(layer, rows, y), ly.layer_output(layer, y, x)
 
 
 def _plateau_epoch(per_layer: list[list[float]], improving_down: list[bool], patience: int = 3) -> Optional[int]:
@@ -134,8 +142,8 @@ def pretrain(
 
     In the default "joint" schedule every Hebbian layer updates in the same
     forward pass from its own input; "layerwise" trains one Hebbian layer at
-    a time, each for the full epoch budget.
-    """
+    a time, each for the full epoch budget.  Stages after the last Hebbian
+    layer never run."""
     stack = list(stack)
     rng = np.random.default_rng(config.seed)
     images = data.images
@@ -158,14 +166,12 @@ def pretrain(
             epoch_layer_metrics = {pos: [] for pos in hebb_positions}
             for batch_idx in _batch_iter(len(images), config.batch_size, rng):
                 x = Tensor(images[batch_idx])
-                for pos, stage in enumerate(stack):
-                    if isinstance(stage, HebbLayer) and pos in trainable:
-                        result = ly.hebb_update(stage, x)
-                        stage = ly.apply_update(stage, result)
-                        stack[pos] = stage
+                for pos, stage in enumerate(stack[: hebb_positions[-1] + 1]):
                     if isinstance(stage, HebbLayer):
-                        epoch_layer_metrics[pos].append(_layer_metric(stage, x))
-                    x = stage.forward(x)
+                        stack[pos], metric, x = _hebb_stage(stage, x, pos in trainable)
+                        epoch_layer_metrics[pos].append(metric)
+                    else:
+                        x = stage.forward(x)
             metrics.epoch_metrics.append(
                 [float(np.mean(epoch_layer_metrics[pos])) for pos in hebb_positions]
             )

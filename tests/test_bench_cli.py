@@ -6,6 +6,7 @@ from fasthebb.bench import CSV_COLUMNS, bench_kernels
 from fasthebb.cli import main
 from fasthebb.config import parse_config
 from fasthebb.errors import ConfigError
+from fasthebb.experiment import build_stack
 from fasthebb.pipeline import load_checkpoint
 
 DEMO_CONFIG = """\
@@ -139,6 +140,49 @@ class TestCli:
     def test_bench_bad_grid_is_data_error(self, tmp_path):
         code = main(["bench", "--grid", "B=16;N=3", "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["--grid", "B=8;N=2;S=3", "--reps", "3"], 1),
+            (["--grid", "B=8;N=2;S=3", "--rule", "hcpa"], 1),
+            (["--grid", "B=x;N=2;S=3"], 2),
+            (["--grid", "B=0;N=2;S=3"], 2),
+            (["--grid", "B=8;N=-1;S=3"], 2),
+        ],
+        ids=["reps-floor", "unknown-rule", "non-integer", "zero", "negative"],
+    )
+    def test_bench_bad_arguments_one_line(self, args, code, tmp_path, capsys):
+        assert main(["bench", *args, "--out", str(tmp_path / "x.csv")]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_probe_regime_outside_choices_is_usage(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["probe", "--ckpt", str(tmp_path / "m.fhb"), "--regime", "7"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "invalid choice: 7" in err
+
+    @pytest.mark.parametrize("option", ["impl=fsat", "rule=hcpa", "bogus=3", "lr=-1"])
+    def test_bad_layer_option_is_config_error(self, option, tmp_path, capsys):
+        text = DEMO_CONFIG.replace("impl=fast lr=0.01", f"lr=0.01 {option}")
+        with pytest.raises(ConfigError):
+            build_stack(parse_config(text), (16,), 0.01)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "m.fhb")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.fhb").exists()
+
+    def test_option_of_another_layer_kind_is_config_error(self):
+        text = DEMO_CONFIG.replace("layer2 = relu", "layer2 = relu window=2")
+        with pytest.raises(ConfigError, match="relu layer has no option 'window'"):
+            build_stack(parse_config(text), (16,), 0.01)
 
     def test_report_subcommand(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

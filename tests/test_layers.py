@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fasthebb.errors import GeometryError, NonFiniteWeights, ShapeMismatch
 from fasthebb.layers import (
@@ -216,3 +219,51 @@ class TestFixedFunction:
     def test_max_pool_geometry_error(self):
         with pytest.raises(GeometryError):
             max_pool(Tensor(np.zeros((1, 1, 2, 2))), 3, 1)
+
+
+class TestMaxPoolProperty:
+    """max_pool against the window view, on overlapping windows (window >
+    stride), gapped ones (window < stride), extents the stride does not
+    divide, and inputs seeded with +0.0, -0.0 and NaN."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        b=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 13), w=st.integers(1, 13),
+        window=st.integers(1, 4), stride=st.integers(1, 4), seed=st.integers(0, 2**16),
+    )
+    def test_matches_window_view(self, b, c, h, w, window, stride, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((b, c, h, w))
+        x[rng.random(x.shape) < 0.3] = 0.0
+        x[rng.random(x.shape) < 0.3] = -0.0
+        x[rng.random(x.shape) < 0.05] = np.nan
+        if window > min(h, w):
+            with pytest.raises(GeometryError):
+                max_pool(Tensor(x), window, stride)
+            return
+        got = max_pool(Tensor(x), window, stride).data
+        view = sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
+        want = view.max(axis=(4, 5))
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        # A window whose maximum is a zero present with both signs may give
+        # either sign from .max, depending on how numpy orders the reduction
+        # for the view's memory layout; everywhere else the sign bits agree.
+        zero = view == 0
+        mixed = (want == 0) & (zero & np.signbit(view)).any(axis=(4, 5)) & (
+            zero & ~np.signbit(view)
+        ).any(axis=(4, 5))
+        assert np.array_equal(np.signbit(got)[~mixed], np.signbit(want)[~mixed])
+        # There the last of the tied zeros in row-major window order wins,
+        # as in a sequential maximum loop.
+        seq = view[..., 0, 0]
+        for i in range(window):
+            for j in range(window):
+                seq = np.maximum(seq, view[..., i, j])
+        assert np.array_equal(got, seq, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(seq))
+
+    @pytest.mark.parametrize("window, stride", [(0, 1), (2, 0)])
+    def test_window_and_stride_must_be_positive(self, window, stride):
+        with pytest.raises(GeometryError):
+            max_pool(Tensor(np.zeros((1, 1, 4, 4))), window, stride)

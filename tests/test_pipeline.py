@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fasthebb import data as dio, pipeline
+from fasthebb import data as dio, pipeline, rules, tensor as tc
 from fasthebb.data import Dataset
 from fasthebb.errors import (
     BadMagic,
@@ -9,7 +9,17 @@ from fasthebb.errors import (
     EmptyLabeledSet,
     VersionMismatch,
 )
-from fasthebb.layers import Flatten, HebbLayer, ReLU, init_weights
+from fasthebb.layers import (
+    ConvGeometry,
+    Flatten,
+    HebbLayer,
+    MaxPool,
+    ReLU,
+    apply_update,
+    hebb_update,
+    init_weights,
+    layer_rows,
+)
 from fasthebb.pipeline import (
     LinearProbe,
     TrainConfig,
@@ -23,6 +33,7 @@ from fasthebb.pipeline import (
     train_probe,
 )
 from fasthebb.rules import LearningParams
+from fasthebb.tensor import Tensor
 
 
 class TestLearningRateSchedule:
@@ -111,6 +122,92 @@ class TestPretrain:
         ds = Dataset(images, np.zeros(30, dtype=np.int64), 1)
         layer = HebbLayer(init_weights(2, 4, seed=0), LearningParams(eta=0.01, rule="swta"))
         stack, _ = pretrain([layer], ds, TrainConfig(epochs=1, seed=0))
+
+
+def _loop_layer_metric(layer, x):
+    """The layer metric with its own patch extraction and forward pass."""
+    x = layer_rows(layer, x)
+    y = rules.forward_linear(layer.weights, x)
+    if layer.params.rule == rules.RULE_SWTA:
+        r = tc.softmax(y, layer.params.temperature, dim=1)
+        return float(np.mean(np.max(r.data, axis=1)))
+    b, n, _ = y.shape
+    recon = tc.matmul(tc.reshape(y, (1, b, n)), layer.weights)
+    resid = tc.elementwise("sub", tc.reshape(x, (1, b, x.shape[2])), recon)
+    return float(np.mean(np.linalg.norm(resid.data[0], axis=1)))
+
+
+def _loop_pretrain(stack, images, config):
+    """Pretraining as three separate passes per Hebbian layer and batch
+    (update from the stage input, metric forward, stage forward) through
+    every stage of the stack, the trailing ones included."""
+    stack = list(stack)
+    rng = np.random.default_rng(config.seed)
+    hebb = [i for i, s in enumerate(stack) if isinstance(s, HebbLayer)]
+    phases = [[i] for i in hebb] if config.layer_schedule == "layerwise" else [hebb]
+    per_epoch = []
+    for trainable in phases:
+        for _ in range(config.epochs):
+            layer_metrics = {i: [] for i in hebb}
+            order = rng.permutation(len(images))
+            for start in range(0, len(images), config.batch_size):
+                x = Tensor(images[order[start : start + config.batch_size]])
+                for pos, stage in enumerate(stack):
+                    if isinstance(stage, HebbLayer) and pos in trainable:
+                        stage = apply_update(stage, hebb_update(stage, x))
+                        stack[pos] = stage
+                    if isinstance(stage, HebbLayer):
+                        layer_metrics[pos].append(_loop_layer_metric(stage, x))
+                    x = stage.forward(x)
+            per_epoch.append([float(np.mean(layer_metrics[i])) for i in hebb])
+    down = [stack[i].params.rule == rules.RULE_HPCA for i in hebb]
+    return stack, per_epoch, pipeline._plateau_epoch(per_epoch, down)
+
+
+def _conv_stack(rule):
+    def conv(n, c, k, pad, seed):
+        g = ConvGeometry(k, k, c, padding=pad)
+        return HebbLayer(
+            init_weights(n, g.patch_size, seed=seed),
+            LearningParams(eta=0.02, temperature=0.5, rule=rule), geometry=g,
+        )
+
+    return [conv(4, 2, 3, 1, 0), ReLU(), MaxPool(2, 2), conv(5, 4, 3, 0, 1), ReLU(),
+            MaxPool(3, 2), Flatten()]
+
+
+def _dense_stack(rule):
+    return [
+        HebbLayer(init_weights(5, 8, seed=2), LearningParams(eta=0.02, rule=rule)),
+        ReLU(),
+        HebbLayer(init_weights(3, 5, seed=3), LearningParams(eta=0.05, rule=rule)),
+        ReLU(),
+    ]
+
+
+class TestPretrainMatchesPerStageLoop:
+    """pretrain shares one set of rows and one forward per Hebbian layer and
+    stops after the last one; weights and metrics stay bit for bit those of
+    the loop that recomputes each pass and runs every stage."""
+
+    @pytest.mark.parametrize("schedule", ["joint", "layerwise"])
+    @pytest.mark.parametrize("rule", ["hpca", "swta"])
+    @pytest.mark.parametrize(
+        "make_stack, shape",
+        [(_conv_stack, (2, 10, 10)), (_dense_stack, (1, 2, 4))],
+        ids=["conv", "dense"],
+    )
+    def test_bitwise(self, make_stack, shape, rule, schedule):
+        images = np.random.default_rng(8).standard_normal((37, *shape))
+        config = TrainConfig(epochs=4, batch_size=16, seed=3, layer_schedule=schedule)
+        want, want_metrics, want_converged = _loop_pretrain(make_stack(rule), images, config)
+        got, metrics = pretrain(make_stack(rule), Dataset(images, np.zeros(37, dtype=np.int64), 1), config)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            if isinstance(b, HebbLayer):
+                assert np.array_equal(a.weights.data, b.weights.data)
+        assert metrics.epoch_metrics == want_metrics
+        assert metrics.converged_epoch == want_converged
 
 
 class TestExtractFeatures:
