@@ -20,6 +20,7 @@ from .errors import (
     NonFiniteWeights,
     ShapeMismatch,
     TruncatedFile,
+    UsageError,
     VersionMismatch,
 )
 from .rules import (

@@ -24,7 +24,7 @@ except ImportError:  # pragma: no cover
     threadpool_limits = None
 
 from . import rules
-from .errors import EquivalenceViolation
+from .errors import EquivalenceViolation, UsageError
 from .layers import init_weights
 from .rules import LearningParams
 from .tensor import Tensor
@@ -56,13 +56,9 @@ EQUIV_TOL = {8: 1e-10, 4: 1e-4}  # tolerance by dtype itemsize
 def thread_count() -> int:
     """Worker threads for kernels, from FASTHEBB_THREADS (default 1)."""
     raw = os.environ.get("FASTHEBB_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"FASTHEBB_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"FASTHEBB_THREADS must be a positive integer, got {raw!r}")
-    return value
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise UsageError(f"FASTHEBB_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass
@@ -153,8 +149,11 @@ def bench_kernels(
     out-of-tolerance row raises EquivalenceViolation.
     """
     if reps < 5:
-        raise ValueError(f"reps must be >= 5, got {reps}")
+        raise UsageError(f"reps must be >= 5, got {reps}")
     rule_names = rule_names or [rules.RULE_SWTA, rules.RULE_HPCA]
+    for rule in rule_names:
+        if rule not in (rules.RULE_SWTA, rules.RULE_HPCA):
+            raise UsageError(f"unknown rule {rule!r}")
     tol = EQUIV_TOL[np.dtype(dtype).itemsize]
     report = BenchReport(environment=_environment(dtype))
     pinned = threadpool_limits(limits=thread_count()) if threadpool_limits else nullcontext()

@@ -14,39 +14,15 @@ import numpy as np
 from . import bench as bench_mod, pipeline
 from .config import load_config, parse_config
 from .data import REGIME_FRACTIONS, Regime, split_regime
-from .errors import (
-    BadCovariance,
-    BadLabel,
-    BadMagic,
-    ConfigError,
-    CorruptFile,
-    EquivalenceViolation,
-    FastHebbError,
-    TruncatedFile,
-    VersionMismatch,
-)
-from .experiment import (
-    build_dataset,
-    build_stack,
-    build_train_config,
-    restore_stack,
-)
+from .errors import ConfigError, CorruptFile, FastHebbError, UsageError
+from .experiment import build_dataset, build_stack, build_train_config, restore_stack
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-_DATA_ERRORS = (
-    ConfigError,
-    TruncatedFile,
-    BadLabel,
-    BadMagic,
-    VersionMismatch,
-    CorruptFile,
-    BadCovariance,
-    FileNotFoundError,
-)
+_FLAG_FLOORS = {"seed": 0, "topk": 1}  # integer flags and their least value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,8 +87,8 @@ def _parse_grid(spec: str) -> list[tuple[int, int, int]]:
 
 def _cmd_pretrain(args) -> int:
     text, cfg = load_config(args.config)
-    data = build_dataset(cfg, "train")
     train_cfg = build_train_config(cfg)
+    data = build_dataset(cfg, "train")
     stack = build_stack(cfg, data.images.shape[1:], train_cfg.hebb_lr)
     stack, metrics = pipeline.pretrain(stack, data, train_cfg)
     pipeline.save_checkpoint(args.out, stack, None, text)
@@ -167,11 +143,7 @@ def _cmd_bench(args) -> int:
     grid = _parse_grid(args.grid)
     rule_names = [r.strip() for r in args.rule.split(",") if r.strip()]
     dtype = np.float32 if args.float32 else np.float64
-    try:
-        report = bench_mod.bench_kernels(grid, rule_names, reps=args.reps, seed=args.seed, dtype=dtype)
-    except ValueError as exc:  # argument checks: --reps floor, --rule, FASTHEBB_THREADS
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = bench_mod.bench_kernels(grid, rule_names, reps=args.reps, seed=args.seed, dtype=dtype)
     with open(args.out, "w") as fh:
         fh.write(report.to_csv())
     if args.json_out:
@@ -187,6 +159,8 @@ def _cmd_report(args) -> int:
     if not lines:
         raise CorruptFile(f"{args.input} is empty")
     table = [line.split(",") for line in lines]
+    if any(len(row) != len(table[0]) for row in table):
+        raise CorruptFile(f"{args.input}: rows have different column counts")
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     for row in table:
         print("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
@@ -213,13 +187,13 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        for flag, floor in _FLAG_FLOORS.items():
+            if getattr(args, flag, floor) < floor:
+                raise UsageError(f"--{flag} must be >= {floor}, got {getattr(args, flag)}")
         return _COMMANDS[args.command](args)
-    except _DATA_ERRORS as exc:
+    except (FastHebbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (EquivalenceViolation, FastHebbError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return getattr(exc, "exit_code", EXIT_DATA)  # an OSError is a data error
 
 
 if __name__ == "__main__":

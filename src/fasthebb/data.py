@@ -14,6 +14,7 @@ from .errors import (
     BadCovariance,
     BadLabel,
     BadMagic,
+    ConfigError,
     CorruptFile,
     TruncatedFile,
     VersionMismatch,
@@ -155,7 +156,7 @@ def synth_clusters(
     share the same ground truth.
     """
     if k > dims:
-        raise ValueError(f"need k <= dims to place {k} equidistant centroids")
+        raise ConfigError(f"clusters ({k}) must be <= dims ({dims}) to place equidistant centroids")
     rng_c = np.random.default_rng(seed if centroid_seed is None else centroid_seed)
     rng = np.random.default_rng(seed)
     # orthonormal directions scaled so pairwise centroid distance == separation

@@ -1,8 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the CLI exit status it ends a command with: 1 usage,
+2 data/config, 3 numeric.
+"""
 
 
 class FastHebbError(Exception):
     """Base class for all package-specific errors."""
+    exit_code = 3
+
+
+class UsageError(FastHebbError, ValueError):
+    """A command-line or function argument is out of range."""
+    exit_code = 1
 
 
 class ShapeMismatch(FastHebbError):
@@ -14,7 +24,8 @@ class InvalidTemperature(FastHebbError):
 
 
 class GeometryError(FastHebbError):
-    """Patch/pool geometry underflows the input dimensions."""
+    """Kernel, stride or padding is invalid, or the kernel exceeds the padded input."""
+    exit_code = 2
 
 
 class NonFiniteWeights(FastHebbError):
@@ -23,26 +34,32 @@ class NonFiniteWeights(FastHebbError):
 
 class TruncatedFile(FastHebbError):
     """Binary dataset file is not a whole number of records."""
+    exit_code = 2
 
 
 class BadLabel(FastHebbError):
     """Label byte outside the valid class range."""
+    exit_code = 2
 
 
 class BadCovariance(FastHebbError):
     """Covariance specification is not positive definite."""
+    exit_code = 2
 
 
 class BadMagic(FastHebbError):
     """File does not start with the expected magic bytes."""
+    exit_code = 2
 
 
 class VersionMismatch(FastHebbError):
     """File version is not supported by this reader."""
+    exit_code = 2
 
 
 class CorruptFile(FastHebbError):
     """File ended early or failed structural validation."""
+    exit_code = 2
 
 
 class EmptyLabeledSet(FastHebbError):
@@ -53,5 +70,6 @@ class EquivalenceViolation(FastHebbError):
     """Fast and naive kernels disagreed beyond tolerance."""
 
 
-class ConfigError(FastHebbError):
-    """Experiment configuration file is malformed or has unknown keys."""
+class ConfigError(FastHebbError, ValueError):
+    """Experiment configuration is malformed, has unknown keys or out-of-range values."""
+    exit_code = 2

@@ -7,8 +7,8 @@ import numpy as np
 
 from . import data as dio
 from .data import Dataset
-from .errors import ConfigError
-from .layers import ConvGeometry, Flatten, HebbLayer, MaxPool, ReLU, init_weights
+from .errors import ConfigError, GeometryError
+from .layers import ConvGeometry, Flatten, HebbLayer, MaxPool, ReLU, init_weights, out_extent
 from .pipeline import TrainConfig
 from .rules import LearningParams, update_fn
 from .tensor import Tensor
@@ -16,17 +16,28 @@ from .tensor import Tensor
 __all__ = ["build_dataset", "build_stack", "build_train_config", "restore_stack"]
 
 
-def _get(section: dict, key: str, cast, default=None):
+_BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
+
+
+def _read(section: dict, key: str, cast, default=None, floor=None):
+    """``section[key]`` as ``cast`` (``default`` when absent; required when
+    that is None).  A bool must be a boolean word; a number must be >= ``floor``."""
     if key not in section:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
+    raw = section[key]
     try:
-        if cast is bool:
-            return section[key].lower() in ("1", "true", "yes", "on")
-        return cast(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {section[key]!r}") from exc
+        value = _BOOLS[raw.lower()] if cast is bool else cast(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
+    if floor is not None and value < floor:
+        raise ConfigError(f"{key!r} must be >= {floor}, got {raw}")
+    return value
+
+
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
 
 
 def build_dataset(cfg: dict, split: str = "train") -> Dataset:
@@ -36,37 +47,32 @@ def build_dataset(cfg: dict, split: str = "train") -> Dataset:
     seed so train and test are disjoint draws from the same distribution.
     """
     section = cfg.get("data", {})
-    kind = _get(section, "kind", str)
-    base_seed = _get(section, "seed", int, 0)
-    seed = base_seed + 9999 if split == "test" else base_seed
+    kind = _read(section, "kind", str)
+    base_seed = _read(section, "seed", int, 0, floor=0)
+    test = split == "test"
+    if kind in ("cifar10", "fhds"):
+        load = dio.load_cifar10 if kind == "cifar10" else dio.load_dataset
+        return load(_read(section, "test_path" if test else "path", str), split)
+    if kind not in ("clusters", "gaussian"):
+        raise ConfigError(f"unknown data kind {kind!r}")
+    seed = base_seed + 9999 if test else base_seed
+    num = _read(section, "num", int, floor=1)
+    if test:
+        num = _read(section, "test_num", int, num, floor=1)
+    dims = _read(section, "dims", int, floor=1)
     if kind == "clusters":
-        num = _get(section, "num" if split == "train" else "test_num", int,
-                   _get(section, "num", int) if split == "test" else None)
         ds, _ = dio.synth_clusters(
-            k=_get(section, "clusters", int),
+            k=_read(section, "clusters", int, floor=1),
             num=num,
-            dims=_get(section, "dims", int),
-            separation=_get(section, "separation", float),
+            dims=dims,
+            separation=_read(section, "separation", float),
             seed=seed,
-            noise_std=_get(section, "noise_std", float, 1.0),
+            noise_std=_read(section, "noise_std", float, 1.0),
             centroid_seed=base_seed,
         )
-        return Dataset(ds.images, ds.labels, ds.class_count, split)
-    if kind == "gaussian":
-        num = _get(section, "num" if split == "train" else "test_num", int,
-                   _get(section, "num", int) if split == "test" else None)
-        dims = _get(section, "dims", int)
-        diag = section.get("cov_diag")
-        cov = [float(v) for v in diag.split(",")] if diag else 1.0
-        ds = dio.synth_gaussian(num, dims, cov, seed)
-        return Dataset(ds.images, ds.labels, ds.class_count, split)
-    if kind == "cifar10":
-        key = "path" if split == "train" else "test_path"
-        return dio.load_cifar10(_get(section, key, str), split)
-    if kind == "fhds":
-        key = "path" if split == "train" else "test_path"
-        return dio.load_dataset(_get(section, key, str), split)
-    raise ConfigError(f"unknown data kind {kind!r}")
+    else:
+        ds = dio.synth_gaussian(num, dims, _read(section, "cov_diag", _floats, 1.0), seed)
+    return Dataset(ds.images, ds.labels, ds.class_count, split)
 
 
 def _parse_layer_spec(spec: str) -> tuple[str, dict[str, str]]:
@@ -82,17 +88,6 @@ def _parse_layer_spec(spec: str) -> tuple[str, dict[str, str]]:
     return kind, opts
 
 
-def _opt(opts: dict, key: str, cast, default=None):
-    if key not in opts:
-        if default is None:
-            raise ConfigError(f"layer spec missing option {key!r}")
-        return default
-    try:
-        return cast(opts[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad layer option {key}={opts[key]!r}") from exc
-
-
 _HEBB_OPTIONS = {"n", "lr", "t", "rule", "impl"}
 _LAYER_OPTIONS = {  # the options each layer kind reads
     "relu": set(), "flatten": set(), "maxpool": {"window", "stride"},
@@ -104,7 +99,7 @@ def build_stack(cfg: dict, input_shape: tuple[int, int, int], hebb_lr: float) ->
     """Build the stage list from the [model] section, inferring each
     Hebbian layer's input size from the shapes that precede it."""
     section = cfg.get("model", {})
-    init_seed = _get(section, "init_seed", int, 0)
+    init_seed = _read(section, "init_seed", int, 0, floor=0)
     layer_keys = sorted(
         (k for k in section if k.startswith("layer")),
         key=lambda k: int(k[5:]),
@@ -112,82 +107,68 @@ def build_stack(cfg: dict, input_shape: tuple[int, int, int], hebb_lr: float) ->
     stack: list = []
     shape: tuple = input_shape  # (C, H, W) or (F,)
     for i, key in enumerate(layer_keys):
-        kind, opts = _parse_layer_spec(section[key])
-        unknown = sorted(set(opts) - _LAYER_OPTIONS.get(kind, set(opts)))  # unknown kinds fail below
-        if unknown:
-            raise ConfigError(f"{key}: {kind} layer has no option {unknown[0]!r}")
-        if kind == "relu":
-            stack.append(ReLU())
-        elif kind == "flatten":
-            stack.append(Flatten())
-            shape = (int(np.prod(shape)),)
-        elif kind == "maxpool":
-            window = _opt(opts, "window", int, 2)
-            stride = _opt(opts, "stride", int, window)
-            if len(shape) != 3:
-                raise ConfigError(f"{key}: maxpool needs image-shaped input")
-            c, h, w = shape
-            stack.append(MaxPool(window, stride))
-            shape = (c, (h - window) // stride + 1, (w - window) // stride + 1)
-        elif kind in ("dense", "conv"):
-            geometry, size, out_hw = None, int(np.prod(shape)), ()
-            if kind == "conv":
-                if len(shape) != 3:
-                    raise ConfigError(f"{key}: conv needs image-shaped input")
-                c, h, w = shape
-                geometry = ConvGeometry(
-                    kernel_h=_opt(opts, "kh", int, _opt(opts, "k", int, 3)),
-                    kernel_w=_opt(opts, "kw", int, _opt(opts, "k", int, 3)),
-                    in_channels=c,
-                    stride=_opt(opts, "stride", int, 1),
-                    padding=_opt(opts, "pad", int, 0),
-                )
-                size = geometry.patch_size
-                out_hw = (
-                    (h + 2 * geometry.padding - geometry.kernel_h) // geometry.stride + 1,
-                    (w + 2 * geometry.padding - geometry.kernel_w) // geometry.stride + 1,
-                )
-            n = _opt(opts, "n", int)
-            impl = _opt(opts, "impl", str, "fast")
-            try:
-                params = LearningParams(
-                    eta=_opt(opts, "lr", float, hebb_lr),
-                    temperature=_opt(opts, "t", float, 1.0),
-                    rule=_opt(opts, "rule", str, "swta"),
-                )
-                update_fn(params.rule, impl)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-            stack.append(
-                HebbLayer(
-                    weights=init_weights(n, size, seed=init_seed + i),
-                    params=params,
-                    geometry=geometry,
-                    update_impl=impl,
-                )
-            )
-            shape = (n, *out_hw)
-        else:
-            raise ConfigError(f"{key}: unknown layer kind {kind!r}")
+        try:
+            stage, shape = _build_stage(section[key], shape, hebb_lr, init_seed + i)
+        except (ConfigError, GeometryError) as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+        stack.append(stage)
     return stack
+
+
+def _build_stage(spec: str, shape: tuple, hebb_lr: float, seed: int) -> tuple:
+    """One stage from its layer spec and input shape, with its output shape."""
+    kind, opts = _parse_layer_spec(spec)
+    unknown = sorted(set(opts) - _LAYER_OPTIONS.get(kind, set(opts)))  # unknown kinds fail below
+    if unknown:
+        raise ConfigError(f"{kind} layer has no option {unknown[0]!r}")
+    if kind == "relu":
+        return ReLU(), shape
+    if kind == "flatten":
+        return Flatten(), (int(np.prod(shape)),)
+    if kind not in _LAYER_OPTIONS:
+        raise ConfigError(f"unknown layer kind {kind!r}")
+    if kind != "dense" and len(shape) != 3:
+        raise ConfigError(f"{kind} needs image-shaped input")
+    if kind == "maxpool":
+        window = _read(opts, "window", int, 2)
+        stride = _read(opts, "stride", int, window)
+        c, h, w = shape
+        return MaxPool(window, stride), (c, *(out_extent(e, window, stride, 0) for e in (h, w)))
+    geometry, size, out_hw = None, int(np.prod(shape)), ()
+    if kind == "conv":
+        c, h, w = shape
+        k = _read(opts, "k", int, 3)
+        kh, kw = _read(opts, "kh", int, k), _read(opts, "kw", int, k)
+        stride, pad = _read(opts, "stride", int, 1), _read(opts, "pad", int, 0)
+        geometry = ConvGeometry(kh, kw, c, stride, pad)
+        size = geometry.patch_size
+        out_hw = (out_extent(h, kh, stride, pad), out_extent(w, kw, stride, pad))
+    n = _read(opts, "n", int, floor=1)
+    impl = _read(opts, "impl", str, "fast")
+    params = LearningParams(
+        eta=_read(opts, "lr", float, hebb_lr),
+        temperature=_read(opts, "t", float, 1.0),
+        rule=_read(opts, "rule", str, "swta"),
+    )
+    update_fn(params.rule, impl)
+    layer = HebbLayer(init_weights(n, size, seed=seed), params, geometry, update_impl=impl)
+    return layer, (n, *out_hw)
 
 
 def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConfig:
     section = cfg.get("train", {})
-    seed = _get(section, "seed", int, 0)
-    if seed_override is not None:
-        seed = seed_override
+    seed = _read(section, "seed", int, 0)
     return TrainConfig(
-        epochs=_get(section, "epochs", int, 20),
-        batch_size=_get(section, "batch_size", int, 64),
-        hebb_lr=_get(section, "hebb_lr", float, 1e-3),
-        probe_lr=_get(section, "probe_lr", float, 1e-3),
-        momentum=_get(section, "momentum", float, 0.9),
-        nesterov=_get(section, "nesterov", bool, True),
-        weight_decay=_get(section, "weight_decay", float, 0.0),
-        early_stopping=_get(section, "early_stopping", bool, True),
-        seed=seed,
-        layer_schedule=_get(section, "schedule", str, "joint"),
+        epochs=_read(section, "epochs", int, 20),
+        batch_size=_read(section, "batch_size", int, 64),
+        hebb_lr=_read(section, "hebb_lr", float, 1e-3),
+        probe_lr=_read(section, "probe_lr", float, 1e-3),
+        momentum=_read(section, "momentum", float, 0.9),
+        nesterov=_read(section, "nesterov", bool, True),
+        weight_decay=_read(section, "weight_decay", float, 0.0),
+        early_stopping=_read(section, "early_stopping", bool, True),
+        seed=seed if seed_override is None else seed_override,
+        layer_schedule=_read(section, "schedule", str, "joint"),
     )
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "ReLU",
     "MaxPool",
     "Flatten",
+    "out_extent",
     "extract_patches",
     "conv_forward",
     "layer_rows",
@@ -119,7 +120,13 @@ def init_weights(n: int, s: int, seed: int, dtype=np.float64) -> Tensor:
     return Tensor(rng.normal(0.0, 1.0 / np.sqrt(s), size=(1, n, s)), dtype=dtype)
 
 
-def _out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
+def out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
+    """Number of kernel positions along one axis: the only place an output
+    extent is computed, and where its kernel, stride and padding are checked."""
+    if kernel < 1 or stride < 1 or padding < 0:
+        raise GeometryError(
+            f"need kernel >= 1, stride >= 1 and padding >= 0, got {kernel}, {stride} and {padding}"
+        )
     span = extent + 2 * padding - kernel
     if span < 0:
         raise GeometryError(
@@ -136,10 +143,8 @@ def extract_patches(images: Tensor, geometry: ConvGeometry) -> PatchBatch:
     g = geometry
     if c != g.in_channels:
         raise ShapeMismatch(f"expected {g.in_channels} channels, got {c}")
-    if g.stride < 1:
-        raise GeometryError(f"stride must be >= 1, got {g.stride}")
-    out_h = _out_extent(h, g.kernel_h, g.stride, g.padding)
-    out_w = _out_extent(w, g.kernel_w, g.stride, g.padding)
+    out_h = out_extent(h, g.kernel_h, g.stride, g.padding)
+    out_w = out_extent(w, g.kernel_w, g.stride, g.padding)
     arr = images.data
     if g.padding:
         arr = np.pad(
@@ -179,8 +184,8 @@ def layer_output(layer: HebbLayer, y: Tensor, x: Tensor) -> Tensor:
     b, n, g = x.shape[0], layer.num_neurons, layer.geometry
     if g is None:
         return tc.reshape(y, (b, n))
-    out_h = _out_extent(x.shape[2], g.kernel_h, g.stride, g.padding)
-    out_w = _out_extent(x.shape[3], g.kernel_w, g.stride, g.padding)
+    out_h = out_extent(x.shape[2], g.kernel_h, g.stride, g.padding)
+    out_w = out_extent(x.shape[3], g.kernel_w, g.stride, g.padding)
     grid = y.data.reshape(b, out_h, out_w, n)
     return Tensor(np.transpose(grid, (0, 3, 1, 2)), dtype=y.dtype)
 
@@ -214,11 +219,9 @@ def max_pool(x: Tensor, window: int, stride: int) -> Tensor:
     (``+0.0``, ``-0.0``) the last in row-major window order wins."""
     if x.ndim != 4:
         raise ShapeMismatch(f"expected BxCxHxW input, got {x.shape}")
-    if window < 1 or stride < 1:
-        raise GeometryError(f"window and stride must be >= 1, got {window} and {stride}")
     out = x.data
     for axis in (3, 2):
-        span = (_out_extent(out.shape[axis], window, stride, 0) - 1) * stride + 1
+        span = (out_extent(out.shape[axis], window, stride, 0) - 1) * stride + 1
         lead = (slice(None),) * axis
         out = reduce(np.maximum, [out[lead + (slice(k, k + span, stride),)] for k in range(window)])
     return Tensor(out, dtype=x.dtype)

@@ -16,6 +16,7 @@ from . import layers as ly, rules, tensor as tc
 from .data import Dataset
 from .errors import (
     BadMagic,
+    ConfigError,
     CorruptFile,
     EmptyLabeledSet,
     VersionMismatch,
@@ -57,12 +58,14 @@ class TrainConfig:
     layer_schedule: str = "joint"  # or "layerwise"
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.hebb_lr <= 0 or self.probe_lr <= 0:
-            raise ValueError("learning rates must be > 0")
+        for key, floor in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            if getattr(self, key) < floor:
+                raise ConfigError(f"{key} must be >= {floor}, got {getattr(self, key)}")
+        for key in ("hebb_lr", "probe_lr"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
         if self.layer_schedule not in ("joint", "layerwise"):
-            raise ValueError(f"unknown layer schedule {self.layer_schedule!r}")
+            raise ConfigError(f"unknown schedule {self.layer_schedule!r}")
 
 
 def learning_rate(base: float, epoch: int, epochs: int) -> float:

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as tc
-from .errors import ShapeMismatch
+from .errors import ConfigError, ShapeMismatch
 from .tensor import AllocationTracker, Tensor
 
 __all__ = [
@@ -54,11 +54,11 @@ class LearningParams:
 
     def __post_init__(self):
         if not self.eta > 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
+            raise ConfigError(f"eta must be > 0, got {self.eta}")
         if not self.temperature > 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if self.rule not in (RULE_SWTA, RULE_HPCA):
-            raise ValueError(f"unknown rule {self.rule!r}")
+            raise ConfigError(f"unknown rule {self.rule!r}")
 
 
 @dataclass
@@ -240,4 +240,4 @@ def update_fn(rule: str, impl: str):
     try:
         return _KERNELS[(rule, impl)]
     except KeyError:
-        raise ValueError(f"no kernel for rule={rule!r} impl={impl!r}") from None
+        raise ConfigError(f"no kernel for rule={rule!r} impl={impl!r}") from None

@@ -5,6 +5,7 @@ from fasthebb import bench as bench_mod
 from fasthebb.bench import CSV_COLUMNS, bench_kernels
 from fasthebb.cli import main
 from fasthebb.config import parse_config
+from fasthebb.data import Dataset, save_dataset
 from fasthebb.errors import ConfigError
 from fasthebb.experiment import build_stack
 from fasthebb.pipeline import load_checkpoint
@@ -31,6 +32,88 @@ hebb_lr = 0.01
 probe_lr = 0.05
 seed = 0
 """
+
+
+IMAGE_CONFIG = """\
+[data]
+kind = fhds
+path = {data}
+test_path = {data}
+
+[model]
+{layers}
+
+[train]
+epochs = 1
+"""
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _pretrain(tmp_path, text, out="m.fhb"):
+    return ["pretrain", "--config", _write(tmp_path, "c.cfg", text), "--out", str(tmp_path / out)]
+
+
+def _cli(*args):
+    """argv with ``{tmp}`` set to the test's tmp_path."""
+    return lambda tmp_path: [arg.format(tmp=tmp_path) for arg in args]
+
+
+def _demo(old, new, text=DEMO_CONFIG):
+    """pretrain on ``text`` with its first ``old`` replaced by ``new``."""
+    assert old in text
+    return lambda tmp_path: _pretrain(tmp_path, text.replace(old, new, 1))
+
+
+def _image(*layers):
+    """pretrain on two zero 3x32x32 images through ``layers``."""
+
+    def argv(tmp_path):
+        save_dataset(tmp_path / "d.fhds", Dataset(np.zeros((2, 3, 32, 32)), np.zeros(2), 1))
+        specs = "\n".join(f"layer{i} = {spec}" for i, spec in enumerate(layers, 1))
+        return _pretrain(tmp_path, IMAGE_CONFIG.format(data=tmp_path / "d.fhds", layers=specs))
+
+    return argv
+
+
+# id: (argv from tmp_path, exit code, text the one stderr line must contain)
+BAD_INPUTS = {
+    "epochs-0": (_demo("epochs = 4", "epochs = 0"), 2, "epochs"),
+    # the missing data file would be the error if the data were built first
+    "epochs-0-before-data": (
+        _demo("epochs = 4", "epochs = 0", DEMO_CONFIG.replace("kind = clusters", "kind = fhds\npath = x")),
+        2, "epochs",
+    ),
+    "batch-size-0": (_demo("batch_size = 32", "batch_size = 0"), 2, "batch_size"),
+    "probe-lr-negative": (_demo("probe_lr = 0.05", "probe_lr = -1"), 2, "probe_lr"),
+    "schedule-foo": (_demo("epochs = 4", "schedule = foo"), 2, "schedule"),
+    "nesterov-maybe": (_demo("epochs = 4", "nesterov = maybe"), 2, "nesterov"),
+    "clusters-above-dims": (_demo("clusters = 4", "clusters = 17"), 2, "clusters"),
+    "num-negative": (_demo("num = 200", "num = -5"), 2, "'num'"),
+    "num-0": (_demo("num = 200", "num = 0"), 2, "'num'"),
+    "data-seed-negative": (_demo("seed = 3", "seed = -1"), 2, "'seed'"),
+    "train-seed-negative": (_demo("\nseed = 0\n", "\nseed = -1\n"), 2, "seed"),
+    "conv-stride-0": (_image("conv k=3 n=2 stride=0"), 2, "layer1:"),
+    "maxpool-stride-0": (_image("conv k=3 n=2", "maxpool window=2 stride=0"), 2, "layer2:"),
+    "maxpool-window-0": (_image("conv k=3 n=2", "maxpool window=0"), 2, "layer2:"),
+    "conv-pad-negative": (_image("conv k=3 n=2 pad=-1"), 2, "layer1:"),
+    "conv-k-40": (_image("conv k=40 n=2"), 2, "layer1:"),
+    "eval-topk-0": (_cli("eval", "--ckpt", "{tmp}/m.fhb", "--topk", "0"), 1, "--topk"),
+    "probe-seed-negative": (
+        _cli("probe", "--ckpt", "{tmp}/m.fhb", "--regime", "25", "--seed", "-1"), 1, "--seed",
+    ),
+    "bench-seed-negative": (
+        _cli("bench", "--grid", "B=8;N=2;S=3", "--out", "{tmp}/x.csv", "--seed", "-1"), 1, "--seed",
+    ),
+    "report-ragged-csv": (
+        lambda tmp_path: ["report", "--in", _write(tmp_path, "r.csv", "a,b,c\n1,2\n")], 2, "column",
+    ),
+    "pretrain-out-directory": (lambda tmp_path: _pretrain(tmp_path, DEMO_CONFIG, out="."), 2, "directory"),
+}
 
 
 @pytest.fixture
@@ -166,7 +249,7 @@ class TestCli:
         assert "Traceback" not in err
         assert "invalid choice: 7" in err
 
-    @pytest.mark.parametrize("option", ["impl=fsat", "rule=hcpa", "bogus=3", "lr=-1"])
+    @pytest.mark.parametrize("option", ["impl=fsat", "rule=hcpa", "bogus=3", "lr=-1", "n=0", "n=-2"])
     def test_bad_layer_option_is_config_error(self, option, tmp_path, capsys):
         text = DEMO_CONFIG.replace("impl=fast lr=0.01", f"lr=0.01 {option}")
         with pytest.raises(ConfigError):
@@ -178,6 +261,18 @@ class TestCli:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "m.fhb").exists()
+
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_bad_input_exits_with_one_line(self, case, tmp_path, capsys):
+        argv, code, needle = BAD_INPUTS[case]
+        argv = argv(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert needle in err
+        assert sorted(tmp_path.iterdir()) == before  # no checkpoint or report written
 
     def test_option_of_another_layer_kind_is_config_error(self):
         text = DEMO_CONFIG.replace("layer2 = relu", "layer2 = relu window=2")

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from fasthebb.errors import GeometryError, NonFiniteWeights, ShapeMismatch
+from fasthebb.config import parse_config
+from fasthebb.errors import ConfigError, GeometryError, NonFiniteWeights, ShapeMismatch
+from fasthebb.experiment import build_stack
 from fasthebb.layers import (
     ConvGeometry,
     HebbLayer,
@@ -16,6 +18,7 @@ from fasthebb.layers import (
     max_pool,
     relu,
 )
+from fasthebb.pipeline import forward_stack
 from fasthebb.rules import LearningParams, UpdateResult, update_fn
 from fasthebb.tensor import Tensor
 
@@ -78,6 +81,15 @@ class TestExtractPatches:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeMismatch):
             extract_patches(Tensor(np.zeros((1, 2, 4, 4))), ConvGeometry(2, 2, 3))
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [ConvGeometry(0, 2, 1), ConvGeometry(2, 2, 1, stride=0), ConvGeometry(2, 2, 1, padding=-1)],
+        ids=["kernel-0", "stride-0", "pad-negative"],
+    )
+    def test_bad_geometry(self, geometry):
+        with pytest.raises(GeometryError):
+            extract_patches(Tensor(np.zeros((1, 1, 4, 4))), geometry)
 
 
 class TestConvForward:
@@ -267,3 +279,34 @@ class TestMaxPoolProperty:
     def test_window_and_stride_must_be_positive(self, window, stride):
         with pytest.raises(GeometryError):
             max_pool(Tensor(np.zeros((1, 1, 4, 4))), window, stride)
+
+
+class TestBuildStackShapes:
+    """build_stack infers each Hebbian layer's input size with the same
+    out_extent the stages run; a wrong inference would surface as a
+    ShapeMismatch when forward_stack reaches the next Hebbian layer.  Values
+    come from [-2, 12] (n from [-2, 4]), half the time from their valid low
+    end, so that about one stack in ten builds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        opts=st.lists(st.one_of(st.integers(1, 3), st.integers(-2, 12)), min_size=9, max_size=9),
+        n=st.lists(st.one_of(st.integers(1, 4), st.integers(-2, 4)), min_size=3, max_size=3),
+    )
+    def test_builds_a_stack_that_runs_or_raises_config_error(self, opts, n):
+        kh, kw, stride, pad, window, pool_stride, k, stride2, pad2 = opts
+        model = "\n".join([
+            "[model]",
+            f"layer1 = conv kh={kh} kw={kw} stride={stride} pad={pad} n={n[0]}",
+            "layer2 = relu",
+            f"layer3 = maxpool window={window} stride={pool_stride}",
+            f"layer4 = conv k={k} stride={stride2} pad={pad2} n={n[1]}",
+            "layer5 = flatten",
+            f"layer6 = dense n={n[2]}",
+        ])
+        try:
+            stack = build_stack(parse_config(model), (3, 8, 8), 0.01)
+        except ConfigError as exc:
+            assert str(exc).startswith("layer")
+            return
+        assert forward_stack(stack, Tensor(np.zeros((2, 3, 8, 8)))).shape == (2, n[2])
