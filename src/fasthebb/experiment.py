@@ -3,13 +3,15 @@ files; shared by the CLI subcommands."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import data as dio
 from .data import Dataset
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, CorruptFile, GeometryError
 from .layers import ConvGeometry, Flatten, HebbLayer, MaxPool, ReLU, init_weights, out_extent
-from .pipeline import TrainConfig
+from .pipeline import CheckpointData, TrainConfig
 from .rules import LearningParams, update_fn
 from .tensor import Tensor
 
@@ -95,18 +97,19 @@ _LAYER_OPTIONS = {  # the options each layer kind reads
 }
 
 
+def _layer_keys(cfg: dict) -> list[str]:
+    """The [model] section's ``layerN`` keys in stage order."""
+    return sorted((k for k in cfg.get("model", {}) if k.startswith("layer")), key=lambda k: int(k[5:]))
+
+
 def build_stack(cfg: dict, input_shape: tuple[int, int, int], hebb_lr: float) -> list:
     """Build the stage list from the [model] section, inferring each
     Hebbian layer's input size from the shapes that precede it."""
     section = cfg.get("model", {})
     init_seed = _read(section, "init_seed", int, 0, floor=0)
-    layer_keys = sorted(
-        (k for k in section if k.startswith("layer")),
-        key=lambda k: int(k[5:]),
-    )
     stack: list = []
     shape: tuple = input_shape  # (C, H, W) or (F,)
-    for i, key in enumerate(layer_keys):
+    for i, key in enumerate(_layer_keys(cfg)):
         try:
             stage, shape = _build_stage(section[key], shape, hebb_lr, init_seed + i)
         except (ConfigError, GeometryError) as exc:
@@ -172,15 +175,19 @@ def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConf
     )
 
 
-def restore_stack(cfg: dict, input_shape, hebb_lr: float, weights: list[np.ndarray]) -> list:
-    """Rebuild a stack from config and overwrite Hebbian weights in order."""
-    from dataclasses import replace
-
+def restore_stack(cfg: dict, input_shape, hebb_lr: float, ckpt: CheckpointData) -> list:
+    """Rebuild a stack from config and put the checkpoint's Hebbian weights in
+    it, in order; their count, shapes and rules must match the config."""
     stack = build_stack(cfg, input_shape, hebb_lr)
-    it = iter(weights)
-    restored = []
-    for stage in stack:
-        if isinstance(stage, HebbLayer):
-            stage = replace(stage, weights=Tensor(next(it)))
-        restored.append(stage)
-    return restored
+    hebb = [(key, i) for i, key in enumerate(_layer_keys(cfg)) if isinstance(stack[i], HebbLayer)]
+    if len(ckpt.weights) != len(hebb):
+        names = ", ".join(key for key, _ in hebb) or "model"
+        raise CorruptFile(f"{names}: expected {len(hebb)} Hebbian weight blocks, got {len(ckpt.weights)}")
+    for (key, i), weights, rule in zip(hebb, ckpt.weights, ckpt.rules):
+        layer = stack[i]
+        if weights.shape != layer.weights.shape:
+            raise CorruptFile(f"{key}: expected weights of shape {layer.weights.shape}, got {weights.shape}")
+        if rule != layer.params.rule:
+            raise CorruptFile(f"{key}: expected rule {layer.params.rule!r}, got {rule!r}")
+        stack[i] = replace(layer, weights=Tensor(weights))
+    return stack

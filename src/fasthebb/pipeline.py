@@ -5,6 +5,8 @@ stopping on validation accuracy."""
 
 from __future__ import annotations
 
+import errno
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,8 +80,10 @@ def learning_rate(base: float, epoch: int, epochs: int) -> float:
 
 @dataclass
 class PretrainMetrics:
-    """Per-epoch layer metrics (HPCA: mean reconstruction residual norm,
-    SWTA: mean max competition score) plus the plateau epoch."""
+    """Per-epoch layer metrics plus the plateau epoch, each taken after the
+    batch's update.  HPCA: mean reconstruction residual norm ``‖x − Wᵀy‖``,
+    from ``‖x‖² − 2‖y‖² + yᵀ(WWᵀ)y`` with the square clamped at 0; SWTA:
+    mean max competition score."""
 
     epoch_metrics: list[list[float]] = field(default_factory=list)
     converged_epoch: Optional[int] = None
@@ -91,15 +95,27 @@ def _batch_iter(n: int, batch_size: int, rng) -> list[np.ndarray]:
 
 
 def _layer_metric(layer: HebbLayer, rows: Tensor, y: Tensor) -> float:
-    """Cheap per-batch training metric from the layer's rows and their forward y."""
+    """Cheap per-batch training metric from the layer's rows and their forward y.
+
+    HPCA's residual norm ``‖x − Wᵀy‖`` comes from the identity
+    ``‖x − Wᵀy‖² = ‖x‖² − 2‖y‖² + yᵀ(WWᵀ)y``, which holds because ``y = W·x``
+    with the same weights; so no temporary exceeds max(b_eff·N, N·S, N·N).
+    A squared residual that rounds below zero is clamped to 0 before the root."""
     if layer.params.rule == rules.RULE_SWTA:
         r = tc.softmax(y, layer.params.temperature, dim=1)
         return float(np.mean(np.max(r.data, axis=1)))
-    # HPCA: residual of the full reconstruction sum over all neurons
     b, n, _ = y.shape
-    recon = tc.matmul(tc.reshape(y, (1, b, n)), layer.weights)  # 1 x B x S
-    resid = tc.elementwise("sub", tc.reshape(rows, (1, b, rows.shape[2])), recon)
-    return float(np.mean(np.linalg.norm(resid.data[0], axis=1)))
+    w = layer.weights
+    gram = tc.matmul(w, tc.transpose(w))  # 1 x N x N
+    y_rows = tc.reshape(y, (1, b, n))
+    yg = tc.matmul(y_rows, gram)  # 1 x B x N
+    x, y2 = tc.reshape(rows, (b, rows.shape[2])).data, y_rows.data[0]
+    sq = (
+        np.einsum("ij,ij->i", x, x)
+        - 2.0 * np.einsum("ij,ij->i", y2, y2)
+        + np.einsum("ij,ij->i", yg.data[0], y2)
+    )
+    return float(np.mean(np.sqrt(np.maximum(sq, 0.0))))
 
 
 def _hebb_stage(layer: HebbLayer, x: Tensor, train: bool) -> tuple[HebbLayer, float, Tensor]:
@@ -340,24 +356,36 @@ def save_checkpoint(
 ) -> None:
     """Binary checkpoint: magic, u32 version, u32 hebbian layer count, per
     layer (u8 rule id, u8 dims, u32 extents, f64 weights), optional probe
-    weights, then the experiment config echoed as length-prefixed text."""
+    weights, then the experiment config echoed as length-prefixed text.
+
+    The bytes go to a temp file beside ``path`` that then replaces it, so a
+    write that fails leaves an existing checkpoint as it was."""
     hebb = [s for s in stack if isinstance(s, HebbLayer)]
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(struct.pack("<I", len(hebb)))
-        for layer in hebb:
-            fh.write(struct.pack("<B", _RULE_IDS[layer.params.rule]))
-            _pack_array(fh, layer.weights.data)
-        if probe is None:
-            fh.write(struct.pack("<B", 0))
-        else:
-            fh.write(struct.pack("<B", 1))
-            _pack_array(fh, probe.weights)
-            _pack_array(fh, probe.bias)
-        text = config_echo.encode("utf-8")
-        fh.write(struct.pack("<I", len(text)))
-        fh.write(text)
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<I", CKPT_VERSION))
+            fh.write(struct.pack("<I", len(hebb)))
+            for layer in hebb:
+                fh.write(struct.pack("<B", _RULE_IDS[layer.params.rule]))
+                _pack_array(fh, layer.weights.data)
+            if probe is None:
+                fh.write(struct.pack("<B", 0))
+            else:
+                fh.write(struct.pack("<B", 1))
+                _pack_array(fh, probe.weights)
+                _pack_array(fh, probe.bias)
+            text = config_echo.encode("utf-8")
+            fh.write(struct.pack("<I", len(text)))
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass

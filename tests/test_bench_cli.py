@@ -8,7 +8,10 @@ from fasthebb.config import parse_config
 from fasthebb.data import Dataset, save_dataset
 from fasthebb.errors import ConfigError
 from fasthebb.experiment import build_stack
-from fasthebb.pipeline import load_checkpoint
+from fasthebb.layers import HebbLayer
+from fasthebb.pipeline import LinearProbe, load_checkpoint, save_checkpoint
+from fasthebb.rules import LearningParams
+from fasthebb.tensor import Tensor
 
 DEMO_CONFIG = """\
 [data]
@@ -113,7 +116,32 @@ BAD_INPUTS = {
         lambda tmp_path: ["report", "--in", _write(tmp_path, "r.csv", "a,b,c\n1,2\n")], 2, "column",
     ),
     "pretrain-out-directory": (lambda tmp_path: _pretrain(tmp_path, DEMO_CONFIG, out="."), 2, "directory"),
+    "report-not-utf8": (
+        lambda tmp_path: ["report", "--in", str(_write_bytes(tmp_path / "m.fhb", b"FHB1\x01\x00\xff\xfe"))],
+        2, "UTF-8",
+    ),
 }
+
+TWO_HEBB_CONFIG = DEMO_CONFIG.replace("layer2 = relu", "layer2 = relu\nlayer3 = dense n=4 rule=hpca")
+
+# id: (config echo, weight blocks as (shape, rule), command, text the one stderr line must contain)
+CKPT_MISMATCHES = {
+    "short-count": (
+        TWO_HEBB_CONFIG, [((1, 6, 16), "hpca")], "probe",
+        "layer1, layer3: expected 2 Hebbian weight blocks, got 1",
+    ),
+    "wrong-shape": (
+        DEMO_CONFIG, [((1, 5, 16), "hpca")], "probe",
+        "layer1: expected weights of shape (1, 6, 16), got (1, 5, 16)",
+    ),
+    "wrong-rule": (DEMO_CONFIG, [((1, 6, 16), "swta")], "probe", "layer1: expected rule 'hpca', got 'swta'"),
+    "wrong-rule-eval": (DEMO_CONFIG, [((1, 6, 16), "swta")], "eval", "layer1: expected rule 'hpca', got 'swta'"),
+}
+
+
+def _write_bytes(path, raw):
+    path.write_bytes(raw)
+    return path
 
 
 @pytest.fixture
@@ -273,6 +301,22 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
         assert needle in err
         assert sorted(tmp_path.iterdir()) == before  # no checkpoint or report written
+
+    @pytest.mark.parametrize("case", list(CKPT_MISMATCHES))
+    def test_checkpoint_that_does_not_fit_its_config(self, case, tmp_path, capsys):
+        echo, blocks, command, needle = CKPT_MISMATCHES[case]
+        stack = [HebbLayer(Tensor(np.zeros(shape)), LearningParams(rule=rule)) for shape, rule in blocks]
+        ckpt = tmp_path / "m.fhb"
+        save_checkpoint(ckpt, stack, LinearProbe(np.zeros((4, 6)), np.zeros(4)), echo)
+        raw = ckpt.read_bytes()
+        argv = {"probe": ["--regime", "25"], "eval": []}[command]
+        assert main([command, "--ckpt", str(ckpt), *argv]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert needle in err
+        assert sorted(tmp_path.iterdir()) == [ckpt]
+        assert ckpt.read_bytes() == raw
 
     def test_option_of_another_layer_kind_is_config_error(self):
         text = DEMO_CONFIG.replace("layer2 = relu", "layer2 = relu window=2")

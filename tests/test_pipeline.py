@@ -131,10 +131,8 @@ def _loop_layer_metric(layer, x):
     if layer.params.rule == rules.RULE_SWTA:
         r = tc.softmax(y, layer.params.temperature, dim=1)
         return float(np.mean(np.max(r.data, axis=1)))
-    b, n, _ = y.shape
-    recon = tc.matmul(tc.reshape(y, (1, b, n)), layer.weights)
-    resid = tc.elementwise("sub", tc.reshape(x, (1, b, x.shape[2])), recon)
-    return float(np.mean(np.linalg.norm(resid.data[0], axis=1)))
+    # the HPCA formula is held to the reconstruction in TestLayerMetric
+    return pipeline._layer_metric(layer, x, y)
 
 
 def _loop_pretrain(stack, images, config):
@@ -208,6 +206,52 @@ class TestPretrainMatchesPerStageLoop:
                 assert np.array_equal(a.weights.data, b.weights.data)
         assert metrics.epoch_metrics == want_metrics
         assert metrics.converged_epoch == want_converged
+
+
+def _hpca_layer(n, conv):
+    """An HPCA layer with S = 8 (2x2 conv on 2 channels, or dense on 8 inputs)."""
+    geometry = ConvGeometry(2, 2, 2) if conv else None
+    return HebbLayer(init_weights(n, 8, seed=1), LearningParams(eta=0.02, rule="hpca"), geometry)
+
+
+class TestLayerMetric:
+    """The HPCA metric from the N x N weight Gram equals the mean norm of the
+    full reconstruction residual x - W^T y, and never builds a b_eff x S tensor."""
+
+    @pytest.mark.parametrize("epochs", [0, 3], ids=["random", "pretrained"])
+    @pytest.mark.parametrize("n", [4, 8, 12], ids=["N<S", "N=S", "N>S"])
+    @pytest.mark.parametrize("conv", [False, True], ids=["dense", "conv"])
+    def test_matches_reconstruction(self, conv, n, epochs):
+        images = np.random.default_rng(0).standard_normal((40, *((2, 5, 5) if conv else (1, 2, 4))))
+        layer = _hpca_layer(n, conv)
+        if epochs:
+            data = Dataset(images, np.zeros(40, dtype=np.int64), 1)
+            layer = pretrain([layer], data, TrainConfig(epochs=epochs, batch_size=16, seed=0))[0][0]
+        rows = layer_rows(layer, Tensor(images))
+        y = rules.forward_linear(layer.weights, rows)
+        x, w = rows.data[:, 0], layer.weights.data[0]
+        want = np.mean(np.linalg.norm(x - y.data[:, :, 0] @ w, axis=1))
+        assert abs(pipeline._layer_metric(layer, rows, y) - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize("s", [1, 8, 75])
+    def test_zero_residual_is_finite_and_tiny(self, s):
+        rng = np.random.default_rng(s)
+        w, _ = np.linalg.qr(rng.standard_normal((s, s)))
+        layer = HebbLayer(Tensor(w[None]), LearningParams(rule="hpca"))
+        rows = Tensor(rng.standard_normal((64, 1, s)) * 10.0)
+        metric = pipeline._layer_metric(layer, rows, rules.forward_linear(layer.weights, rows))
+        assert np.isfinite(metric) and metric >= 0.0
+        assert metric <= 1e-6 * np.mean(np.linalg.norm(rows.data[:, 0], axis=1))
+
+    def test_peak_allocation_within_paper_bound(self):
+        g = ConvGeometry(3, 3, 3, padding=1)
+        layer = HebbLayer(init_weights(4, g.patch_size, seed=0), LearningParams(rule="hpca"), g)
+        rows = layer_rows(layer, Tensor(np.random.default_rng(2).standard_normal((2, 3, 8, 8))))
+        y = rules.forward_linear(layer.weights, rows)
+        b, n, s = rows.shape[0], layer.num_neurons, layer.input_size
+        with tc.AllocationTracker() as tracker:
+            pipeline._layer_metric(layer, rows, y)
+        assert 0 < tracker.largest <= max(b * n, n * s, n * n) < b * s
 
 
 class TestExtractFeatures:
@@ -367,6 +411,26 @@ class TestCheckpoint:
         # re-save the same content
         save_checkpoint(p2, self._stack(), None, "echo")
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_leaves_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.fhb"
+        save_checkpoint(path, self._stack(), None, "old")
+        raw = path.read_bytes()
+        written = []
+
+        def pack_then_fail(fh, arr):
+            if written:
+                raise OSError("disk full")
+            written.append(arr)
+            pack(fh, arr)
+
+        pack = pipeline._pack_array
+        monkeypatch.setattr(pipeline, "_pack_array", pack_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, self._stack(), None, "new")
+        assert written  # the write failed mid-way, after one block
+        assert path.read_bytes() == raw
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fhb"
