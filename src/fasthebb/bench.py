@@ -3,25 +3,21 @@ size grid, checks their equivalence inline, and emits CSV/JSON reports.
 
 Memory is reported as tensor elements allocated through the tensor core
 (the largest temporary of each kernel invocation), not OS RSS, so the
-numbers line up exactly with the kernels' space-complexity bounds.
+numbers line up exactly with the kernels' space-complexity bounds.  The
+kernels run on one BLAS thread, pinned through the loaded OpenBLAS.
 """
 
 from __future__ import annotations
 
+import ctypes
 import io
 import json
-import os
 import platform
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_limits = None
 
 from . import rules
 from .errors import EquivalenceViolation, UsageError
@@ -33,7 +29,6 @@ __all__ = [
     "BenchRow",
     "BenchReport",
     "bench_kernels",
-    "thread_count",
     "CSV_COLUMNS",
 ]
 
@@ -53,12 +48,36 @@ CSV_COLUMNS = (
 EQUIV_TOL = {8: 1e-10, 4: 1e-4}  # tolerance by dtype itemsize
 
 
-def thread_count() -> int:
-    """Worker threads for kernels, from FASTHEBB_THREADS (default 1)."""
-    raw = os.environ.get("FASTHEBB_THREADS", "1")
-    if not raw.strip().isdigit() or int(raw) < 1:
-        raise UsageError(f"FASTHEBB_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded, or None when that library is not mapped into the process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            lib = next(line.split()[-1] for line in fh if "libscipy_openblas64_" in line)
+        handle = ctypes.CDLL(lib)
+        get, set_ = handle.scipy_openblas_get_num_threads64_, handle.scipy_openblas_set_num_threads64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin BLAS to one thread, yielding the count read back from it (None
+    when no OpenBLAS is found); the previous count is restored on exit."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield None
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        yield get()
+    finally:
+        set_(previous)
 
 
 @dataclass
@@ -107,15 +126,6 @@ class BenchReport:
         return all(row.equiv_ok for row in self.rows)
 
 
-def _environment(dtype) -> dict:
-    return {
-        "cpu": platform.processor() or platform.machine(),
-        "python": platform.python_version(),
-        "precision": np.dtype(dtype).name,
-        "threads": thread_count(),
-    }
-
-
 def _time_kernel(kernel, w, x, params, reps: int) -> tuple[int, int]:
     """Median wall time (ns) over reps after one excluded warm-up."""
     result = kernel(w, x, params)  # warm-up
@@ -139,8 +149,6 @@ def bench_kernels(
     reps: int = 5,
     seed: int = 0,
     dtype=np.float64,
-    eta: float = 1e-3,
-    temperature: float = 1.0,
 ) -> BenchReport:
     """Benchmark naive vs fast kernels over (B, N, S) sizes.
 
@@ -155,15 +163,19 @@ def bench_kernels(
         if rule not in (rules.RULE_SWTA, rules.RULE_HPCA):
             raise UsageError(f"unknown rule {rule!r}")
     tol = EQUIV_TOL[np.dtype(dtype).itemsize]
-    report = BenchReport(environment=_environment(dtype))
-    pinned = threadpool_limits(limits=thread_count()) if threadpool_limits else nullcontext()
-    with pinned:
+    with _one_blas_thread() as threads:
+        report = BenchReport(environment={
+            "cpu": platform.processor() or platform.machine(),
+            "python": platform.python_version(),
+            "precision": np.dtype(dtype).name,
+            "threads": threads,  # read back from BLAS; None when it could not be pinned
+        })
         for rule in rule_names:
             for b, n, s in grid:
                 rng = np.random.default_rng(seed)
                 x = Tensor(rng.standard_normal((b, 1, s)), dtype=dtype)
                 w = init_weights(n, s, seed=seed + 1, dtype=dtype)
-                params = LearningParams(eta=eta, temperature=temperature, rule=rule)
+                params = LearningParams(rule=rule)  # eta 1e-3, temperature 1.0
                 naive = rules.update_fn(rule, "naive")
                 fast = rules.update_fn(rule, "fast")
                 err = _relative_error(

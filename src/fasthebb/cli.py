@@ -106,7 +106,7 @@ def _cmd_probe(args) -> int:
     cfg = parse_config(ckpt.config_echo)
     data = build_dataset(cfg, "train")
     train_cfg = build_train_config(cfg, seed_override=args.seed)
-    stack = restore_stack(cfg, data.images.shape[1:], train_cfg.hebb_lr, ckpt)
+    stack = restore_stack(cfg, data.images.shape[1:], ckpt)
     labeled, _ = split_regime(data, Regime(args.regime, args.seed))
     features = pipeline.extract_features(stack, labeled)
     probe = pipeline.train_probe(
@@ -130,7 +130,7 @@ def _cmd_eval(args) -> int:
         raise CorruptFile(f"{args.ckpt} has no trained probe; run 'probe' first")
     cfg = parse_config(ckpt.config_echo)
     test = build_dataset(cfg, "test")
-    stack = restore_stack(cfg, test.images.shape[1:], build_train_config(cfg).hebb_lr, ckpt)
+    stack = restore_stack(cfg, test.images.shape[1:], ckpt)
     features = pipeline.extract_features(stack, test)
     acc = pipeline.evaluate(ckpt.probe, features, test.labels, k=args.topk)
     print(f"top-{args.topk} accuracy: {acc:.4f}")

@@ -105,6 +105,11 @@ def _layer_keys(cfg: dict) -> list[str]:
 def build_stack(cfg: dict, input_shape: tuple[int, int, int], hebb_lr: float) -> list:
     """Build the stage list from the [model] section, inferring each
     Hebbian layer's input size from the shapes that precede it."""
+    return _build(cfg, input_shape, hebb_lr)[0]
+
+
+def _build(cfg: dict, input_shape: tuple, hebb_lr: float) -> tuple[list, tuple]:
+    """The stage list and the shape of its output."""
     section = cfg.get("model", {})
     init_seed = _read(section, "init_seed", int, 0, floor=0)
     stack: list = []
@@ -115,7 +120,7 @@ def build_stack(cfg: dict, input_shape: tuple[int, int, int], hebb_lr: float) ->
         except (ConfigError, GeometryError) as exc:
             raise ConfigError(f"{key}: {exc}") from None
         stack.append(stage)
-    return stack
+    return stack, shape
 
 
 def _build_stage(spec: str, shape: tuple, hebb_lr: float, seed: int) -> tuple:
@@ -175,10 +180,11 @@ def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConf
     )
 
 
-def restore_stack(cfg: dict, input_shape, hebb_lr: float, ckpt: CheckpointData) -> list:
+def restore_stack(cfg: dict, input_shape, ckpt: CheckpointData) -> list:
     """Rebuild a stack from config and put the checkpoint's Hebbian weights in
-    it, in order; their count, shapes and rules must match the config."""
-    stack = build_stack(cfg, input_shape, hebb_lr)
+    it, in order; their count, shapes and rules, and a probe's shape, must
+    match the config."""
+    stack, shape = _build(cfg, input_shape, build_train_config(cfg).hebb_lr)
     hebb = [(key, i) for i, key in enumerate(_layer_keys(cfg)) if isinstance(stack[i], HebbLayer)]
     if len(ckpt.weights) != len(hebb):
         names = ", ".join(key for key, _ in hebb) or "model"
@@ -190,4 +196,7 @@ def restore_stack(cfg: dict, input_shape, hebb_lr: float, ckpt: CheckpointData) 
         if rule != layer.params.rule:
             raise CorruptFile(f"{key}: expected rule {layer.params.rule!r}, got {rule!r}")
         stack[i] = replace(layer, weights=Tensor(weights))
+    probe, features = ckpt.probe, int(np.prod(shape))  # extract_features flattens the last stage
+    if probe is not None and probe.weights.shape != (len(probe.bias), features):
+        raise CorruptFile(f"probe: expected weights of shape {(len(probe.bias), features)}, got {probe.weights.shape}")
     return stack

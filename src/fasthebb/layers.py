@@ -61,8 +61,6 @@ class PatchBatch:
     """
 
     patches: Tensor
-    out_h: int
-    out_w: int
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,7 @@ def extract_patches(images: Tensor, geometry: ConvGeometry) -> PatchBatch:
     flat = np.transpose(windows, (0, 2, 3, 1, 4, 5)).reshape(
         b * out_h * out_w, 1, g.patch_size
     )
-    return PatchBatch(Tensor(flat, dtype=images.dtype), out_h, out_w)
+    return PatchBatch(Tensor(flat, dtype=images.dtype))
 
 
 def conv_forward(layer: HebbLayer, images: Tensor) -> Tensor:
@@ -190,10 +188,10 @@ def layer_output(layer: HebbLayer, y: Tensor, x: Tensor) -> Tensor:
     return Tensor(np.transpose(grid, (0, 3, 1, 2)), dtype=y.dtype)
 
 
-def hebb_update(layer: HebbLayer, x: Tensor, keep_intermediates: bool = False) -> UpdateResult:
+def hebb_update(layer: HebbLayer, x: Tensor) -> UpdateResult:
     """Compute (but do not apply) the layer's weight update from its input."""
     kernel = rules.update_fn(layer.params.rule, layer.update_impl)
-    return kernel(layer.weights, layer_rows(layer, x), layer.params, keep_intermediates)
+    return kernel(layer.weights, layer_rows(layer, x), layer.params)
 
 
 def apply_update(layer: HebbLayer, result: UpdateResult) -> HebbLayer:

@@ -245,26 +245,17 @@ def probe_loss_grad(
     return loss, grad_w, grad_b
 
 
-def _top1_accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
-    if len(labels) == 0:
-        return 0.0
-    ranked = np.argsort(-scores, axis=1, kind="stable")
-    return float(np.mean(ranked[:, 0] == labels))
-
-
 def train_probe(
     features: np.ndarray,
     labels: np.ndarray,
     config: TrainConfig,
     class_count: Optional[int] = None,
-    val_features: Optional[np.ndarray] = None,
-    val_labels: Optional[np.ndarray] = None,
 ) -> LinearProbe:
     """Mini-batch SGD with Nesterov momentum on softmax cross-entropy.
 
-    If no validation split is supplied, a seeded 80/20 split is carved from
-    the labeled data.  With early stopping on, the returned probe is the
-    state at the epoch of maximum validation accuracy (earliest on ties).
+    With early stopping on, a seeded 80/20 split is carved from the labeled
+    data and the returned probe is the state at the epoch of maximum
+    validation accuracy (earliest on ties).
     """
     if len(features) == 0:
         raise EmptyLabeledSet("train_probe needs at least one labeled sample")
@@ -272,16 +263,15 @@ def train_probe(
     if class_count is None:
         class_count = int(labels.max()) + 1
     rng = np.random.default_rng(config.seed)
-    if val_features is None:
-        order = rng.permutation(len(features))
-        n_val = int(round(0.2 * len(features)))
-        if n_val and config.early_stopping and len(features) > 1:
-            val_features = features[order[:n_val]]
-            val_labels = labels[order[:n_val]]
-            features = features[order[n_val:]]
-            labels = labels[order[n_val:]]
-        else:
-            val_features, val_labels = features, labels
+    order = rng.permutation(len(features))
+    n_val = int(round(0.2 * len(features)))
+    if n_val and config.early_stopping and len(features) > 1:
+        val_features = features[order[:n_val]]
+        val_labels = labels[order[:n_val]]
+        features = features[order[n_val:]]
+        labels = labels[order[n_val:]]
+    else:
+        val_features, val_labels = features, labels
 
     dim = features.shape[1]
     w = rng.normal(0.0, 0.01, size=(class_count, dim))
@@ -304,7 +294,7 @@ def train_probe(
             else:
                 w = w - lr * vel_w
                 b = b - lr * vel_b
-        val_acc = _top1_accuracy(val_features @ w.T + b, val_labels)
+        val_acc = evaluate(LinearProbe(w, b), val_features, val_labels)
         if val_acc > best[0]:
             best = (val_acc, epoch, w.copy(), b.copy())
     if config.early_stopping:
@@ -358,8 +348,9 @@ def save_checkpoint(
     layer (u8 rule id, u8 dims, u32 extents, f64 weights), optional probe
     weights, then the experiment config echoed as length-prefixed text.
 
-    The bytes go to a temp file beside ``path`` that then replaces it, so a
-    write that fails leaves an existing checkpoint as it was."""
+    The bytes go to a temp file beside ``path``, reach the disk, and only
+    then replace it, so a write that fails leaves an existing checkpoint as
+    it was."""
     hebb = [s for s in stack if isinstance(s, HebbLayer)]
     path = Path(path)
     if path.is_dir():
@@ -382,6 +373,8 @@ def save_checkpoint(
             text = config_echo.encode("utf-8")
             fh.write(struct.pack("<I", len(text)))
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -390,14 +383,10 @@ def save_checkpoint(
 
 @dataclass
 class CheckpointData:
-    rule_ids: list[int]
+    rules: list[str]
     weights: list[np.ndarray]
     probe: Optional[LinearProbe]
     config_echo: str
-
-    @property
-    def rules(self) -> list[str]:
-        return [_RULE_NAMES[i] for i in self.rule_ids]
 
 
 def load_checkpoint(path) -> CheckpointData:
@@ -410,14 +399,14 @@ def load_checkpoint(path) -> CheckpointData:
             raise VersionMismatch(f"{path}: unsupported checkpoint version {version}")
         count = struct.unpack_from("<I", raw, 8)[0]
         offset = 12
-        rule_ids, weights = [], []
+        rule_names, weights = [], []
         for _ in range(count):
             rid = struct.unpack_from("<B", raw, offset)[0]
             offset += 1
             if rid not in _RULE_NAMES:
                 raise CorruptFile(f"{path}: unknown rule id {rid}")
             arr, offset = _unpack_array(raw, offset)
-            rule_ids.append(rid)
+            rule_names.append(_RULE_NAMES[rid])
             weights.append(arr)
         has_probe = struct.unpack_from("<B", raw, offset)[0]
         offset += 1
@@ -433,4 +422,4 @@ def load_checkpoint(path) -> CheckpointData:
         echo = raw[offset : offset + text_len].decode("utf-8")
     except struct.error as exc:
         raise CorruptFile(f"{path}: truncated checkpoint") from exc
-    return CheckpointData(rule_ids, weights, probe, echo)
+    return CheckpointData(rule_names, weights, probe, echo)

@@ -63,14 +63,11 @@ class LearningParams:
 
 @dataclass
 class RuleIntermediates:
-    """Auxiliary tensors of the update computation (diagnostics only)."""
+    """Auxiliary tensors of the SWTA update (diagnostics only; HPCA keeps none)."""
 
     R: Optional[Tensor] = None  # softmax scores, B x N x 1
     C: Optional[Tensor] = None  # aggregation coefficients, B x N x 1
     Q: Optional[Tensor] = None  # sum_b (C*R), 1 x N x 1
-    E: Optional[Tensor] = None  # reconstruction residual, B x N x S
-    L: Optional[Tensor] = None  # N x N lower-triangular mask
-    P: Optional[Tensor] = None  # masked Gram tensor, 1 x N x N
 
 
 @dataclass
@@ -189,16 +186,12 @@ def hpca_update_naive(
         resid = tc.elementwise("sub", x, partial)  # B x N x S
         del partial
         per_sample = tc.elementwise("mul", y, resid)
-        if not keep_intermediates:
-            del resid
+        del resid
         summed = tc.reduce_sum(per_sample, 0)
         del per_sample
         delta_w = tc.elementwise("scale", summed, params.eta / b)
-    inter = None
-    if keep_intermediates:
-        inter = RuleIntermediates(E=resid, L=tc.tril_mask(n, dtype=w.dtype))
     flops = b * n * s * (2 * n + 4)
-    return UpdateResult(delta_w, inter, flops, tr.largest)
+    return UpdateResult(delta_w, None, flops, tr.largest)
 
 
 def hpca_update_fast(
@@ -220,11 +213,8 @@ def hpca_update_fast(
         delta_w = tc.elementwise(
             "scale", tc.elementwise("sub", pull, decay), params.eta / b
         )
-    inter = None
-    if keep_intermediates:
-        inter = RuleIntermediates(L=tc.tril_mask(n, dtype=w.dtype), P=p)
     flops = 2 * b * n * s + 2 * b * n * n + 2 * n * n * s
-    return UpdateResult(delta_w, inter, flops, tr.largest)
+    return UpdateResult(delta_w, None, flops, tr.largest)
 
 
 _KERNELS = {

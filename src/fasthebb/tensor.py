@@ -66,14 +66,13 @@ class Tensor:
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype=np.float64, _shared: bool = False):
+    def __init__(self, data, dtype=np.float64):
         arr = np.ascontiguousarray(data, dtype=dtype)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         arr.flags.writeable = False
         self.data = arr
-        if not _shared:
-            _record_alloc(arr.size)
+        _record_alloc(arr.size)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -204,11 +203,9 @@ def tril_mask(n: int, dtype=np.float64) -> Tensor:
     return _wrap_new(np.tril(np.ones((n, n), dtype=dtype)))
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    """Permute dimensions (default: swap the last two); copies to row-major."""
-    if axes is None:
-        axes = list(range(a.ndim - 2)) + [a.ndim - 1, a.ndim - 2]
-    return _wrap_new(np.transpose(a.data, axes).copy())
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two dimensions; copies to row-major."""
+    return _wrap_new(np.swapaxes(a.data, -1, -2).copy())
 
 
 def reshape(a: Tensor, shape) -> Tensor:

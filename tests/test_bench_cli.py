@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fasthebb import bench as bench_mod
+from fasthebb import bench as bench_mod, rules
 from fasthebb.bench import CSV_COLUMNS, bench_kernels
 from fasthebb.cli import main
 from fasthebb.config import parse_config
@@ -124,18 +124,23 @@ BAD_INPUTS = {
 
 TWO_HEBB_CONFIG = DEMO_CONFIG.replace("layer2 = relu", "layer2 = relu\nlayer3 = dense n=4 rule=hpca")
 
-# id: (config echo, weight blocks as (shape, rule), command, text the one stderr line must contain)
+# id: (config echo, weight blocks as (shape, rule), probe weight shape, command,
+#      text the one stderr line must contain)
 CKPT_MISMATCHES = {
     "short-count": (
-        TWO_HEBB_CONFIG, [((1, 6, 16), "hpca")], "probe",
+        TWO_HEBB_CONFIG, [((1, 6, 16), "hpca")], (4, 6), "probe",
         "layer1, layer3: expected 2 Hebbian weight blocks, got 1",
     ),
     "wrong-shape": (
-        DEMO_CONFIG, [((1, 5, 16), "hpca")], "probe",
+        DEMO_CONFIG, [((1, 5, 16), "hpca")], (4, 6), "probe",
         "layer1: expected weights of shape (1, 6, 16), got (1, 5, 16)",
     ),
-    "wrong-rule": (DEMO_CONFIG, [((1, 6, 16), "swta")], "probe", "layer1: expected rule 'hpca', got 'swta'"),
-    "wrong-rule-eval": (DEMO_CONFIG, [((1, 6, 16), "swta")], "eval", "layer1: expected rule 'hpca', got 'swta'"),
+    "wrong-rule": (DEMO_CONFIG, [((1, 6, 16), "swta")], (4, 6), "probe", "layer1: expected rule 'hpca', got 'swta'"),
+    "wrong-rule-eval": (DEMO_CONFIG, [((1, 6, 16), "swta")], (4, 6), "eval", "layer1: expected rule 'hpca', got 'swta'"),
+    "probe-width-eval": (
+        DEMO_CONFIG.replace("dense n=6", "dense n=16"), [((1, 16, 16), "hpca")], (8, 17), "eval",
+        "probe: expected weights of shape (8, 16), got (8, 17)",
+    ),
 }
 
 
@@ -225,6 +230,36 @@ class TestBenchKernels:
         assert report.environment["precision"] == "float32"
         assert report.all_equivalent()
 
+    def test_kernels_run_on_one_blas_thread(self, monkeypatch):
+        threads = bench_mod._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's OpenBLAS is not mapped into this process")
+        get, set_ = threads
+        seen = []
+
+        def update_fn(rule, impl, _orig=rules.update_fn):
+            kernel = _orig(rule, impl)
+
+            def counted(*args):
+                seen.append(get())  # the count while the kernel runs
+                return kernel(*args)
+
+            return counted
+
+        monkeypatch.setattr(rules, "update_fn", update_fn)
+        outer = get()
+        set_(2)  # a count other than 1 where the machine allows it
+        try:
+            before = get()
+            report = bench_kernels([(16, 3, 5)], reps=5, seed=0)
+            after = get()
+        finally:
+            set_(outer)
+        assert len(seen) == 2 * 2 * (1 + 1 + 5)  # 2 rules x 2 impls x (check, warm-up, reps)
+        assert set(seen) == {1}
+        assert report.environment["threads"] == 1
+        assert after == before
+
     def test_csv_stable_without_timing(self):
         a = bench_kernels([(16, 3, 5)], reps=5, seed=0).to_csv(include_timing=False)
         b = bench_kernels([(16, 3, 5)], reps=5, seed=0).to_csv(include_timing=False)
@@ -304,10 +339,10 @@ class TestCli:
 
     @pytest.mark.parametrize("case", list(CKPT_MISMATCHES))
     def test_checkpoint_that_does_not_fit_its_config(self, case, tmp_path, capsys):
-        echo, blocks, command, needle = CKPT_MISMATCHES[case]
+        echo, blocks, probe_shape, command, needle = CKPT_MISMATCHES[case]
         stack = [HebbLayer(Tensor(np.zeros(shape)), LearningParams(rule=rule)) for shape, rule in blocks]
         ckpt = tmp_path / "m.fhb"
-        save_checkpoint(ckpt, stack, LinearProbe(np.zeros((4, 6)), np.zeros(4)), echo)
+        save_checkpoint(ckpt, stack, LinearProbe(np.zeros(probe_shape), np.zeros(probe_shape[0])), echo)
         raw = ckpt.read_bytes()
         argv = {"probe": ["--regime", "25"], "eval": []}[command]
         assert main([command, "--ckpt", str(ckpt), *argv]) == 2
@@ -363,13 +398,3 @@ class TestCli:
         assert main(["pretrain", "--config", str(demo_config), "--out", str(a)]) == 0
         assert main(["pretrain", "--config", str(demo_config), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_thread_env_var(self, monkeypatch):
-        monkeypatch.setenv("FASTHEBB_THREADS", "2")
-        assert bench_mod.thread_count() == 2
-        monkeypatch.setenv("FASTHEBB_THREADS", "zero")
-        with pytest.raises(ValueError):
-            bench_mod.thread_count()
-        monkeypatch.setenv("FASTHEBB_THREADS", "0")
-        with pytest.raises(ValueError):
-            bench_mod.thread_count()

@@ -16,6 +16,7 @@ from fasthebb.layers import (
     hebb_update,
     init_weights,
     max_pool,
+    out_extent,
     relu,
 )
 from fasthebb.pipeline import forward_stack
@@ -72,7 +73,7 @@ class TestExtractPatches:
         for b, h, w, k, stride, pad in [(2, 5, 5, 3, 1, 0), (3, 6, 4, 2, 2, 1)]:
             img = Tensor(rng.standard_normal((b, 2, h, w)))
             batch = extract_patches(img, ConvGeometry(k, k, 2, stride, pad))
-            assert batch.patches.shape[0] == b * batch.out_h * batch.out_w
+            assert batch.patches.shape[0] == b * out_extent(h, k, stride, pad) * out_extent(w, k, stride, pad)
 
     def test_geometry_underflow(self):
         with pytest.raises(GeometryError):

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -431,6 +434,28 @@ class TestCheckpoint:
         assert written  # the write failed mid-way, after one block
         assert path.read_bytes() == raw
         assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_bytes_reach_disk_before_replace(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.fhb"
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def record_fsync(fd):
+            stat = os.fstat(fd)
+            events.append(("fsync", stat.st_ino, stat.st_size))
+            fsync(fd)
+
+        def record_replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, Path(src).name, Path(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        save_checkpoint(path, self._stack(), None, "echo")
+        assert [e[0] for e in events] == ["fsync", "replace"]
+        (_, synced, size), (_, replaced, tmp_name, dst) = events
+        assert synced == replaced and tmp_name != path.name and dst == path
+        assert size == path.stat().st_size  # flushed: every byte was written before the fsync
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fhb"
