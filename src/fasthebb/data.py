@@ -51,7 +51,6 @@ class Dataset:
     images: np.ndarray
     labels: np.ndarray
     class_count: int
-    split: str = "train"
 
     def __post_init__(self):
         object.__setattr__(self, "images", np.ascontiguousarray(self.images, dtype=np.float64))
@@ -68,13 +67,8 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.images)
 
-    def subset(self, indices: np.ndarray, split: Optional[str] = None) -> "Dataset":
-        return Dataset(
-            self.images[indices],
-            self.labels[indices],
-            self.class_count,
-            split or self.split,
-        )
+    def subset(self, indices: np.ndarray) -> "Dataset":
+        return Dataset(self.images[indices], self.labels[indices], self.class_count)
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,7 @@ class Regime:
             )
 
 
-def load_cifar10(path, split: str = "train") -> Dataset:
+def load_cifar10(path) -> Dataset:
     """Read one CIFAR-10 binary file (whole 3073-byte records).
 
     Record layout: 1 label byte, then 3072 pixel bytes plane-major R,G,B,
@@ -108,7 +102,7 @@ def load_cifar10(path, split: str = "train") -> Dataset:
     if labels.max(initial=0) >= CIFAR_CLASSES:
         raise BadLabel(f"{path}: label byte {labels.max()} exceeds 9")
     images = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
-    return Dataset(images, labels, CIFAR_CLASSES, split)
+    return Dataset(images, labels, CIFAR_CLASSES)
 
 
 def _cholesky(cov: np.ndarray) -> np.ndarray:
@@ -212,7 +206,7 @@ def save_dataset(path, dataset: Dataset) -> None:
         fh.write(dataset.labels.astype("<u4").tobytes())
 
 
-def load_dataset(path, split: str = "train") -> Dataset:
+def load_dataset(path) -> Dataset:
     raw = Path(path).read_bytes()
     if raw[:4] != FHDS_MAGIC:
         raise BadMagic(f"{path}: expected FHDS magic, got {raw[:4]!r}")
@@ -231,6 +225,4 @@ def load_dataset(path, split: str = "train") -> Dataset:
         labels = np.frombuffer(raw, dtype="<u4", count=shape[0], offset=offset)
     except (struct.error, ValueError) as exc:
         raise CorruptFile(f"{path}: truncated FHDS file") from exc
-    return Dataset(
-        images.reshape(shape).copy(), labels.astype(np.int64), class_count, split
-    )
+    return Dataset(images.reshape(shape).copy(), labels.astype(np.int64), class_count)

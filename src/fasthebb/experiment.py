@@ -54,7 +54,7 @@ def build_dataset(cfg: dict, split: str = "train") -> Dataset:
     test = split == "test"
     if kind in ("cifar10", "fhds"):
         load = dio.load_cifar10 if kind == "cifar10" else dio.load_dataset
-        return load(_read(section, "test_path" if test else "path", str), split)
+        return load(_read(section, "test_path" if test else "path", str))
     if kind not in ("clusters", "gaussian"):
         raise ConfigError(f"unknown data kind {kind!r}")
     seed = base_seed + 9999 if test else base_seed
@@ -72,9 +72,8 @@ def build_dataset(cfg: dict, split: str = "train") -> Dataset:
             noise_std=_read(section, "noise_std", float, 1.0),
             centroid_seed=base_seed,
         )
-    else:
-        ds = dio.synth_gaussian(num, dims, _read(section, "cov_diag", _floats, 1.0), seed)
-    return Dataset(ds.images, ds.labels, ds.class_count, split)
+        return ds
+    return dio.synth_gaussian(num, dims, _read(section, "cov_diag", _floats, 1.0), seed)
 
 
 def _parse_layer_spec(spec: str) -> tuple[str, dict[str, str]]:

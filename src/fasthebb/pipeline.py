@@ -83,7 +83,8 @@ class PretrainMetrics:
     """Per-epoch layer metrics plus the plateau epoch, each taken after the
     batch's update.  HPCA: mean reconstruction residual norm ``‖x − Wᵀy‖``,
     from ``‖x‖² − 2‖y‖² + yᵀ(WWᵀ)y`` with the square clamped at 0; SWTA:
-    mean max competition score."""
+    mean max competition score ``max_n softmax(y/T)``, taken as ``1/Σ_n exp(z_n)``
+    with ``z = y/T − max z``."""
 
     epoch_metrics: list[list[float]] = field(default_factory=list)
     converged_epoch: Optional[int] = None
@@ -100,10 +101,17 @@ def _layer_metric(layer: HebbLayer, rows: Tensor, y: Tensor) -> float:
     HPCA's residual norm ``‖x − Wᵀy‖`` comes from the identity
     ``‖x − Wᵀy‖² = ‖x‖² − 2‖y‖² + yᵀ(WWᵀ)y``, which holds because ``y = W·x``
     with the same weights; so no temporary exceeds max(b_eff·N, N·S, N·N).
-    A squared residual that rounds below zero is clamped to 0 before the root."""
+    A squared residual that rounds below zero is clamped to 0 before the root.
+
+    SWTA's mean max score needs no softmax: at a row's maximum the softmax
+    stores ``exp(0)/Σ = 1.0/Σ``, the largest value of the row, so
+    ``mean(1.0/Σ)`` over the row sums ``Σ`` of ``exp(z)``, ``z = y/T − max z``,
+    is bit for bit ``mean(max(softmax(y/T)))`` from one b_eff·N buffer."""
     if layer.params.rule == rules.RULE_SWTA:
-        r = tc.softmax(y, layer.params.temperature, dim=1)
-        return float(np.mean(np.max(r.data, axis=1)))
+        z = y.data / layer.params.temperature
+        z -= np.max(z, axis=1, keepdims=True)
+        np.exp(z, out=z)
+        return float(np.mean(1.0 / np.sum(z, axis=1)))
     b, n, _ = y.shape
     w = layer.weights
     gram = tc.matmul(w, tc.transpose(w))  # 1 x N x N

@@ -112,15 +112,15 @@ def aggregate(coeffs: Tensor, per_sample: Tensor) -> Tensor:
 
 
 def _swta_scores(w: Tensor, x: Tensor, params: LearningParams):
+    """The scores R and the guarded column sums that C = R / sum_b R divides by."""
     y = forward_linear(w, x)
     r = tc.softmax(y, params.temperature, dim=1)  # B x N x 1
     col_sums = tc.reduce_sum(r, 0)  # 1 x N x 1
     # sum_b R[b,n] > 0 holds in exact arithmetic; at low temperature the
     # scores of a losing neuron can underflow to 0.0, in which case the
     # whole column is zero and C can be anything (its contribution vanishes)
-    safe = Tensor(np.where(col_sums.data > 0, col_sums.data, 1.0))
-    c = tc.elementwise("div", r, safe)
-    return y, r, c
+    safe = Tensor(np.where(col_sums.data > 0, col_sums.data, 1.0), dtype=col_sums.dtype)
+    return r, safe
 
 
 def swta_update_naive(
@@ -130,7 +130,8 @@ def swta_update_naive(
     aggregates with score-weighted coefficients C = R / sum_b R."""
     b, n, s = _check_update_shapes(w, x)
     with AllocationTracker() as tr:
-        y, r, c = _swta_scores(w, x, params)
+        r, safe = _swta_scores(w, x, params)
+        c = tc.elementwise("div", r, safe)
         diff = tc.elementwise("sub", x, w)  # B x N x S
         per_sample = tc.elementwise(
             "scale", tc.elementwise("mul", r, diff), params.eta
@@ -154,8 +155,10 @@ def swta_update_fast(
     """
     b, n, s = _check_update_shapes(w, x)
     with AllocationTracker() as tr:
-        y, r, c = _swta_scores(w, x, params)
-        cr = tc.elementwise("mul", c, r)  # B x N x 1
+        r, safe = _swta_scores(w, x, params)
+        buf = r.data / safe.data  # C = R / sum_b R, in the buffer that becomes C*R
+        buf *= r.data
+        cr = Tensor(buf, dtype=buf.dtype)  # B x N x 1
         q = tc.reduce_sum(cr, 0)  # 1 x N x 1
         cr_t = tc.transpose(tc.reshape(cr, (1, b, n)))  # 1 x N x B
         pull = tc.matmul(cr_t, tc.reshape(x, (1, b, s)))  # 1 x N x S
@@ -163,7 +166,9 @@ def swta_update_fast(
         delta_w = tc.elementwise(
             "scale", tc.elementwise("sub", pull, decay), params.eta
         )
-    inter = RuleIntermediates(R=r, C=c, Q=q) if keep_intermediates else None
+    inter = None
+    if keep_intermediates:
+        inter = RuleIntermediates(R=r, C=tc.elementwise("div", r, safe), Q=q)
     flops = 2 * b * n * s + b * n * 8
     return UpdateResult(delta_w, inter, flops, tr.largest)
 

@@ -187,13 +187,17 @@ def reduce_sum(a: Tensor, dim_index: int) -> Tensor:
 
 
 def softmax(y: Tensor, temperature: float, dim: int = 1) -> Tensor:
-    """Temperature softmax along ``dim`` with max-subtraction for stability."""
+    """Temperature softmax along ``dim`` with max-subtraction for stability.
+
+    The scaled copy of ``y`` is the only buffer; the shift, ``exp`` and the
+    normalisation then run in place on it."""
     if not temperature > 0:
         raise InvalidTemperature(f"temperature must be > 0, got {temperature}")
     z = y.data / temperature
-    z = z - np.max(z, axis=dim, keepdims=True)
-    e = np.exp(z)
-    return _wrap_new(e / np.sum(e, axis=dim, keepdims=True))
+    z -= np.max(z, axis=dim, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.sum(z, axis=dim, keepdims=True)
+    return _wrap_new(z)
 
 
 def tril_mask(n: int, dtype=np.float64) -> Tensor:
@@ -203,9 +207,26 @@ def tril_mask(n: int, dtype=np.float64) -> Tensor:
     return _wrap_new(np.tril(np.ones((n, n), dtype=dtype)))
 
 
+# source rows copied per block by :func:`transpose`: a block of source rows
+# and the output columns it fills stay in cache together
+_TRANSPOSE_BLOCK = 1024
+
+
 def transpose(a: Tensor) -> Tensor:
-    """Swap the last two dimensions; copies to row-major."""
-    return _wrap_new(np.swapaxes(a.data, -1, -2).copy())
+    """Swap the last two dimensions into a new row-major buffer.
+
+    The copy runs in blocks of ``_TRANSPOSE_BLOCK`` source rows, each written
+    to the matching column range of the output; the values are those of
+    ``np.swapaxes(a, -1, -2).copy()``.  A view would be cheaper but changes
+    which path BLAS takes on the result, and with it the bits of products.
+    """
+    src = a.data
+    rows = src.shape[-2]
+    out = np.empty(src.shape[:-2] + (src.shape[-1], rows), dtype=src.dtype)
+    for i in range(0, rows, _TRANSPOSE_BLOCK):
+        block = slice(i, i + _TRANSPOSE_BLOCK)
+        out[..., block] = np.swapaxes(src[..., block, :], -1, -2)
+    return _wrap_new(out)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -204,7 +204,7 @@ def test_08_semi_supervised_trend():
     for seed in range(5):
         ds, _ = dio.synth_clusters(k, 1000, dims, separation=6.0, seed=seed)
         train = ds.subset(np.arange(600))
-        test = ds.subset(np.arange(600, 1000), "test")
+        test = ds.subset(np.arange(600, 1000))
         cfg = TrainConfig(
             epochs=20, batch_size=64, hebb_lr=5e-3, probe_lr=0.05, seed=seed
         )

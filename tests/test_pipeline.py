@@ -257,6 +257,23 @@ class TestLayerMetric:
         assert 0 < tracker.largest <= max(b * n, n * s, n * n) < b * s
 
 
+class TestSwtaLayerMetric:
+    """The SWTA metric, read from the shifted exponentials' row sums, is bit for
+    bit the mean row maximum of the softmax."""
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.3, 0.05, 0.02])
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 300.0])
+    def test_equals_mean_max_softmax(self, scale, temperature):
+        layer = HebbLayer(init_weights(16, 8, seed=1), LearningParams(temperature=temperature, rule="swta"))
+        rows = Tensor(np.random.default_rng(7).standard_normal((500, 1, 8)) * scale)
+        y = rules.forward_linear(layer.weights, rows)
+        z = y.data / temperature
+        z = z - np.max(z, axis=1, keepdims=True)
+        e = np.exp(z)
+        want = float(np.mean(np.max(e / np.sum(e, axis=1, keepdims=True), axis=1)))
+        assert pipeline._layer_metric(layer, rows, y) == want
+
+
 class TestExtractFeatures:
     def test_identity_stack(self):
         ds = dio.synth_gaussian(10, 6, 1.0, seed=0)

@@ -162,6 +162,55 @@ class TestSwta:
         assert fast.peak_temp_elements < naive.peak_temp_elements / 10
         assert fast.peak_temp_elements <= n * (b + s) + n * n + 64
 
+    def test_fast_allocates_four_b_by_n_tensors(self, monkeypatch):
+        # y, R, C*R and its transpose; C itself is never a tensor of its own
+        b, n, s = 37, 5, 3
+        w, x = rand_case(b, n, s, seed=6)
+        sizes = []
+        record = tc._record_alloc
+        monkeypatch.setattr(tc, "_record_alloc", lambda count: (sizes.append(count), record(count)))
+        swta_update_fast(w, x, LearningParams(eta=0.1, rule="swta"))
+        assert 0 < sizes.count(b * n) <= 4
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.01])
+    @pytest.mark.parametrize("kernel", [swta_update_naive, swta_update_fast])
+    def test_intermediates_keep_their_values(self, kernel, temperature):
+        w, x = _losing_neuron_case()
+        y = forward_linear(w, x).data
+        z = y / temperature
+        z = z - np.max(z, axis=1, keepdims=True)
+        e = np.exp(z)
+        r = e / np.sum(e, axis=1, keepdims=True)
+        col_sums = tc.reduce_sum(Tensor(r), 0).data
+        c = r / np.where(col_sums > 0, col_sums, 1.0)
+        q = tc.reduce_sum(Tensor(c * r), 0).data
+        inter = kernel(w, x, LearningParams(eta=0.1, temperature=temperature, rule="swta"), True).intermediates
+        assert np.array_equal(inter.R.data, r)
+        assert np.array_equal(inter.C.data, c)
+        assert np.array_equal(inter.Q.data, q)
+
+    def test_underflowed_column_keeps_fast_finite(self):
+        # at T=0.01 every score of neuron 2 underflows: its column sums to
+        # exactly 0.0, and the guard makes its C (and its update) 0 instead of NaN
+        w, x = _losing_neuron_case()
+        params = LearningParams(eta=0.1, temperature=0.01, rule="swta")
+        naive = swta_update_naive(w, x, params, keep_intermediates=True)
+        assert np.sum(naive.intermediates.R.data[:, 2]) == 0.0
+        fast = swta_update_fast(w, x, params).delta_w.data
+        assert np.all(np.isfinite(fast))
+        assert np.all(fast[0, 2] == 0.0)
+        assert rel_err(naive.delta_w.data, fast) <= 1e-10
+
+
+def _losing_neuron_case():
+    """Neuron 2 is neuron 0 mirrored, and every input has x_0 >= 5, so neuron 2
+    trails neuron 0 by at least 10 on every sample."""
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((16, 1, 4))
+    x[:, 0, 0] = 5.0 + np.abs(x[:, 0, 0])
+    w = np.array([[[1.0, 0.0, 0.0, 0.0], rng.standard_normal(4), [-1.0, 0.0, 0.0, 0.0]]])
+    return Tensor(w), Tensor(x)
+
 
 class TestHpca:
     def test_zero_weights_fixed_point(self):
@@ -223,6 +272,15 @@ def test_delta_linear_in_eta(rule):
     one = rules.update_fn(rule, "fast")(w, x, LearningParams(eta=0.25, rule=rule))
     two = rules.update_fn(rule, "fast")(w, x, LearningParams(eta=0.5, rule=rule))
     np.testing.assert_array_equal(two.delta_w.data, 2.0 * one.delta_w.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rule, impl", sorted(rules._KERNELS))
+def test_delta_w_keeps_input_dtype(rule, impl, dtype):
+    w, x = rand_case(9, 4, 6, seed=2)
+    w, x = Tensor(w.data, dtype=dtype), Tensor(x.data, dtype=dtype)
+    res = rules.update_fn(rule, impl)(w, x, LearningParams(eta=0.1, rule=rule))
+    assert res.delta_w.dtype == dtype
 
 
 def test_update_fn_unknown():

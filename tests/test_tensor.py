@@ -184,6 +184,25 @@ class TestSoftmax:
         with pytest.raises(InvalidTemperature):
             tc.softmax(T([[1.0]]), -1.0)
 
+    @pytest.mark.parametrize(
+        "scale, shift, temperature",
+        [(1.0, 0.0, 1.0), (3.0, 0.0, 0.3), (1.0, 700.0, 1.0), (1.0, -700.0, 1.0), (5.0, 0.0, 0.02)],
+        ids=["random", "T=0.3", "y~+700", "y~-700", "T=0.02"],
+    )
+    @pytest.mark.parametrize("shape, dim", [((64, 8, 1), 1), ((64, 8), 1), ((64, 8), 0)])
+    def test_bitwise_equals_four_array_expression(self, shape, dim, scale, shift, temperature):
+        y = np.random.default_rng(4).standard_normal(shape) * scale + shift
+        # neuron 0 always loses by a wide margin: at T=0.02 its whole column is 0.0
+        np.moveaxis(y, dim, 0)[0] -= 100.0
+        z = y / temperature
+        z = z - np.max(z, axis=dim, keepdims=True)
+        e = np.exp(z)
+        want = e / np.sum(e, axis=dim, keepdims=True)
+        got = tc.softmax(T(y), temperature, dim=dim).data
+        assert np.array_equal(got, want)
+        if temperature == 0.02:
+            assert np.all(np.moveaxis(got, dim, 0)[0] == 0.0)
+
 
 class TestTrilMask:
     def test_n1(self):
@@ -194,6 +213,32 @@ class TestTrilMask:
 
     def test_n3_row_sums(self):
         np.testing.assert_array_equal(tc.tril_mask(3).data.sum(axis=1), [1, 2, 3])
+
+
+BLOCK = tc._TRANSPOSE_BLOCK
+
+
+class TestTranspose:
+    """The blocked copy gives the bits of ``np.swapaxes(a, -1, -2).copy()`` in a
+    new read-only row-major buffer, whatever the row count's remainder."""
+
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=["2d", "3d", "4d"])
+    def test_matches_swapaxes_copy(self, lead, rows):
+        a = T(np.random.default_rng(rows).standard_normal((*lead, rows, 5)))
+        out = tc.transpose(a)
+        assert np.array_equal(out.data, np.swapaxes(a.data, -1, -2).copy())
+        assert out.shape == (*lead, 5, rows)
+        assert out.data.flags.c_contiguous
+        assert not out.data.flags.writeable
+        assert not np.shares_memory(out.data, a.data)
+
+    def test_keeps_dtype_and_counts_one_allocation(self):
+        a = Tensor(np.ones((BLOCK + 1, 3)), dtype=np.float32)
+        with AllocationTracker() as tracker:
+            out = tc.transpose(a)
+        assert out.dtype == np.float32
+        assert tracker.total == tracker.largest == a.size
 
 
 class TestAllocationTracking:
