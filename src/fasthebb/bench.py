@@ -158,9 +158,9 @@ def bench_kernels(
     """
     if reps < 5:
         raise UsageError(f"reps must be >= 5, got {reps}")
-    rule_names = rule_names or [rules.RULE_SWTA, rules.RULE_HPCA]
+    rule_names = rule_names or rules.RULES
     for rule in rule_names:
-        if rule not in (rules.RULE_SWTA, rules.RULE_HPCA):
+        if rule not in rules.RULES:
             raise UsageError(f"unknown rule {rule!r}")
     tol = EQUIV_TOL[np.dtype(dtype).itemsize]
     with _one_blas_thread() as threads:

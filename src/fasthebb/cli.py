@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import bench as bench_mod, pipeline
+from . import bench as bench_mod, pipeline, rules
 from .config import load_config, parse_config
 from .data import REGIME_FRACTIONS, Regime, split_regime
 from .errors import ConfigError, CorruptFile, FastHebbError, UsageError
@@ -55,7 +55,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--json", dest="json_out", help="optional JSON output path")
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--rule", default="swta,hpca")
+    p.add_argument("--rule", default=",".join(rules.RULES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--float32", action="store_true", help="32-bit benchmark mode")
 
@@ -191,7 +191,8 @@ def main(argv=None) -> int:
         for flag, floor in _FLAG_FLOORS.items():
             if getattr(args, flag, floor) < floor:
                 raise UsageError(f"--{flag} must be >= {floor}, got {getattr(args, flag)}")
-        return _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):  # no float warnings on stderr; a non-finite update still ends the run
+            return _COMMANDS[args.command](args)
     except (FastHebbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_DATA)  # an OSError is a data error

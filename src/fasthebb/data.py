@@ -3,6 +3,7 @@ sample-efficiency regime splitting, and the FHDS dump format."""
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -215,14 +216,18 @@ def load_dataset(path) -> Dataset:
         if version != FHDS_VERSION:
             raise VersionMismatch(f"{path}: unsupported FHDS version {version}")
         ndim = struct.unpack_from("<I", raw, 8)[0]
+        if ndim != 4:
+            raise CorruptFile(f"{path}: images must be 4-d (B x C x H x W), got {ndim}-d")
         shape = struct.unpack_from(f"<{ndim}I", raw, 12)
+        if 0 in shape:
+            raise CorruptFile(f"{path}: image array of shape {shape} is empty")
         offset = 12 + 4 * ndim
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # a Python int: no wrap-around on damaged extents
         images = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
         offset += 8 * count
         class_count = struct.unpack_from("<I", raw, offset)[0]
         offset += 4
         labels = np.frombuffer(raw, dtype="<u4", count=shape[0], offset=offset)
-    except (struct.error, ValueError) as exc:
+    except (struct.error, ValueError, OverflowError) as exc:
         raise CorruptFile(f"{path}: truncated FHDS file") from exc
     return Dataset(images.reshape(shape).copy(), labels.astype(np.int64), class_count)

@@ -54,7 +54,10 @@ def build_dataset(cfg: dict, split: str = "train") -> Dataset:
     test = split == "test"
     if kind in ("cifar10", "fhds"):
         load = dio.load_cifar10 if kind == "cifar10" else dio.load_dataset
-        return load(_read(section, "test_path" if test else "path", str))
+        path = _read(section, "test_path" if test else "path", str)
+        if "\0" in path:  # open() raises ValueError on it
+            raise ConfigError(f"data path {path!r} contains a NUL byte")
+        return load(path)
     if kind not in ("clusters", "gaussian"):
         raise ConfigError(f"unknown data kind {kind!r}")
     seed = base_seed + 9999 if test else base_seed
@@ -154,8 +157,8 @@ def _build_stage(spec: str, shape: tuple, hebb_lr: float, seed: int) -> tuple:
     impl = _read(opts, "impl", str, "fast")
     params = LearningParams(
         eta=_read(opts, "lr", float, hebb_lr),
-        temperature=_read(opts, "t", float, 1.0),
-        rule=_read(opts, "rule", str, "swta"),
+        temperature=_read(opts, "t", float, LearningParams.temperature),
+        rule=_read(opts, "rule", str, LearningParams.rule),
     )
     update_fn(params.rule, impl)
     layer = HebbLayer(init_weights(n, size, seed=seed), params, geometry, update_impl=impl)

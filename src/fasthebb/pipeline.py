@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import layers as ly, rules, tensor as tc
+from . import layers as ly, rules
 from .data import Dataset
 from .errors import (
     BadMagic,
@@ -80,11 +80,10 @@ def learning_rate(base: float, epoch: int, epochs: int) -> float:
 
 @dataclass
 class PretrainMetrics:
-    """Per-epoch layer metrics plus the plateau epoch, each taken after the
-    batch's update.  HPCA: mean reconstruction residual norm ``‖x − Wᵀy‖``,
-    from ``‖x‖² − 2‖y‖² + yᵀ(WWᵀ)y`` with the square clamped at 0; SWTA:
-    mean max competition score ``max_n softmax(y/T)``, taken as ``1/Σ_n exp(z_n)``
-    with ``z = y/T − max z``."""
+    """Per-epoch means of each Hebbian layer's :func:`~fasthebb.rules.layer_metric`,
+    each taken after the batch's update, plus the plateau epoch: the last
+    phase's, judged on the layers that phase trains, as an index into
+    ``epoch_metrics`` (None when that phase has none)."""
 
     epoch_metrics: list[list[float]] = field(default_factory=list)
     converged_epoch: Optional[int] = None
@@ -95,37 +94,6 @@ def _batch_iter(n: int, batch_size: int, rng) -> list[np.ndarray]:
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _layer_metric(layer: HebbLayer, rows: Tensor, y: Tensor) -> float:
-    """Cheap per-batch training metric from the layer's rows and their forward y.
-
-    HPCA's residual norm ``‖x − Wᵀy‖`` comes from the identity
-    ``‖x − Wᵀy‖² = ‖x‖² − 2‖y‖² + yᵀ(WWᵀ)y``, which holds because ``y = W·x``
-    with the same weights; so no temporary exceeds max(b_eff·N, N·S, N·N).
-    A squared residual that rounds below zero is clamped to 0 before the root.
-
-    SWTA's mean max score needs no softmax: at a row's maximum the softmax
-    stores ``exp(0)/Σ = 1.0/Σ``, the largest value of the row, so
-    ``mean(1.0/Σ)`` over the row sums ``Σ`` of ``exp(z)``, ``z = y/T − max z``,
-    is bit for bit ``mean(max(softmax(y/T)))`` from one b_eff·N buffer."""
-    if layer.params.rule == rules.RULE_SWTA:
-        z = y.data / layer.params.temperature
-        z -= np.max(z, axis=1, keepdims=True)
-        np.exp(z, out=z)
-        return float(np.mean(1.0 / np.sum(z, axis=1)))
-    b, n, _ = y.shape
-    w = layer.weights
-    gram = tc.matmul(w, tc.transpose(w))  # 1 x N x N
-    y_rows = tc.reshape(y, (1, b, n))
-    yg = tc.matmul(y_rows, gram)  # 1 x B x N
-    x, y2 = tc.reshape(rows, (b, rows.shape[2])).data, y_rows.data[0]
-    sq = (
-        np.einsum("ij,ij->i", x, x)
-        - 2.0 * np.einsum("ij,ij->i", y2, y2)
-        + np.einsum("ij,ij->i", yg.data[0], y2)
-    )
-    return float(np.mean(np.sqrt(np.maximum(sq, 0.0))))
-
-
 def _hebb_stage(layer: HebbLayer, x: Tensor, train: bool) -> tuple[HebbLayer, float, Tensor]:
     """One batch through one Hebbian layer: its rows feed the update and one forward,
     whose y gives metric and output; both die before the next layer builds its rows."""
@@ -133,11 +101,14 @@ def _hebb_stage(layer: HebbLayer, x: Tensor, train: bool) -> tuple[HebbLayer, fl
     if train:
         layer = ly.apply_update(layer, ly.hebb_update(layer, rows))
     y = rules.forward_linear(layer.weights, rows)
-    return layer, _layer_metric(layer, rows, y), ly.layer_output(layer, y, x)
+    return layer, rules.layer_metric(layer.weights, rows, y, layer.params), ly.layer_output(layer, y, x)
 
 
-def _plateau_epoch(per_layer: list[list[float]], improving_down: list[bool], patience: int = 3) -> Optional[int]:
-    """First epoch after which no layer metric improves for `patience` epochs."""
+_PATIENCE = 3  # epochs without a better metric that make a plateau
+
+
+def _plateau_epoch(per_layer: list[list[float]], improving_down: list[bool]) -> Optional[int]:
+    """First epoch after which no layer metric improves for ``_PATIENCE`` epochs."""
     if not per_layer:
         return None
     epochs = len(per_layer)
@@ -151,8 +122,8 @@ def _plateau_epoch(per_layer: list[list[float]], improving_down: list[bool], pat
                 best[i] = value
                 improved = True
         stale = 0 if improved else stale + 1
-        if stale >= patience:
-            return e - patience
+        if stale >= _PATIENCE:
+            return e - _PATIENCE
     return None
 
 
@@ -169,16 +140,13 @@ def pretrain(
 
     In the default "joint" schedule every Hebbian layer updates in the same
     forward pass from its own input; "layerwise" trains one Hebbian layer at
-    a time, each for the full epoch budget.  Stages after the last Hebbian
-    layer never run."""
+    a time, each for the full epoch budget, and only the last phase's plateau
+    is reported.  Stages after the last Hebbian layer never run."""
     stack = list(stack)
     rng = np.random.default_rng(config.seed)
     images = data.images
     metrics = PretrainMetrics()
     hebb_positions = [i for i, s in enumerate(stack) if isinstance(s, HebbLayer)]
-    rule_down = [
-        stack[i].params.rule == rules.RULE_HPCA for i in hebb_positions
-    ]
     if not hebb_positions:
         return stack, metrics
 
@@ -202,7 +170,14 @@ def pretrain(
             metrics.epoch_metrics.append(
                 [float(np.mean(epoch_layer_metrics[pos])) for pos in hebb_positions]
             )
-    metrics.converged_epoch = _plateau_epoch(metrics.epoch_metrics, rule_down)
+    # the last phase converges on the layers it trains, over its own epochs
+    first = len(metrics.epoch_metrics) - config.epochs
+    cols = [hebb_positions.index(pos) for pos in trainable]
+    plateau = _plateau_epoch(
+        [[row[c] for c in cols] for row in metrics.epoch_metrics[first:]],
+        [rules.METRIC_FALLS[stack[pos].params.rule] for pos in trainable],
+    )
+    metrics.converged_epoch = None if plateau is None else first + plateau
     return stack, metrics
 
 
@@ -263,7 +238,8 @@ def train_probe(
 
     With early stopping on, a seeded 80/20 split is carved from the labeled
     data and the returned probe is the state at the epoch of maximum
-    validation accuracy (earliest on ties).
+    validation accuracy (earliest on ties).  With it off, the probe is the
+    last epoch's state, and its accuracy is scored on the training rows.
     """
     if len(features) == 0:
         raise EmptyLabeledSet("train_probe needs at least one labeled sample")
@@ -307,8 +283,8 @@ def train_probe(
             best = (val_acc, epoch, w.copy(), b.copy())
     if config.early_stopping:
         val_acc, best_epoch, w, b = best
-    else:
-        val_acc, best_epoch = best[0], config.epochs - 1
+    else:  # the last epoch's weights, with their own accuracy
+        best_epoch = config.epochs - 1
     return LinearProbe(w, b, best_epoch, val_acc)
 
 
@@ -344,7 +320,10 @@ def _unpack_array(raw: bytes, offset: int) -> tuple[np.ndarray, int]:
     count = int(np.prod(shape))
     if offset + 8 * count > len(raw):
         raise CorruptFile("checkpoint ended inside an array block")
-    arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
+    try:
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
+    except ValueError:  # more dims than numpy allows, or extents whose product overflows
+        raise CorruptFile(f"checkpoint array block has an impossible shape {shape}") from None
     offset += 8 * count
     return arr.copy(), offset
 
@@ -430,4 +409,6 @@ def load_checkpoint(path) -> CheckpointData:
         echo = raw[offset : offset + text_len].decode("utf-8")
     except struct.error as exc:
         raise CorruptFile(f"{path}: truncated checkpoint") from exc
+    except UnicodeDecodeError as exc:
+        raise CorruptFile(f"{path}: config echo is not UTF-8 text (byte {exc.start})") from None
     return CheckpointData(rule_names, weights, probe, echo)

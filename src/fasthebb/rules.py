@@ -1,4 +1,5 @@
-"""SWTA and HPCA update kernels, each in naive and fused (fast) form.
+"""SWTA and HPCA update kernels, each in naive and fused (fast) form, and
+each rule's training metric.
 
 Shapes follow the (batch b, neuron n, size s) convention:
 
@@ -28,6 +29,8 @@ from .tensor import AllocationTracker, Tensor
 __all__ = [
     "RULE_SWTA",
     "RULE_HPCA",
+    "RULES",
+    "METRIC_FALLS",
     "LearningParams",
     "RuleIntermediates",
     "UpdateResult",
@@ -38,10 +41,13 @@ __all__ = [
     "hpca_update_naive",
     "hpca_update_fast",
     "update_fn",
+    "layer_metric",
 ]
 
 RULE_SWTA = "swta"
 RULE_HPCA = "hpca"
+RULES = (RULE_SWTA, RULE_HPCA)  # the order of bench rows and of the ``--rule`` default
+METRIC_FALLS = {RULE_SWTA: False, RULE_HPCA: True}  # as a layer learns, HPCA's residual falls and SWTA's score rises
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,7 @@ class LearningParams:
             raise ConfigError(f"eta must be > 0, got {self.eta}")
         if not self.temperature > 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if self.rule not in (RULE_SWTA, RULE_HPCA):
+        if self.rule not in RULES:
             raise ConfigError(f"unknown rule {self.rule!r}")
 
 
@@ -236,3 +242,33 @@ def update_fn(rule: str, impl: str):
         return _KERNELS[(rule, impl)]
     except KeyError:
         raise ConfigError(f"no kernel for rule={rule!r} impl={impl!r}") from None
+
+
+def layer_metric(w: Tensor, x: Tensor, y: Tensor, params: LearningParams) -> float:
+    """Cheap per-batch training metric from a layer's rows x and their forward y = W·x.
+
+    HPCA's residual norm ``‖x − Wᵀy‖`` comes from the identity
+    ``‖x − Wᵀy‖² = ‖x‖² − 2‖y‖² + yᵀ(WWᵀ)y``, which holds because ``y = W·x``
+    with the same weights; so no temporary exceeds max(b_eff·N, N·S, N·N).
+    A squared residual that rounds below zero is clamped to 0 before the root.
+
+    SWTA's mean max score needs no softmax: at a row's maximum the softmax
+    stores ``exp(0)/Σ = 1.0/Σ``, the largest value of the row, so
+    ``mean(1.0/Σ)`` over the row sums ``Σ`` of ``exp(z)``, ``z = y/T − max z``,
+    is bit for bit ``mean(max(softmax(y/T)))`` from one b_eff·N buffer."""
+    if params.rule == RULE_SWTA:
+        z = y.data / params.temperature
+        z -= np.max(z, axis=1, keepdims=True)
+        np.exp(z, out=z)
+        return float(np.mean(1.0 / np.sum(z, axis=1)))
+    b, n, _ = y.shape
+    gram = tc.matmul(w, tc.transpose(w))  # 1 x N x N
+    y_rows = tc.reshape(y, (1, b, n))
+    yg = tc.matmul(y_rows, gram)  # 1 x B x N
+    x, y2 = tc.reshape(x, (b, x.shape[2])).data, y_rows.data[0]
+    sq = (
+        np.einsum("ij,ij->i", x, x)
+        - 2.0 * np.einsum("ij,ij->i", y2, y2)
+        + np.einsum("ij,ij->i", yg.data[0], y2)
+    )
+    return float(np.mean(np.sqrt(np.maximum(sq, 0.0))))

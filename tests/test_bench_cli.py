@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,29 @@ def _image(*layers):
     return argv
 
 
+def _bad_echo(command, *args):
+    """``command`` on a checkpoint of DEMO_CONFIG whose echo starts with bytes that are not UTF-8."""
+
+    def argv(tmp_path):
+        path = tmp_path / "m.fhb"
+        stack = [HebbLayer(Tensor(np.zeros((1, 6, 16))), LearningParams(rule="hpca"))]
+        save_checkpoint(path, stack, LinearProbe(np.zeros((4, 6)), np.zeros(4)), DEMO_CONFIG)
+        raw = bytearray(path.read_bytes())
+        echo = len(raw) - len(DEMO_CONFIG.encode())
+        raw[echo : echo + 2] = b"\xff\xfe"
+        path.write_bytes(bytes(raw))
+        return [command, "--ckpt", str(path), *args]
+
+    return argv
+
+
+def _flat_fhds(tmp_path):
+    """pretrain on an FHDS file of four 6-value images: a 2-d image array."""
+    header = b"FHDS" + struct.pack("<4I", 1, 2, 4, 6)
+    _write_bytes(tmp_path / "d.fhds", header + bytes(8 * 24) + struct.pack("<5I", 1, 0, 0, 0, 0))
+    return _pretrain(tmp_path, IMAGE_CONFIG.format(data=tmp_path / "d.fhds", layers="layer1 = dense n=2"))
+
+
 # id: (argv from tmp_path, exit code, text the one stderr line must contain)
 BAD_INPUTS = {
     "epochs-0": (_demo("epochs = 4", "epochs = 0"), 2, "epochs"),
@@ -120,6 +145,9 @@ BAD_INPUTS = {
         lambda tmp_path: ["report", "--in", str(_write_bytes(tmp_path / "m.fhb", b"FHB1\x01\x00\xff\xfe"))],
         2, "UTF-8",
     ),
+    "eval-echo-not-utf8": (_bad_echo("eval"), 2, "config echo is not UTF-8"),
+    "probe-echo-not-utf8": (_bad_echo("probe", "--regime", "25"), 2, "config echo is not UTF-8"),
+    "fhds-images-not-4d": (_flat_fhds, 2, "4-d"),
 }
 
 TWO_HEBB_CONFIG = DEMO_CONFIG.replace("layer2 = relu", "layer2 = relu\nlayer3 = dense n=4 rule=hpca")

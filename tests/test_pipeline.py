@@ -119,6 +119,20 @@ class TestPretrain:
         )
         assert len(metrics.epoch_metrics) == 4  # 2 epochs per trainable layer
 
+    def test_layerwise_converges_within_the_last_phase(self):
+        # hpca -> relu -> hpca: layer 2 has not trained before epoch 12
+        for seed in range(6):
+            ds = dio.synth_gaussian(200, 8, [4.0, 3.0, 2.0, 1.0, 0.5, 0.5, 0.5, 0.5], seed=seed)
+            stack = [
+                HebbLayer(init_weights(4, 8, seed=0), LearningParams(eta=0.01, rule="hpca")),
+                ReLU(),
+                HebbLayer(init_weights(2, 4, seed=1), LearningParams(eta=0.01, rule="hpca")),
+            ]
+            config = TrainConfig(epochs=12, layer_schedule="layerwise", seed=seed)
+            _, metrics = pretrain(stack, ds, config)
+            assert len(metrics.epoch_metrics) == 24
+            assert metrics.converged_epoch is None or metrics.converged_epoch >= 12
+
     def test_never_reads_labels(self):
         # pretrain consumes only the image array
         images = np.random.default_rng(0).standard_normal((30, 1, 1, 4))
@@ -135,7 +149,7 @@ def _loop_layer_metric(layer, x):
         r = tc.softmax(y, layer.params.temperature, dim=1)
         return float(np.mean(np.max(r.data, axis=1)))
     # the HPCA formula is held to the reconstruction in TestLayerMetric
-    return pipeline._layer_metric(layer, x, y)
+    return rules.layer_metric(layer.weights, x, y, layer.params)
 
 
 def _loop_pretrain(stack, images, config):
@@ -161,8 +175,12 @@ def _loop_pretrain(stack, images, config):
                         layer_metrics[pos].append(_loop_layer_metric(stage, x))
                     x = stage.forward(x)
             per_epoch.append([float(np.mean(layer_metrics[i])) for i in hebb])
-    down = [stack[i].params.rule == rules.RULE_HPCA for i in hebb]
-    return stack, per_epoch, pipeline._plateau_epoch(per_epoch, down)
+    # the last phase alone decides convergence: its own columns over its own epochs
+    last = [hebb.index(i) for i in phases[-1]]
+    tail = [[row[c] for c in last] for row in per_epoch[-config.epochs:]]
+    down = [stack[i].params.rule == rules.RULE_HPCA for i in phases[-1]]
+    plateau = pipeline._plateau_epoch(tail, down)
+    return stack, per_epoch, None if plateau is None else len(per_epoch) - config.epochs + plateau
 
 
 def _conv_stack(rule):
@@ -234,7 +252,7 @@ class TestLayerMetric:
         y = rules.forward_linear(layer.weights, rows)
         x, w = rows.data[:, 0], layer.weights.data[0]
         want = np.mean(np.linalg.norm(x - y.data[:, :, 0] @ w, axis=1))
-        assert abs(pipeline._layer_metric(layer, rows, y) - want) <= 1e-10 * want
+        assert abs(rules.layer_metric(layer.weights, rows, y, layer.params) - want) <= 1e-10 * want
 
     @pytest.mark.parametrize("s", [1, 8, 75])
     def test_zero_residual_is_finite_and_tiny(self, s):
@@ -242,7 +260,7 @@ class TestLayerMetric:
         w, _ = np.linalg.qr(rng.standard_normal((s, s)))
         layer = HebbLayer(Tensor(w[None]), LearningParams(rule="hpca"))
         rows = Tensor(rng.standard_normal((64, 1, s)) * 10.0)
-        metric = pipeline._layer_metric(layer, rows, rules.forward_linear(layer.weights, rows))
+        metric = rules.layer_metric(layer.weights, rows, rules.forward_linear(layer.weights, rows), layer.params)
         assert np.isfinite(metric) and metric >= 0.0
         assert metric <= 1e-6 * np.mean(np.linalg.norm(rows.data[:, 0], axis=1))
 
@@ -253,7 +271,7 @@ class TestLayerMetric:
         y = rules.forward_linear(layer.weights, rows)
         b, n, s = rows.shape[0], layer.num_neurons, layer.input_size
         with tc.AllocationTracker() as tracker:
-            pipeline._layer_metric(layer, rows, y)
+            rules.layer_metric(layer.weights, rows, y, layer.params)
         assert 0 < tracker.largest <= max(b * n, n * s, n * n) < b * s
 
 
@@ -271,7 +289,7 @@ class TestSwtaLayerMetric:
         z = z - np.max(z, axis=1, keepdims=True)
         e = np.exp(z)
         want = float(np.mean(np.max(e / np.sum(e, axis=1, keepdims=True), axis=1)))
-        assert pipeline._layer_metric(layer, rows, y) == want
+        assert rules.layer_metric(layer.weights, rows, y, layer.params) == want
 
 
 class TestExtractFeatures:
@@ -344,6 +362,15 @@ class TestProbe:
         probe = train_probe(feats, labels, cfg, class_count=2)
         acc = evaluate(probe, feats, labels, 1)
         assert acc == pytest.approx(0.75, abs=0.05)
+
+    def test_without_early_stopping_reports_the_returned_probe(self):
+        rng = np.random.default_rng(0)
+        feats = rng.standard_normal((60, 4))
+        labels = rng.integers(0, 3, size=60)
+        cfg = TrainConfig(epochs=8, probe_lr=0.5, seed=0, early_stopping=False)
+        probe = train_probe(feats, labels, cfg)
+        assert probe.best_epoch == 7
+        assert evaluate(probe, feats, labels) == probe.val_accuracy
 
     def test_empty_labeled_set(self):
         with pytest.raises(EmptyLabeledSet):
