@@ -223,11 +223,19 @@ def load_dataset(path) -> Dataset:
             raise CorruptFile(f"{path}: image array of shape {shape} is empty")
         offset = 12 + 4 * ndim
         count = math.prod(shape)  # a Python int: no wrap-around on damaged extents
+        if offset + 8 * count > len(raw):
+            raise CorruptFile(
+                f"{path}: impossible image shape {shape}: needs {8 * count} bytes, "
+                f"{len(raw) - offset} follow the header"
+            )
         images = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
         offset += 8 * count
         class_count = struct.unpack_from("<I", raw, offset)[0]
         offset += 4
         labels = np.frombuffer(raw, dtype="<u4", count=shape[0], offset=offset)
-    except (struct.error, ValueError, OverflowError) as exc:
+    except (struct.error, ValueError) as exc:
         raise CorruptFile(f"{path}: truncated FHDS file") from exc
+    bad = count - np.count_nonzero(np.isfinite(images))
+    if bad:
+        raise CorruptFile(f"{path}: {bad} of {count} image values are NaN or Inf")
     return Dataset(images.reshape(shape).copy(), labels.astype(np.int64), class_count)

@@ -94,14 +94,18 @@ def _batch_iter(n: int, batch_size: int, rng) -> list[np.ndarray]:
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _hebb_stage(layer: HebbLayer, x: Tensor, train: bool) -> tuple[HebbLayer, float, Tensor]:
+def _hebb_stage(
+    layer: HebbLayer, x: Tensor, train: bool, output: bool
+) -> tuple[HebbLayer, float, Optional[Tensor]]:
     """One batch through one Hebbian layer: its rows feed the update and one forward,
-    whose y gives metric and output; both die before the next layer builds its rows."""
+    whose y gives the metric and, when ``output`` is set, the stage output (else None);
+    both die before the next layer builds its rows."""
     rows = ly.layer_rows(layer, x)
     if train:
         layer = ly.apply_update(layer, ly.hebb_update(layer, rows))
     y = rules.forward_linear(layer.weights, rows)
-    return layer, rules.layer_metric(layer.weights, rows, y, layer.params), ly.layer_output(layer, y, x)
+    metric = rules.layer_metric(layer.weights, rows, y, layer.params)
+    return layer, metric, ly.layer_output(layer, y, x) if output else None
 
 
 _PATIENCE = 3  # epochs without a better metric that make a plateau
@@ -149,6 +153,7 @@ def pretrain(
     hebb_positions = [i for i, s in enumerate(stack) if isinstance(s, HebbLayer)]
     if not hebb_positions:
         return stack, metrics
+    last = hebb_positions[-1]
 
     phases: list[list[int]]
     if config.layer_schedule == "layerwise":
@@ -161,9 +166,10 @@ def pretrain(
             epoch_layer_metrics = {pos: [] for pos in hebb_positions}
             for batch_idx in _batch_iter(len(images), config.batch_size, rng):
                 x = Tensor(images[batch_idx])
-                for pos, stage in enumerate(stack[: hebb_positions[-1] + 1]):
+                for pos, stage in enumerate(stack[: last + 1]):
                     if isinstance(stage, HebbLayer):
-                        stack[pos], metric, x = _hebb_stage(stage, x, pos in trainable)
+                        # nothing reads the last Hebbian layer's output
+                        stack[pos], metric, x = _hebb_stage(stage, x, pos in trainable, pos < last)
                         epoch_layer_metrics[pos].append(metric)
                     else:
                         x = stage.forward(x)
@@ -312,18 +318,18 @@ def _pack_array(fh, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _unpack_array(raw: bytes, offset: int) -> tuple[np.ndarray, int]:
+def _unpack_array(raw: bytes, offset: int, path) -> tuple[np.ndarray, int]:
     ndim = struct.unpack_from("<B", raw, offset)[0]
     offset += 1
     shape = struct.unpack_from(f"<{ndim}I", raw, offset)
     offset += 4 * ndim
     count = int(np.prod(shape))
     if offset + 8 * count > len(raw):
-        raise CorruptFile("checkpoint ended inside an array block")
+        raise CorruptFile(f"{path}: checkpoint ended inside an array block of shape {shape}")
     try:
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
     except ValueError:  # more dims than numpy allows, or extents whose product overflows
-        raise CorruptFile(f"checkpoint array block has an impossible shape {shape}") from None
+        raise CorruptFile(f"{path}: checkpoint array block has an impossible shape {shape}") from None
     offset += 8 * count
     return arr.copy(), offset
 
@@ -392,15 +398,15 @@ def load_checkpoint(path) -> CheckpointData:
             offset += 1
             if rid not in _RULE_NAMES:
                 raise CorruptFile(f"{path}: unknown rule id {rid}")
-            arr, offset = _unpack_array(raw, offset)
+            arr, offset = _unpack_array(raw, offset, path)
             rule_names.append(_RULE_NAMES[rid])
             weights.append(arr)
         has_probe = struct.unpack_from("<B", raw, offset)[0]
         offset += 1
         probe = None
         if has_probe:
-            pw, offset = _unpack_array(raw, offset)
-            pb, offset = _unpack_array(raw, offset)
+            pw, offset = _unpack_array(raw, offset, path)
+            pb, offset = _unpack_array(raw, offset, path)
             probe = LinearProbe(pw, pb.reshape(-1))
         text_len = struct.unpack_from("<I", raw, offset)[0]
         offset += 4

@@ -108,6 +108,14 @@ def _flat_fhds(tmp_path):
     return _pretrain(tmp_path, IMAGE_CONFIG.format(data=tmp_path / "d.fhds", layers="layer1 = dense n=2"))
 
 
+def _nan_pixel(tmp_path):
+    """pretrain through a conv layer on two zero 3x32x32 images, one pixel of which is NaN."""
+    images = np.zeros((2, 3, 32, 32))
+    images[1, 2, 5, 7] = np.nan
+    save_dataset(tmp_path / "d.fhds", Dataset(images, np.zeros(2), 1))
+    return _pretrain(tmp_path, IMAGE_CONFIG.format(data=tmp_path / "d.fhds", layers="layer1 = conv k=3 n=2"))
+
+
 # id: (argv from tmp_path, exit code, text the one stderr line must contain)
 BAD_INPUTS = {
     "epochs-0": (_demo("epochs = 4", "epochs = 0"), 2, "epochs"),
@@ -148,6 +156,7 @@ BAD_INPUTS = {
     "eval-echo-not-utf8": (_bad_echo("eval"), 2, "config echo is not UTF-8"),
     "probe-echo-not-utf8": (_bad_echo("probe", "--regime", "25"), 2, "config echo is not UTF-8"),
     "fhds-images-not-4d": (_flat_fhds, 2, "4-d"),
+    "fhds-nan-pixel": (_nan_pixel, 2, "d.fhds: 1 of 6144 image values are NaN or Inf"),
 }
 
 TWO_HEBB_CONFIG = DEMO_CONFIG.replace("layer2 = relu", "layer2 = relu\nlayer3 = dense n=4 rule=hpca")

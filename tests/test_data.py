@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -199,5 +202,26 @@ class TestFhdsFormat:
         dio.save_dataset(path, ds)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(CorruptFile):
+        with pytest.raises(CorruptFile, match=re.escape(
+            f"{path}: impossible image shape (4, 1, 1, 4): needs 128 bytes, 60 follow the header"
+        )):
+            dio.load_dataset(path)
+
+    def test_extents_whose_product_overflows(self, tmp_path):
+        path = tmp_path / "o.fhds"
+        dio.save_dataset(path, make_labeled_dataset(4, 2))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<4I", raw, 12, 2**31, 2**31, 2**31, 2**31)  # 2^124 values
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptFile, match=re.escape(f"{path}: impossible image shape ({2**31}, ")):
+            dio.load_dataset(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_value(self, tmp_path, value):
+        ds = make_labeled_dataset(4, 2)
+        images = ds.images.copy()
+        images[2, 0, 0, 3] = value
+        path = tmp_path / "n.fhds"
+        dio.save_dataset(path, Dataset(images, ds.labels, ds.class_count))
+        with pytest.raises(CorruptFile, match=re.escape(f"{path}: 1 of 16 image values are NaN or Inf")):
             dio.load_dataset(path)

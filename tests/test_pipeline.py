@@ -1,4 +1,6 @@
 import os
+import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -521,5 +523,24 @@ class TestCheckpoint:
         save_checkpoint(path, self._stack(), None, "some config")
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 8])
-        with pytest.raises(CorruptFile):
+        with pytest.raises(CorruptFile, match=re.escape(f"{path}: truncated config echo")):
+            load_checkpoint(path)
+
+    # the first weight block's rank byte is at 13, its extents (1, 3, 5) at 14-25
+    @pytest.mark.parametrize(
+        "damage, wording",
+        [
+            (lambda raw: raw[:40], "checkpoint ended inside an array block of shape (1, 3, 5)"),
+            (  # 2^22 x 2^21 x 2^21: the int64 product wraps to 0
+                lambda raw: raw[:14] + struct.pack("<3I", 2**22, 2**21, 2**21) + raw[26:],
+                f"checkpoint array block has an impossible shape ({2**22}, {2**21}, {2**21})",
+            ),
+        ],
+        ids=["inside-array", "impossible-shape"],
+    )
+    def test_damaged_array_block_names_the_file(self, tmp_path, damage, wording):
+        path = tmp_path / "a.fhb"
+        save_checkpoint(path, self._stack(), None, "some config")
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(CorruptFile, match=re.escape(f"{path}: {wording}")):
             load_checkpoint(path)

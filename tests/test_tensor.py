@@ -1,3 +1,6 @@
+import ctypes
+import platform
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,6 +257,32 @@ class TestAllocationTracking:
         with AllocationTracker() as tracker:
             tc.reshape(a, (3, 4))
         assert tracker.total == 0
+
+
+class TestFreedMemoryStaysMapped:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's allocator")
+    def test_a_freed_buffer_comes_back_without_page_faults(self):
+        import resource
+
+        n = 40_000_000 // 8  # above glibc's largest default mmap threshold (32 MiB)
+        buf = np.ones(n)
+        del buf
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        buf = np.empty(n)
+        buf[:] = 1.0  # touch every page
+        # about 0; a buffer handed back to the kernel faults in again page by page
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 16
+
+    def test_without_a_c_library_nothing_is_set(self, monkeypatch):
+        def no_library(name):
+            raise OSError("cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        assert tc._keep_freed_memory() is None
+
+    def test_without_mallopt_nothing_is_set(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a C library that is not glibc
+        assert tc._keep_freed_memory() is None
 
 
 def test_tensor_is_immutable():
