@@ -9,7 +9,6 @@ kernels run on one BLAS thread, pinned through the loaded OpenBLAS.
 
 from __future__ import annotations
 
-import ctypes
 import io
 import json
 import platform
@@ -23,7 +22,7 @@ from . import rules
 from .errors import EquivalenceViolation, UsageError
 from .layers import init_weights
 from .rules import LearningParams
-from .tensor import Tensor
+from .tensor import Tensor, openblas_threads
 
 __all__ = [
     "BenchRow",
@@ -48,26 +47,11 @@ CSV_COLUMNS = (
 EQUIV_TOL = {8: 1e-10, 4: 1e-4}  # tolerance by dtype itemsize
 
 
-def _openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy
-    loaded, or None when that library is not mapped into the process."""
-    try:
-        with open("/proc/self/maps") as fh:
-            lib = next(line.split()[-1] for line in fh if "libscipy_openblas64_" in line)
-        handle = ctypes.CDLL(lib)
-        get, set_ = handle.scipy_openblas_get_num_threads64_, handle.scipy_openblas_set_num_threads64_
-    except (OSError, StopIteration, AttributeError):
-        return None
-    get.restype, get.argtypes = ctypes.c_int, []
-    set_.restype, set_.argtypes = None, [ctypes.c_int]
-    return get, set_
-
-
 @contextmanager
 def _one_blas_thread():
     """Pin BLAS to one thread, yielding the count read back from it (None
     when no OpenBLAS is found); the previous count is restored on exit."""
-    threads = _openblas_threads()
+    threads = openblas_threads()
     if threads is None:
         yield None
         return

@@ -108,11 +108,11 @@ def _cmd_probe(args) -> int:
     train_cfg = build_train_config(cfg, seed_override=args.seed)
     stack = restore_stack(cfg, data.images.shape[1:], ckpt)
     labeled, _ = split_regime(data, Regime(args.regime, args.seed))
+    test = build_dataset(cfg, "test")  # a bad test split fails before any feature is computed
     features = pipeline.extract_features(stack, labeled)
     probe = pipeline.train_probe(
         features, labeled.labels, train_cfg, class_count=data.class_count
     )
-    test = build_dataset(cfg, "test")
     test_features = pipeline.extract_features(stack, test)
     test_acc = pipeline.evaluate(probe, test_features, test.labels, k=1)
     out = args.out or args.ckpt

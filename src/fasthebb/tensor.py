@@ -17,11 +17,17 @@ freed memory in the process heap instead of handing each large buffer back to
 the kernel on free; the next step then reuses pages it has already touched
 rather than faulting in and zeroing new ones.  The cost is that the process
 keeps its peak resident size after its largest step.
+
+:func:`parallel_map` runs independent calls on a per-process thread pool whose
+workers fill the CPUs that BLAS leaves idle: the CPUs this process may run on,
+divided by the thread count of the loaded OpenBLAS.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+import threading
 
 import numpy as np
 
@@ -37,9 +43,12 @@ __all__ = [
     "tril_mask",
     "transpose",
     "reshape",
+    "openblas_threads",
+    "parallel_map",
 ]
 
 _TRACKERS: list["AllocationTracker"] = []
+_TRACKERS_LOCK = threading.Lock()  # pool workers allocate concurrently
 
 _M_TRIM_THRESHOLD = -1  # glibc mallopt parameters
 _M_MMAP_THRESHOLD = -3
@@ -61,6 +70,65 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
+def openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded, or None when that library is not mapped into the process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            lib = next(line.split()[-1] for line in fh if "libscipy_openblas64_" in line)
+        handle = ctypes.CDLL(lib)
+        get, set_ = handle.scipy_openblas_get_num_threads64_, handle.scipy_openblas_set_num_threads64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
+
+
+def _pool_workers() -> int:
+    """The CPUs this process may use over the BLAS thread count, at least 1;
+    1 when no OpenBLAS is found, since its thread count is then unknown."""
+    threads = openblas_threads()
+    if threads is None:
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // threads[0]())
+
+
+_pool = None  # the ThreadPoolExecutor of process _pool_pid
+_pool_pid = -1
+_pool_lock = threading.Lock()
+
+
+def _thread_pool():
+    """The process's pool, made on first use and again in a forked child,
+    whose copy of the parent's pool has no threads and would never run."""
+    global _pool, _pool_pid
+    with _pool_lock:
+        if _pool_pid != os.getpid():
+            # imported here: concurrent.futures takes ~10 ms to import, which
+            # a process that never calls parallel_map should not pay at start
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_pool_workers(), thread_name_prefix="fasthebb")
+            _pool_pid = os.getpid()
+        return _pool
+
+
+def parallel_map(fn, items):
+    """An iterator over ``fn(item)`` for each item, in order, with the calls
+    run on the process's thread pool under the caller's floating-point error
+    settings (numpy does not carry ``errstate`` into other threads).  A call
+    that raises raises at its place in the iteration, and the calls not yet
+    started are then dropped."""
+    err = np.geterr()
+
+    def call(item):
+        with np.errstate(**err):
+            return fn(item)
+
+    return _thread_pool().map(call, items)
+
+
 class AllocationTracker:
     """Records element counts of tensors allocated while active.
 
@@ -75,18 +143,21 @@ class AllocationTracker:
         self.total = 0
 
     def __enter__(self) -> "AllocationTracker":
-        _TRACKERS.append(self)
+        with _TRACKERS_LOCK:
+            _TRACKERS.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _TRACKERS.remove(self)
+        with _TRACKERS_LOCK:
+            _TRACKERS.remove(self)
 
 
 def _record_alloc(count: int) -> None:
-    for tracker in _TRACKERS:
-        tracker.total += count
-        if count > tracker.largest:
-            tracker.largest = count
+    with _TRACKERS_LOCK:
+        for tracker in _TRACKERS:
+            tracker.total += count
+            if count > tracker.largest:
+                tracker.largest = count
 
 
 class Tensor:

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from fasthebb import bench as bench_mod, rules
+from fasthebb import pipeline, rules, tensor as tc
 from fasthebb.bench import CSV_COLUMNS, bench_kernels
 from fasthebb.cli import main
 from fasthebb.config import parse_config
@@ -268,7 +268,7 @@ class TestBenchKernels:
         assert report.all_equivalent()
 
     def test_kernels_run_on_one_blas_thread(self, monkeypatch):
-        threads = bench_mod._openblas_threads()
+        threads = tc.openblas_threads()
         if threads is None:
             pytest.skip("numpy's OpenBLAS is not mapped into this process")
         get, set_ = threads
@@ -389,6 +389,22 @@ class TestCli:
         assert needle in err
         assert sorted(tmp_path.iterdir()) == [ckpt]
         assert ckpt.read_bytes() == raw
+
+    @pytest.mark.parametrize("test_file", [None, b"FHDS\x01"], ids=["missing", "truncated"])
+    def test_probe_checks_the_test_split_before_any_feature(self, test_file, tmp_path, capsys, monkeypatch):
+        save_dataset(tmp_path / "d.fhds", Dataset(np.ones((8, 1, 4, 4)), np.zeros(8), 1))
+        if test_file is not None:
+            _write_bytes(tmp_path / "t.fhds", test_file)
+        text = IMAGE_CONFIG.format(data=tmp_path / "d.fhds", layers="layer1 = dense n=2")
+        text = text.replace(f"test_path = {tmp_path / 'd.fhds'}", f"test_path = {tmp_path / 't.fhds'}")
+        assert main(_pretrain(tmp_path, text)) == 0
+        calls = []
+        monkeypatch.setattr(pipeline, "extract_features", lambda *args: calls.append(args))
+        capsys.readouterr()
+        assert main(["probe", "--ckpt", str(tmp_path / "m.fhb"), "--regime", "25"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "t.fhds" in err
+        assert calls == []
 
     def test_option_of_another_layer_kind_is_config_error(self):
         text = DEMO_CONFIG.replace("layer2 = relu", "layer2 = relu window=2")

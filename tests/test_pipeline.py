@@ -1,6 +1,8 @@
+import multiprocessing
 import os
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from fasthebb.errors import (
     BadMagic,
     CorruptFile,
     EmptyLabeledSet,
+    ShapeMismatch,
     VersionMismatch,
 )
 from fasthebb.layers import (
@@ -30,6 +33,7 @@ from fasthebb.pipeline import (
     TrainConfig,
     evaluate,
     extract_features,
+    forward_stack,
     learning_rate,
     load_checkpoint,
     pretrain,
@@ -318,6 +322,107 @@ class TestExtractFeatures:
         layer = HebbLayer(init_weights(3, 5, seed=0), LearningParams(rule="hpca"))
         feats = extract_features([layer], ds)
         assert feats.shape == (7, 3)
+
+
+def _conv_stack():
+    """The benchmark's conv stack: 1024 and 256 patch rows per 3x32x32 image."""
+    return [
+        HebbLayer(init_weights(32, 75, seed=0), LearningParams(rule="hpca"), ConvGeometry(5, 5, 3, padding=2)),
+        ReLU(),
+        MaxPool(2, 2),
+        HebbLayer(init_weights(64, 288, seed=1), LearningParams(rule="hpca"), ConvGeometry(3, 3, 32, padding=1)),
+        ReLU(),
+        MaxPool(2, 2),
+        Flatten(),
+    ]
+
+
+def _images(n, shape=(3, 32, 32), seed=0):
+    images = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, *shape))
+    return Dataset(images, np.zeros(n, dtype=np.int64), 1)
+
+
+def _flat_forward(stack, images):
+    out = forward_stack(stack, Tensor(images))
+    return out.data.reshape(len(images), -1)
+
+
+@pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
+def pool_workers(request, monkeypatch):
+    """A fresh pool of ``request.param`` workers, shut down afterwards."""
+    monkeypatch.setattr(tc, "_pool_workers", lambda: request.param)
+    monkeypatch.setattr(tc, "_pool", None)  # restored, with its pid, afterwards
+    monkeypatch.setattr(tc, "_pool_pid", -1)
+    yield request.param
+    tc._pool.shutdown()
+
+
+@pytest.fixture
+def forward_sizes(monkeypatch):
+    """The image count of every forward_stack call."""
+    sizes = []
+
+    def counted(stack, x, _orig=pipeline.forward_stack):
+        sizes.append(x.shape[0])
+        return _orig(stack, x)
+
+    monkeypatch.setattr(pipeline, "forward_stack", counted)
+    return sizes
+
+
+class TestExtractFeaturesInBlocks:
+    """Blocks of images on the thread pool give every bit of one forward."""
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 33, 256, 257])
+    def test_conv_stack_equals_one_forward(self, n, pool_workers, forward_sizes):
+        stack, ds = _conv_stack(), _images(n)
+        want = _flat_forward(stack, ds.images)
+        forward_sizes.clear()
+        got = extract_features(stack, ds)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert sorted(forward_sizes) == sorted([16] * (n // 16) + ([n % 16] if n % 16 else []))
+
+    def test_dense_stack_keeps_256_image_batches(self, pool_workers, forward_sizes):
+        stack = [HebbLayer(init_weights(16, 784, seed=0), LearningParams(rule="swta")), ReLU()]
+        ds = _images(300, shape=(1, 28, 28))
+        want = np.concatenate([_flat_forward(stack, ds.images[:256]), _flat_forward(stack, ds.images[256:])])
+        forward_sizes.clear()
+        assert np.array_equal(extract_features(stack, ds), want)
+        assert sorted(forward_sizes) == [44, 256]
+
+    def test_conv_layer_with_few_rows_keeps_256_image_batches(self, forward_sizes):
+        stack = _conv_stack()[:3] + [HebbLayer(init_weights(4, 288, seed=1), LearningParams(), ConvGeometry(3, 3, 32))]
+        extract_features(stack, _images(20))  # the last conv layer gives 14 x 14 = 196 rows per image
+        assert forward_sizes == [20]
+
+    def test_workers_keep_the_callers_errstate(self, pool_workers):
+        stack = [HebbLayer(Tensor(np.full((1, 2, 4), 1e300)), LearningParams()), ReLU()]
+        ds = Dataset(np.full((40, 1, 1, 4), 1e300), np.zeros(40, dtype=np.int64), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a warning in any thread raises
+            with np.errstate(all="ignore"):
+                feats = extract_features(stack, ds)
+        assert np.all(np.isinf(feats))  # the products overflow
+
+    def test_forked_child_extracts_features(self):
+        stack, ds = _conv_stack(), _images(20)
+        want = extract_features(stack, ds)  # the parent has made its pool
+
+        def child():
+            os._exit(0 if np.array_equal(extract_features(stack, ds), want) else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        assert proc.exitcode == 0
+
+    def test_an_error_in_a_block_reaches_the_caller(self, pool_workers):
+        stack = _conv_stack()
+        with pytest.raises(ShapeMismatch, match="expected 3 channels, got 1"):
+            extract_features(stack, _images(40, shape=(1, 32, 32)))
 
 
 class TestProbe:

@@ -1,5 +1,8 @@
 import ctypes
+import os
 import platform
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -258,6 +261,37 @@ class TestAllocationTracking:
             tc.reshape(a, (3, 4))
         assert tracker.total == 0
 
+    def test_counts_are_exact_when_threads_allocate_at_once(self):
+        class Tracker(AllocationTracker):
+            # counters read and written through Python calls, between which
+            # the interpreter may switch threads: a lost update shows
+            total = property(lambda self: self._total, lambda self, v: setattr(self, "_total", v))
+            largest = property(lambda self: self._largest, lambda self, v: setattr(self, "_largest", v))
+
+        small, large = np.ones(3), np.ones(5)
+        start = threading.Barrier(2)
+
+        def allocate(last):
+            start.wait()
+            for _ in range(20_000 - 1):
+                Tensor(small)
+            Tensor(last)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            with Tracker() as tracker:
+                threads = [threading.Thread(target=allocate, args=(last,)) for last in (small, large)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert tracker.total == 2 * (20_000 - 1) * 3 + 3 + 5
+        assert tracker.largest == 5
+
 
 class TestFreedMemoryStaysMapped:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's allocator")
@@ -283,6 +317,21 @@ class TestFreedMemoryStaysMapped:
     def test_without_mallopt_nothing_is_set(self, monkeypatch):
         monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a C library that is not glibc
         assert tc._keep_freed_memory() is None
+
+
+class TestPoolWorkers:
+    """One pool worker per CPU that BLAS leaves idle, and 1 when BLAS is unknown."""
+
+    @pytest.mark.parametrize("cpus, blas, workers", [(2, 1, 2), (2, 2, 1), (1, 4, 1)])
+    def test_cpus_over_blas_threads(self, monkeypatch, cpus, blas, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(tc, "openblas_threads", lambda: (lambda: blas, None))
+        assert tc._pool_workers() == workers
+
+    def test_one_worker_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(tc, "openblas_threads", lambda: None)
+        assert tc._pool_workers() == 1
 
 
 def test_tensor_is_immutable():
