@@ -15,7 +15,7 @@ from . import bench as bench_mod, pipeline, rules
 from .config import load_config, parse_config
 from .data import REGIME_FRACTIONS, Regime, split_regime
 from .errors import ConfigError, CorruptFile, FastHebbError, UsageError
-from .experiment import build_dataset, build_stack, build_train_config, restore_stack
+from .experiment import build_dataset, build_stack, build_train_config, input_shape, restore_stack
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,8 +88,8 @@ def _parse_grid(spec: str) -> list[tuple[int, int, int]]:
 def _cmd_pretrain(args) -> int:
     text, cfg = load_config(args.config)
     train_cfg = build_train_config(cfg)
+    stack = build_stack(cfg, input_shape(cfg), train_cfg.hebb_lr)  # before any image is loaded
     data = build_dataset(cfg, "train")
-    stack = build_stack(cfg, data.images.shape[1:], train_cfg.hebb_lr)
     stack, metrics = pipeline.pretrain(stack, data, train_cfg)
     pipeline.save_checkpoint(args.out, stack, None, text)
     for epoch, values in enumerate(metrics.epoch_metrics):

@@ -4,6 +4,7 @@ sample-efficiency regime splitting, and the FHDS dump format."""
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,8 +32,10 @@ __all__ = [
     "split_regime",
     "save_dataset",
     "load_dataset",
+    "fhds_shape",
 ]
 
+CIFAR_SHAPE = (3, 32, 32)  # channels, height, width of one image
 CIFAR_RECORD = 3073  # 1 label byte + 3*32*32 pixel bytes
 CIFAR_CLASSES = 10
 REGIME_FRACTIONS = (1, 2, 3, 4, 5, 10, 25, 100)
@@ -102,7 +105,7 @@ def load_cifar10(path) -> Dataset:
     labels = records[:, 0].astype(np.int64)
     if labels.max(initial=0) >= CIFAR_CLASSES:
         raise BadLabel(f"{path}: label byte {labels.max()} exceeds 9")
-    images = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
+    images = records[:, 1:].reshape(-1, *CIFAR_SHAPE).astype(np.float64) / 255.0
     return Dataset(images, labels, CIFAR_CLASSES)
 
 
@@ -207,8 +210,12 @@ def save_dataset(path, dataset: Dataset) -> None:
         fh.write(dataset.labels.astype("<u4").tobytes())
 
 
-def load_dataset(path) -> Dataset:
-    raw = Path(path).read_bytes()
+_FHDS_HEADER = 28  # magic, version, ndim = 4 and four u32 extents
+
+
+def _fhds_header(raw: bytes, path, size: int) -> tuple[int, ...]:
+    """The B x C x H x W image shape from the header at the start of ``raw``,
+    checked against the ``size`` in bytes of the whole file."""
     if raw[:4] != FHDS_MAGIC:
         raise BadMagic(f"{path}: expected FHDS magic, got {raw[:4]!r}")
     try:
@@ -219,15 +226,32 @@ def load_dataset(path) -> Dataset:
         if ndim != 4:
             raise CorruptFile(f"{path}: images must be 4-d (B x C x H x W), got {ndim}-d")
         shape = struct.unpack_from(f"<{ndim}I", raw, 12)
-        if 0 in shape:
-            raise CorruptFile(f"{path}: image array of shape {shape} is empty")
-        offset = 12 + 4 * ndim
-        count = math.prod(shape)  # a Python int: no wrap-around on damaged extents
-        if offset + 8 * count > len(raw):
-            raise CorruptFile(
-                f"{path}: impossible image shape {shape}: needs {8 * count} bytes, "
-                f"{len(raw) - offset} follow the header"
-            )
+    except struct.error as exc:
+        raise CorruptFile(f"{path}: truncated FHDS file") from exc
+    if 0 in shape:
+        raise CorruptFile(f"{path}: image array of shape {shape} is empty")
+    count = math.prod(shape)  # a Python int: no wrap-around on damaged extents
+    if _FHDS_HEADER + 8 * count > size:
+        raise CorruptFile(
+            f"{path}: impossible image shape {shape}: needs {8 * count} bytes, "
+            f"{size - _FHDS_HEADER} follow the header"
+        )
+    return shape
+
+
+def fhds_shape(path) -> tuple[int, ...]:
+    """The C x H x W shape of one image of an FHDS file, read from its header
+    alone, with the checks :func:`load_dataset` makes of that header."""
+    with open(path, "rb") as fh:
+        return _fhds_header(fh.read(_FHDS_HEADER), path, os.fstat(fh.fileno()).st_size)[1:]
+
+
+def load_dataset(path) -> Dataset:
+    raw = Path(path).read_bytes()
+    shape = _fhds_header(raw, path, len(raw))
+    count = math.prod(shape)
+    try:
+        offset = _FHDS_HEADER
         images = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
         offset += 8 * count
         class_count = struct.unpack_from("<I", raw, offset)[0]

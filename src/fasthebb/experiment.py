@@ -15,7 +15,7 @@ from .pipeline import CheckpointData, TrainConfig
 from .rules import LearningParams, update_fn
 from .tensor import Tensor
 
-__all__ = ["build_dataset", "build_stack", "build_train_config", "restore_stack"]
+__all__ = ["build_dataset", "input_shape", "build_stack", "build_train_config", "restore_stack"]
 
 
 _BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
@@ -49,17 +49,12 @@ def build_dataset(cfg: dict, split: str = "train") -> Dataset:
     seed so train and test are disjoint draws from the same distribution.
     """
     section = cfg.get("data", {})
-    kind = _read(section, "kind", str)
+    kind = _data_kind(section)
     base_seed = _read(section, "seed", int, 0, floor=0)
     test = split == "test"
     if kind in ("cifar10", "fhds"):
         load = dio.load_cifar10 if kind == "cifar10" else dio.load_dataset
-        path = _read(section, "test_path" if test else "path", str)
-        if "\0" in path:  # open() raises ValueError on it
-            raise ConfigError(f"data path {path!r} contains a NUL byte")
-        return load(path)
-    if kind not in ("clusters", "gaussian"):
-        raise ConfigError(f"unknown data kind {kind!r}")
+        return load(_data_path(section, test))
     seed = base_seed + 9999 if test else base_seed
     num = _read(section, "num", int, floor=1)
     if test:
@@ -79,17 +74,34 @@ def build_dataset(cfg: dict, split: str = "train") -> Dataset:
     return dio.synth_gaussian(num, dims, _read(section, "cov_diag", _floats, 1.0), seed)
 
 
-def _parse_layer_spec(spec: str) -> tuple[str, dict[str, str]]:
-    parts = spec.split()
-    if not parts:
-        raise ConfigError("empty layer spec")
-    kind, opts = parts[0], {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise ConfigError(f"bad layer option {part!r} in {spec!r}")
-        key, value = part.split("=", 1)
-        opts[key] = value
-    return kind, opts
+def _data_kind(section: dict) -> str:
+    kind = _read(section, "kind", str)
+    if kind not in ("cifar10", "fhds", "clusters", "gaussian"):
+        raise ConfigError(f"unknown data kind {kind!r}")
+    return kind
+
+
+def _data_path(section: dict, test: bool) -> str:
+    path = _read(section, "test_path" if test else "path", str)
+    if "\0" in path:  # open() raises ValueError on it
+        raise ConfigError(f"data path {path!r} contains a NUL byte")
+    return path
+
+
+def input_shape(cfg: dict) -> tuple[int, int, int]:
+    """The C x H x W shape of one train sample of the [data] section, found
+    without loading any image: from the FHDS header, the CIFAR-10 layout or
+    the synthetic ``dims``.  Every [model] layer spec is parsed first, so a
+    layer of an unknown kind or with an unknown option is named before a data
+    file that cannot be read."""
+    _layer_specs(cfg)
+    section = cfg.get("data", {})
+    kind = _data_kind(section)
+    if kind == "fhds":
+        return dio.fhds_shape(_data_path(section, False))
+    if kind == "cifar10":
+        return dio.CIFAR_SHAPE
+    return (1, 1, _read(section, "dims", int, floor=1))
 
 
 _HEBB_OPTIONS = {"n", "lr", "t", "rule", "impl"}
@@ -99,9 +111,36 @@ _LAYER_OPTIONS = {  # the options each layer kind reads
 }
 
 
-def _layer_keys(cfg: dict) -> list[str]:
-    """The [model] section's ``layerN`` keys in stage order."""
-    return sorted((k for k in cfg.get("model", {}) if k.startswith("layer")), key=lambda k: int(k[5:]))
+def _parse_layer_spec(spec: str) -> tuple[str, dict[str, str]]:
+    """A layer spec's kind and options; a kind or option no layer reads fails here."""
+    parts = spec.split()
+    if not parts:
+        raise ConfigError("empty layer spec")
+    kind, opts = parts[0], {}
+    for part in parts[1:]:
+        if "=" not in part:
+            raise ConfigError(f"bad layer option {part!r} in {spec!r}")
+        key, value = part.split("=", 1)
+        opts[key] = value
+    if kind not in _LAYER_OPTIONS:
+        raise ConfigError(f"unknown layer kind {kind!r}")
+    unknown = sorted(set(opts) - _LAYER_OPTIONS[kind])
+    if unknown:
+        raise ConfigError(f"{kind} layer has no option {unknown[0]!r}")
+    return kind, opts
+
+
+def _layer_specs(cfg: dict) -> list[tuple[str, str, dict[str, str]]]:
+    """The [model] section's ``layerN`` keys in stage order, each with its
+    parsed spec; an error names its key."""
+    section = cfg.get("model", {})
+    specs = []
+    for key in sorted((k for k in section if k.startswith("layer")), key=lambda k: int(k[5:])):
+        try:
+            specs.append((key, *_parse_layer_spec(section[key])))
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    return specs
 
 
 def build_stack(cfg: dict, input_shape: tuple[int, int, int], hebb_lr: float) -> list:
@@ -112,31 +151,25 @@ def build_stack(cfg: dict, input_shape: tuple[int, int, int], hebb_lr: float) ->
 
 def _build(cfg: dict, input_shape: tuple, hebb_lr: float) -> tuple[list, tuple]:
     """The stage list and the shape of its output."""
-    section = cfg.get("model", {})
-    init_seed = _read(section, "init_seed", int, 0, floor=0)
+    init_seed = _read(cfg.get("model", {}), "init_seed", int, 0, floor=0)
+    specs = _layer_specs(cfg)
     stack: list = []
     shape: tuple = input_shape  # (C, H, W) or (F,)
-    for i, key in enumerate(_layer_keys(cfg)):
+    for i, (key, kind, opts) in enumerate(specs):
         try:
-            stage, shape = _build_stage(section[key], shape, hebb_lr, init_seed + i)
+            stage, shape = _build_stage(kind, opts, shape, hebb_lr, init_seed + i)
         except (ConfigError, GeometryError) as exc:
             raise ConfigError(f"{key}: {exc}") from None
         stack.append(stage)
     return stack, shape
 
 
-def _build_stage(spec: str, shape: tuple, hebb_lr: float, seed: int) -> tuple:
-    """One stage from its layer spec and input shape, with its output shape."""
-    kind, opts = _parse_layer_spec(spec)
-    unknown = sorted(set(opts) - _LAYER_OPTIONS.get(kind, set(opts)))  # unknown kinds fail below
-    if unknown:
-        raise ConfigError(f"{kind} layer has no option {unknown[0]!r}")
+def _build_stage(kind: str, opts: dict, shape: tuple, hebb_lr: float, seed: int) -> tuple:
+    """One stage from its layer kind, options and input shape, with its output shape."""
     if kind == "relu":
         return ReLU(), shape
     if kind == "flatten":
         return Flatten(), (int(np.prod(shape)),)
-    if kind not in _LAYER_OPTIONS:
-        raise ConfigError(f"unknown layer kind {kind!r}")
     if kind != "dense" and len(shape) != 3:
         raise ConfigError(f"{kind} needs image-shaped input")
     if kind == "maxpool":
@@ -187,7 +220,7 @@ def restore_stack(cfg: dict, input_shape, ckpt: CheckpointData) -> list:
     it, in order; their count, shapes and rules, and a probe's shape, must
     match the config."""
     stack, shape = _build(cfg, input_shape, build_train_config(cfg).hebb_lr)
-    hebb = [(key, i) for i, key in enumerate(_layer_keys(cfg)) if isinstance(stack[i], HebbLayer)]
+    hebb = [(key, i) for i, (key, _, _) in enumerate(_layer_specs(cfg)) if isinstance(stack[i], HebbLayer)]
     if len(ckpt.weights) != len(hebb):
         names = ", ".join(key for key, _ in hebb) or "model"
         raise CorruptFile(f"{names}: expected {len(hebb)} Hebbian weight blocks, got {len(ckpt.weights)}")

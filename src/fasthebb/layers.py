@@ -188,10 +188,12 @@ def layer_output(layer: HebbLayer, y: Tensor, x: Tensor) -> Tensor:
     return Tensor(np.transpose(grid, (0, 3, 1, 2)), dtype=y.dtype)
 
 
-def hebb_update(layer: HebbLayer, x: Tensor) -> UpdateResult:
-    """Compute (but do not apply) the layer's weight update from its input."""
+def hebb_update(layer: HebbLayer, x: Tensor, y: Optional[Tensor] = None) -> UpdateResult:
+    """Compute (but do not apply) the layer's weight update from its input;
+    ``y``, when given, is the forward of the input's rows under the layer's
+    weights, which the kernel then does not recompute."""
     kernel = rules.update_fn(layer.params.rule, layer.update_impl)
-    return kernel(layer.weights, layer_rows(layer, x), layer.params)
+    return kernel(layer.weights, layer_rows(layer, x), layer.params, y)
 
 
 def apply_update(layer: HebbLayer, result: UpdateResult) -> HebbLayer:

@@ -82,7 +82,8 @@ def learning_rate(base: float, epoch: int, epochs: int) -> float:
 @dataclass
 class PretrainMetrics:
     """Per-epoch means of each Hebbian layer's :func:`~fasthebb.rules.layer_metric`,
-    each taken after the batch's update, plus the plateau epoch: the last
+    each taken on its batch under the weights before the batch's update (as an
+    SGD loop logs its loss), plus the plateau epoch: the last
     phase's, judged on the layers that phase trains, as an index into
     ``epoch_metrics`` (None when that phase has none)."""
 
@@ -98,14 +99,21 @@ def _batch_iter(n: int, batch_size: int, rng) -> list[np.ndarray]:
 def _hebb_stage(
     layer: HebbLayer, x: Tensor, train: bool, output: bool
 ) -> tuple[HebbLayer, float, Optional[Tensor]]:
-    """One batch through one Hebbian layer: its rows feed the update and one forward,
-    whose y gives the metric and, when ``output`` is set, the stage output (else None);
-    both die before the next layer builds its rows."""
+    """One batch through one Hebbian layer.  Its rows and their forward y under
+    the weights the update starts from feed the update and the metric, as an SGD
+    loop logs its loss; when ``output`` is set the stage output is the forward
+    under the updated weights (else None).  All die before the next layer
+    builds its rows."""
     rows = ly.layer_rows(layer, x)
-    if train:
-        layer = ly.apply_update(layer, ly.hebb_update(layer, rows))
     y = rules.forward_linear(layer.weights, rows)
-    metric = rules.layer_metric(layer.weights, rows, y, layer.params)
+    update = ly.hebb_update(layer, rows, y) if train else None
+    metric = update.metric if update else None
+    if metric is None:  # no kernel ran, or HPCA's, which holds no per-row residual
+        metric = rules.layer_metric(layer.weights, rows, y, layer.params)
+    if train:
+        layer = ly.apply_update(layer, update)
+        del y  # the forward under the new weights allocates without the old one alive
+        y = rules.forward_linear(layer.weights, rows) if output else None
     return layer, metric, ly.layer_output(layer, y, x) if output else None
 
 

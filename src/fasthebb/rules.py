@@ -13,6 +13,10 @@ their largest temporary is max(N*B, N*S, N*N) elements, as counted by
 :class:`~fasthebb.tensor.AllocationTracker` and reported as
 ``peak_temp_elements``.  Both forms of a rule are algebraically identical;
 tests hold them to 1e-10 relative Frobenius error in double precision.
+
+Every kernel takes the forward Y of X under W as an optional fourth argument
+and computes it only when that is omitted, so a caller that needs Y anyway
+(pretraining, for the layer metric) runs one forward per update.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ __all__ = [
     "RULES",
     "METRIC_FALLS",
     "LearningParams",
-    "RuleIntermediates",
     "UpdateResult",
     "forward_linear",
     "aggregate",
@@ -68,20 +71,10 @@ class LearningParams:
 
 
 @dataclass
-class RuleIntermediates:
-    """Auxiliary tensors of the SWTA update (diagnostics only; HPCA keeps none)."""
-
-    R: Optional[Tensor] = None  # softmax scores, B x N x 1
-    C: Optional[Tensor] = None  # aggregation coefficients, B x N x 1
-    Q: Optional[Tensor] = None  # sum_b (C*R), 1 x N x 1
-
-
-@dataclass
 class UpdateResult:
     delta_w: Tensor  # 1 x N x S, learning rate already applied
-    intermediates: Optional[RuleIntermediates] = None
-    flops_estimate: int = 0
     peak_temp_elements: int = 0
+    metric: Optional[float] = None  # layer_metric of the rows, from the SWTA softmax; None for HPCA
 
 
 def _check_update_shapes(w: Tensor, x: Tensor) -> tuple[int, int, int]:
@@ -117,53 +110,54 @@ def aggregate(coeffs: Tensor, per_sample: Tensor) -> Tensor:
     return tc.reduce_sum(tc.elementwise("mul", coeffs, per_sample), 0)
 
 
-def _swta_scores(w: Tensor, x: Tensor, params: LearningParams):
-    """The scores R and the guarded column sums that C = R / sum_b R divides by."""
-    y = forward_linear(w, x)
-    r = tc.softmax(y, params.temperature, dim=1)  # B x N x 1
+def _swta_scores(w: Tensor, x: Tensor, y: Optional[Tensor], params: LearningParams):
+    """The scores R, the guarded column sums that C = R / sum_b R divides by,
+    and the layer metric ``mean(1/Σ)`` over the softmax row sums Σ (see
+    :func:`layer_metric`)."""
+    if y is None:
+        y = forward_linear(w, x)
+    r, row_sums = tc.softmax(y, params.temperature, dim=1)  # B x N x 1, B x 1 x 1
     col_sums = tc.reduce_sum(r, 0)  # 1 x N x 1
     # sum_b R[b,n] > 0 holds in exact arithmetic; at low temperature the
     # scores of a losing neuron can underflow to 0.0, in which case the
     # whole column is zero and C can be anything (its contribution vanishes)
     safe = Tensor(np.where(col_sums.data > 0, col_sums.data, 1.0), dtype=col_sums.dtype)
-    return r, safe
+    return r, safe, float(np.mean(1.0 / row_sums.data))
 
 
 def swta_update_naive(
-    w: Tensor, x: Tensor, params: LearningParams, keep_intermediates: bool = False
+    w: Tensor, x: Tensor, params: LearningParams, y: Optional[Tensor] = None
 ) -> UpdateResult:
     """Reference SWTA path: builds the B x N x S per-sample update, then
-    aggregates with score-weighted coefficients C = R / sum_b R."""
-    b, n, s = _check_update_shapes(w, x)
+    aggregates with score-weighted coefficients C = R / sum_b R.  ``y`` is
+    the forward of ``x`` under ``w`` when the caller has it."""
+    _check_update_shapes(w, x)
     with AllocationTracker() as tr:
-        r, safe = _swta_scores(w, x, params)
+        r, safe, metric = _swta_scores(w, x, y, params)
         c = tc.elementwise("div", r, safe)
         diff = tc.elementwise("sub", x, w)  # B x N x S
         per_sample = tc.elementwise(
             "scale", tc.elementwise("mul", r, diff), params.eta
         )
         delta_w = aggregate(c, per_sample)
-    inter = None
-    if keep_intermediates:
-        cr = tc.elementwise("mul", c, r)
-        inter = RuleIntermediates(R=r, C=c, Q=tc.reduce_sum(cr, 0))
-    flops = b * n * (4 * s + 6)
-    return UpdateResult(delta_w, inter, flops, tr.largest)
+    return UpdateResult(delta_w, tr.largest, metric)
 
 
 def swta_update_fast(
-    w: Tensor, x: Tensor, params: LearningParams, keep_intermediates: bool = False
+    w: Tensor, x: Tensor, params: LearningParams, y: Optional[Tensor] = None
 ) -> UpdateResult:
     """Fused SWTA path: contracts b before any B x N x S object exists.
 
     delta_w = eta * matmul((C*R)_{1,n,b}, X_{1,b,s}) - eta * Q * W
-    with Q = sum_b (C*R).
+    with Q = sum_b (C*R).  ``y`` is the forward of ``x`` under ``w`` when
+    the caller has it.
     """
     b, n, s = _check_update_shapes(w, x)
     with AllocationTracker() as tr:
-        r, safe = _swta_scores(w, x, params)
+        r, safe, metric = _swta_scores(w, x, y, params)
         buf = r.data / safe.data  # C = R / sum_b R, in the buffer that becomes C*R
         buf *= r.data
+        del r  # the caller's y may be alive: at most three B x N buffers at once
         cr = Tensor(buf, dtype=buf.dtype)  # B x N x 1
         q = tc.reduce_sum(cr, 0)  # 1 x N x 1
         cr_t = tc.transpose(tc.reshape(cr, (1, b, n)))  # 1 x N x B
@@ -172,24 +166,23 @@ def swta_update_fast(
         delta_w = tc.elementwise(
             "scale", tc.elementwise("sub", pull, decay), params.eta
         )
-    inter = None
-    if keep_intermediates:
-        inter = RuleIntermediates(R=r, C=tc.elementwise("div", r, safe), Q=q)
-    flops = 2 * b * n * s + b * n * 8
-    return UpdateResult(delta_w, inter, flops, tr.largest)
+    return UpdateResult(delta_w, tr.largest, metric)
 
 
 def hpca_update_naive(
-    w: Tensor, x: Tensor, params: LearningParams, keep_intermediates: bool = False
+    w: Tensor, x: Tensor, params: LearningParams, y: Optional[Tensor] = None
 ) -> UpdateResult:
     """Reference HPCA path via the full residual tensor.
 
     E[b,n,s] = X[b,s] - sum_{n'<=n} Y[b,n'] * W[n',s]
     delta_w  = (eta/B) * sum_b Y[b,n] * E[b,n,s]
+
+    ``y`` is the forward of ``x`` under ``w`` when the caller has it.
     """
     b, n, s = _check_update_shapes(w, x)
     with AllocationTracker() as tr:
-        y = forward_linear(w, x)  # B x N x 1
+        if y is None:
+            y = forward_linear(w, x)  # B x N x 1
         mask = tc.reshape(tc.tril_mask(n, dtype=w.dtype), (1, n, n))
         yw = tc.elementwise("mul", y, w)  # B x N x S
         partial = tc.matmul(mask, yw)  # B x N x S, cumulative reconstructions
@@ -201,20 +194,22 @@ def hpca_update_naive(
         summed = tc.reduce_sum(per_sample, 0)
         del per_sample
         delta_w = tc.elementwise("scale", summed, params.eta / b)
-    flops = b * n * s * (2 * n + 4)
-    return UpdateResult(delta_w, None, flops, tr.largest)
+    return UpdateResult(delta_w, tr.largest)
 
 
 def hpca_update_fast(
-    w: Tensor, x: Tensor, params: LearningParams, keep_intermediates: bool = False
+    w: Tensor, x: Tensor, params: LearningParams, y: Optional[Tensor] = None
 ) -> UpdateResult:
     """Fused HPCA path via the masked Gram tensor.
 
     P = (Y^T Y) * L;  delta_w = (eta/B) * (matmul(Y^T, X) - matmul(P, W))
+
+    ``y`` is the forward of ``x`` under ``w`` when the caller has it.
     """
     b, n, s = _check_update_shapes(w, x)
     with AllocationTracker() as tr:
-        y = forward_linear(w, x)  # B x N x 1
+        if y is None:
+            y = forward_linear(w, x)  # B x N x 1
         y_t = tc.transpose(tc.reshape(y, (1, b, n)))  # 1 x N x B
         gram = tc.matmul(y_t, tc.reshape(y, (1, b, n)))  # 1 x N x N
         mask = tc.reshape(tc.tril_mask(n, dtype=w.dtype), (1, n, n))
@@ -224,8 +219,7 @@ def hpca_update_fast(
         delta_w = tc.elementwise(
             "scale", tc.elementwise("sub", pull, decay), params.eta / b
         )
-    flops = 2 * b * n * s + 2 * b * n * n + 2 * n * n * s
-    return UpdateResult(delta_w, None, flops, tr.largest)
+    return UpdateResult(delta_w, tr.largest)
 
 
 _KERNELS = {
@@ -245,7 +239,10 @@ def update_fn(rule: str, impl: str):
 
 
 def layer_metric(w: Tensor, x: Tensor, y: Tensor, params: LearningParams) -> float:
-    """Cheap per-batch training metric from a layer's rows x and their forward y = W·x.
+    """Cheap per-batch training metric from a layer's rows x and their forward
+    y = W·x.  Pretraining takes it under the weights the batch's update starts
+    from, from the same y the update uses, as an SGD loop logs its loss; the
+    SWTA kernels return this same value as :attr:`UpdateResult.metric`.
 
     HPCA's residual norm ``‖x − Wᵀy‖`` comes from the identity
     ``‖x − Wᵀy‖² = ‖x‖² − 2‖y‖² + yᵀ(WWᵀ)y``, which holds because ``y = W·x``

@@ -285,18 +285,21 @@ def reduce_sum(a: Tensor, dim_index: int) -> Tensor:
     return _wrap_new(np.cumsum(a.data, axis=dim_index)[tuple(idx)] + 0.0)
 
 
-def softmax(y: Tensor, temperature: float, dim: int = 1) -> Tensor:
-    """Temperature softmax along ``dim`` with max-subtraction for stability.
+def softmax(y: Tensor, temperature: float, dim: int = 1) -> tuple[Tensor, Tensor]:
+    """Temperature softmax along ``dim`` with max-subtraction for stability,
+    and the sums of the shifted exponentials that it divided by (``dim`` kept
+    as a singleton).
 
-    The scaled copy of ``y`` is the only buffer; the shift, ``exp`` and the
-    normalisation then run in place on it."""
+    The scaled copy of ``y`` is the only score buffer; the shift, ``exp`` and
+    the normalisation then run in place on it."""
     if not temperature > 0:
         raise InvalidTemperature(f"temperature must be > 0, got {temperature}")
     z = y.data / temperature
     z -= np.max(z, axis=dim, keepdims=True)
     np.exp(z, out=z)
-    z /= np.sum(z, axis=dim, keepdims=True)
-    return _wrap_new(z)
+    sums = np.sum(z, axis=dim, keepdims=True)
+    z /= sums
+    return _wrap_new(z), _wrap_new(sums)
 
 
 def tril_mask(n: int, dtype=np.float64) -> Tensor:

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from fasthebb import pipeline, rules, tensor as tc
+from fasthebb import cli as cli_mod, pipeline, rules, tensor as tc
 from fasthebb.bench import CSV_COLUMNS, bench_kernels
 from fasthebb.cli import main
 from fasthebb.config import parse_config
@@ -404,6 +404,26 @@ class TestCli:
         assert main(["probe", "--ckpt", str(tmp_path / "m.fhb"), "--regime", "25"]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "t.fhds" in err
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "data, layer",
+        [
+            ("kind = fhds\npath = {tmp}/missing.fhds", "bogus"),
+            ("kind = fhds\npath = {tmp}/d.fhds", "conv k=5 n=2"),
+            ("kind = cifar10\npath = {tmp}/missing.bin", "conv k=40 n=2"),
+            ("kind = clusters\nnum = 400000\ndims = 8\nclusters = 2\nseparation = 3.0", "dense n=0"),
+        ],
+        ids=["unknown-kind-missing-file", "kernel-over-fhds-header", "kernel-over-cifar", "zero-neurons"],
+    )
+    def test_pretrain_checks_the_model_before_any_data(self, data, layer, tmp_path, capsys, monkeypatch):
+        save_dataset(tmp_path / "d.fhds", Dataset(np.zeros((2, 1, 4, 4)), np.zeros(2), 1))
+        calls = []
+        monkeypatch.setattr(cli_mod, "build_dataset", lambda *args: calls.append(args))
+        text = f"[data]\n{data.format(tmp=tmp_path)}\n\n[model]\nlayer1 = {layer}\n"
+        assert main(_pretrain(tmp_path, text)) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: layer1: ")
         assert calls == []
 
     def test_option_of_another_layer_kind_is_config_error(self):

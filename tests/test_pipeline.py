@@ -152,7 +152,7 @@ def _loop_layer_metric(layer, x):
     x = layer_rows(layer, x)
     y = rules.forward_linear(layer.weights, x)
     if layer.params.rule == rules.RULE_SWTA:
-        r = tc.softmax(y, layer.params.temperature, dim=1)
+        r, _ = tc.softmax(y, layer.params.temperature, dim=1)
         return float(np.mean(np.max(r.data, axis=1)))
     # the HPCA formula is held to the reconstruction in TestLayerMetric
     return rules.layer_metric(layer.weights, x, y, layer.params)
@@ -160,8 +160,9 @@ def _loop_layer_metric(layer, x):
 
 def _loop_pretrain(stack, images, config):
     """Pretraining as three separate passes per Hebbian layer and batch
-    (update from the stage input, metric forward, stage forward) through
-    every stage of the stack, the trailing ones included."""
+    (metric forward from the stage input under the weights before the update,
+    update from the stage input, stage forward under the updated weights)
+    through every stage of the stack, the trailing ones included."""
     stack = list(stack)
     rng = np.random.default_rng(config.seed)
     hebb = [i for i, s in enumerate(stack) if isinstance(s, HebbLayer)]
@@ -174,11 +175,11 @@ def _loop_pretrain(stack, images, config):
             for start in range(0, len(images), config.batch_size):
                 x = Tensor(images[order[start : start + config.batch_size]])
                 for pos, stage in enumerate(stack):
+                    if isinstance(stage, HebbLayer):
+                        layer_metrics[pos].append(_loop_layer_metric(stage, x))
                     if isinstance(stage, HebbLayer) and pos in trainable:
                         stage = apply_update(stage, hebb_update(stage, x))
                         stack[pos] = stage
-                    if isinstance(stage, HebbLayer):
-                        layer_metrics[pos].append(_loop_layer_metric(stage, x))
                     x = stage.forward(x)
             per_epoch.append([float(np.mean(layer_metrics[i])) for i in hebb])
     # the last phase alone decides convergence: its own columns over its own epochs
@@ -211,9 +212,11 @@ def _dense_stack(rule):
 
 
 class TestPretrainMatchesPerStageLoop:
-    """pretrain shares one set of rows and one forward per Hebbian layer and
-    stops after the last one; weights and metrics stay bit for bit those of
-    the loop that recomputes each pass and runs every stage."""
+    """pretrain shares one set of rows and one pre-update forward per Hebbian
+    layer between the update and the metric, runs the post-update forward only
+    where a later stage reads it, and stops after the last Hebbian layer;
+    weights and metrics stay bit for bit those of the loop that recomputes
+    each pass and runs every stage."""
 
     @pytest.mark.parametrize("schedule", ["joint", "layerwise"])
     @pytest.mark.parametrize("rule", ["hpca", "swta"])
@@ -233,6 +236,40 @@ class TestPretrainMatchesPerStageLoop:
                 assert np.array_equal(a.weights.data, b.weights.data)
         assert metrics.epoch_metrics == want_metrics
         assert metrics.converged_epoch == want_converged
+
+    def test_hand_worked_metric_is_taken_before_the_update(self):
+        # W = (1, 0) and rows x = (3, 4), (1, -2): y = (3, 1), the residuals
+        # x - W^T y are (0, 4) and (0, -2), so the metric is (4 + 2) / 2 = 3.
+        # The update is eta/B * (Y^T X - (y.y) W) = 0.05 * ((10, 10) - (10, 0)),
+        # which moves W to (1, 0.5), where the residuals are no longer (0, 4), (0, -2)
+        layer = HebbLayer(Tensor([[[1.0, 0.0]]]), LearningParams(eta=0.1, rule="hpca"))
+        images = np.array([3.0, 4.0, 1.0, -2.0]).reshape(2, 1, 1, 2)
+        data = Dataset(images, np.zeros(2, dtype=np.int64), 1)
+        (trained,), metrics = pretrain([layer], data, TrainConfig(epochs=1, batch_size=2))
+        assert metrics.epoch_metrics == [[3.0]]
+        rows = layer_rows(layer, Tensor(images))
+        assert rules.layer_metric(layer.weights, rows, rules.forward_linear(layer.weights, rows), layer.params) == 3.0
+        assert np.array_equal(trained.weights.data, [[[1.0, 0.5]]])
+        after = rules.layer_metric(trained.weights, rows, rules.forward_linear(trained.weights, rows), layer.params)
+        assert after != 3.0
+
+
+class TestOneForwardPerLayer:
+    """Under the joint schedule each Hebbian layer runs one forward before its
+    update, and only the layers a later stage reads run one after it."""
+
+    @pytest.mark.parametrize("rule", ["hpca", "swta"])
+    @pytest.mark.parametrize("hebb_layers", [1, 2, 3])
+    def test_forward_linear_calls_per_batch(self, hebb_layers, rule, monkeypatch):
+        stack = []
+        for k in range(hebb_layers):
+            stack += [HebbLayer(init_weights(4, 4, seed=k), LearningParams(eta=0.01, rule=rule)), ReLU()]
+        calls = []
+        forward = rules.forward_linear
+        monkeypatch.setattr(rules, "forward_linear", lambda w, x: (calls.append(1), forward(w, x))[1])
+        images = np.random.default_rng(0).standard_normal((40, 1, 1, 4))
+        pretrain(stack, Dataset(images, np.zeros(40, dtype=np.int64), 1), TrainConfig(epochs=1, batch_size=16))
+        assert len(calls) == 3 * (2 * hebb_layers - 1)  # 3 batches
 
 
 def _hpca_layer(n, conv):

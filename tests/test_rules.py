@@ -27,6 +27,20 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(a), 1e-30)
 
 
+def swta_terms(w, x, temperature):
+    """R, C and Q of the SWTA rule from their documented formulas:
+    R = softmax(W·x / T) over neurons, C = R / sum_b R (0 where a column of R
+    underflowed to all zeros), Q = sum_b C*R."""
+    z = forward_linear(w, x).data / temperature
+    z = z - np.max(z, axis=1, keepdims=True)
+    e = np.exp(z)
+    r = e / np.sum(e, axis=1, keepdims=True)
+    col_sums = tc.reduce_sum(Tensor(r), 0).data
+    c = r / np.where(col_sums > 0, col_sums, 1.0)
+    q = tc.reduce_sum(Tensor(c * r), 0).data
+    return r, c, q
+
+
 class TestForwardLinear:
     def test_identity_rows(self):
         w = Tensor(np.eye(3).reshape(1, 3, 3))
@@ -88,8 +102,8 @@ class TestSwta:
     def test_single_sample_is_scaled_rule(self):
         w, x = rand_case(1, 3, 4, seed=2)
         params = LearningParams(eta=0.5, temperature=0.7, rule="swta")
-        res = swta_update_naive(w, x, params, keep_intermediates=True)
-        r = res.intermediates.R.data
+        res = swta_update_naive(w, x, params)
+        r, _, _ = swta_terms(w, x, params.temperature)
         expected = 0.5 * r * (x.data - w.data[0])[None, ...].reshape(1, 3, 4)
         np.testing.assert_allclose(res.delta_w.data, expected, rtol=1e-12)
 
@@ -129,23 +143,23 @@ class TestSwta:
 
     def test_score_invariants(self):
         w, x = rand_case(16, 4, 6, seed=3)
-        res = swta_update_fast(
-            w, x, LearningParams(eta=0.1, temperature=0.5, rule="swta"),
-            keep_intermediates=True,
-        )
-        inter = res.intermediates
-        np.testing.assert_allclose(inter.R.data.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(inter.C.data.sum(axis=0), 1.0, atol=1e-12)
-        q = inter.Q.data.ravel()
+        params = LearningParams(eta=0.1, temperature=0.5, rule="swta")
+        r, c, q = swta_terms(w, x, params.temperature)
+        np.testing.assert_allclose(r.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(c.sum(axis=0), 1.0, atol=1e-12)
         assert np.all(q > 0) and np.all(q <= 1.0 + 1e-12)
+        # the fast kernel's update is eta * ((C*R)^T X - Q W) from these terms
+        want = params.eta * ((c * r)[:, :, 0].T @ x.data[:, 0, :] - q[0] * w.data[0])
+        assert rel_err(want, swta_update_fast(w, x, params).delta_w.data[0]) <= 1e-10
 
     def test_convexity(self):
         # with eta*Q <= 1 each updated coordinate stays inside the span of
         # the old weight and the batch inputs
         w, x = rand_case(9, 3, 4, seed=8)
         params = LearningParams(eta=1.0, temperature=0.6, rule="swta")
-        res = swta_update_fast(w, x, params, keep_intermediates=True)
-        assert np.all(params.eta * res.intermediates.Q.data <= 1.0 + 1e-12)
+        res = swta_update_fast(w, x, params)
+        _, _, q = swta_terms(w, x, params.temperature)
+        assert np.all(params.eta * q <= 1.0 + 1e-12)
         new_w = w.data + res.delta_w.data
         lo = np.minimum(w.data[0], x.data[:, 0, :].min(axis=0))
         hi = np.maximum(w.data[0], x.data[:, 0, :].max(axis=0))
@@ -163,39 +177,53 @@ class TestSwta:
         assert fast.peak_temp_elements <= n * (b + s) + n * n + 64
 
     def test_fast_allocates_four_b_by_n_tensors(self, monkeypatch):
-        # y, R, C*R and its transpose; C itself is never a tensor of its own
+        # y, R, C*R and its transpose; C itself is never a tensor of its own,
+        # and a caller that passes y saves the kernel that one
         b, n, s = 37, 5, 3
         w, x = rand_case(b, n, s, seed=6)
+        y = forward_linear(w, x)
         sizes = []
         record = tc._record_alloc
         monkeypatch.setattr(tc, "_record_alloc", lambda count: (sizes.append(count), record(count)))
         swta_update_fast(w, x, LearningParams(eta=0.1, rule="swta"))
         assert 0 < sizes.count(b * n) <= 4
+        sizes.clear()
+        swta_update_fast(w, x, LearningParams(eta=0.1, rule="swta"), y)
+        assert 0 < sizes.count(b * n) <= 3
 
     @pytest.mark.parametrize("temperature", [1.0, 0.01])
     @pytest.mark.parametrize("kernel", [swta_update_naive, swta_update_fast])
     def test_intermediates_keep_their_values(self, kernel, temperature):
+        # the kernel's update is the one built from the formulas' R, C and Q, and
+        # its metric is bit for bit their mean row maximum of R
         w, x = _losing_neuron_case()
-        y = forward_linear(w, x).data
-        z = y / temperature
-        z = z - np.max(z, axis=1, keepdims=True)
-        e = np.exp(z)
-        r = e / np.sum(e, axis=1, keepdims=True)
-        col_sums = tc.reduce_sum(Tensor(r), 0).data
-        c = r / np.where(col_sums > 0, col_sums, 1.0)
-        q = tc.reduce_sum(Tensor(c * r), 0).data
-        inter = kernel(w, x, LearningParams(eta=0.1, temperature=temperature, rule="swta"), True).intermediates
-        assert np.array_equal(inter.R.data, r)
-        assert np.array_equal(inter.C.data, c)
-        assert np.array_equal(inter.Q.data, q)
+        params = LearningParams(eta=0.1, temperature=temperature, rule="swta")
+        r, c, q = swta_terms(w, x, temperature)
+        res = kernel(w, x, params)
+        want = params.eta * ((c * r)[:, :, 0].T @ x.data[:, 0, :] - q[0] * w.data[0])
+        assert rel_err(want, res.delta_w.data[0]) <= 1e-10
+        assert res.metric == float(np.mean(np.max(r, axis=1)))
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.3, 0.01])
+    def test_naive_and_fast_report_layer_metric(self, temperature):
+        w, x = rand_case(300, 7, 5, seed=11)
+        x = Tensor(x.data * 4.0)
+        params = LearningParams(eta=0.1, temperature=temperature, rule="swta")
+        y = forward_linear(w, x)
+        want = rules.layer_metric(w, x, y, params)
+        assert swta_update_naive(w, x, params).metric == want
+        assert swta_update_fast(w, x, params).metric == want
+        assert swta_update_naive(w, x, params, y).metric == want
+        assert swta_update_fast(w, x, params, y).metric == want
 
     def test_underflowed_column_keeps_fast_finite(self):
         # at T=0.01 every score of neuron 2 underflows: its column sums to
         # exactly 0.0, and the guard makes its C (and its update) 0 instead of NaN
         w, x = _losing_neuron_case()
         params = LearningParams(eta=0.1, temperature=0.01, rule="swta")
-        naive = swta_update_naive(w, x, params, keep_intermediates=True)
-        assert np.sum(naive.intermediates.R.data[:, 2]) == 0.0
+        naive = swta_update_naive(w, x, params)
+        r, _, _ = swta_terms(w, x, params.temperature)
+        assert np.sum(r[:, 2]) == 0.0
         fast = swta_update_fast(w, x, params).delta_w.data
         assert np.all(np.isfinite(fast))
         assert np.all(fast[0, 2] == 0.0)
@@ -272,6 +300,19 @@ def test_delta_linear_in_eta(rule):
     one = rules.update_fn(rule, "fast")(w, x, LearningParams(eta=0.25, rule=rule))
     two = rules.update_fn(rule, "fast")(w, x, LearningParams(eta=0.5, rule=rule))
     np.testing.assert_array_equal(two.delta_w.data, 2.0 * one.delta_w.data)
+
+
+@pytest.mark.parametrize("rule, impl", sorted(rules._KERNELS))
+def test_given_forward_gives_the_same_update(rule, impl):
+    w, x = rand_case(23, 4, 6, seed=12)
+    params = LearningParams(eta=0.1, temperature=0.5, rule=rule)
+    kernel = rules.update_fn(rule, impl)
+    alone = kernel(w, x, params)
+    given = kernel(w, x, params, forward_linear(w, x))
+    assert np.array_equal(alone.delta_w.data, given.delta_w.data)
+    assert alone.metric == given.metric
+    with pytest.raises(ShapeMismatch):
+        kernel(w, x, params, Tensor(np.zeros((22, 4, 1))))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

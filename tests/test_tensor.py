@@ -157,31 +157,31 @@ class TestReduceSum:
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = tc.softmax(T([[0.0, 0.0]]), 1.0, dim=1)
+        out, _ = tc.softmax(T([[0.0, 0.0]]), 1.0, dim=1)
         np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-15)
 
     def test_log2_case(self):
-        out = tc.softmax(T([[np.log(2.0), 0.0]]), 1.0, dim=1)
+        out, _ = tc.softmax(T([[np.log(2.0), 0.0]]), 1.0, dim=1)
         np.testing.assert_allclose(out.data, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
 
     def test_high_temperature_near_uniform(self):
         rng = np.random.default_rng(3)
         y = Tensor(rng.standard_normal((4, 6)))
-        out = tc.softmax(y, 1e9, dim=1)
+        out, _ = tc.softmax(y, 1e9, dim=1)
         np.testing.assert_allclose(out.data, 1.0 / 6.0, atol=1e-6)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
         y = Tensor(rng.standard_normal((8, 5)) * 5)
-        out = tc.softmax(y, 0.5, dim=1)
+        out, _ = tc.softmax(y, 0.5, dim=1)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(out.data > 0) and np.all(out.data < 1)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(9)
         y = rng.standard_normal((4, 5))
-        a = tc.softmax(Tensor(y), 2.0, dim=1)
-        b = tc.softmax(Tensor(y + 17.3), 2.0, dim=1)
+        a, _ = tc.softmax(Tensor(y), 2.0, dim=1)
+        b, _ = tc.softmax(Tensor(y + 17.3), 2.0, dim=1)
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_invalid_temperature(self):
@@ -204,8 +204,10 @@ class TestSoftmax:
         z = z - np.max(z, axis=dim, keepdims=True)
         e = np.exp(z)
         want = e / np.sum(e, axis=dim, keepdims=True)
-        got = tc.softmax(T(y), temperature, dim=dim).data
+        got, sums = tc.softmax(T(y), temperature, dim=dim)
+        got = got.data
         assert np.array_equal(got, want)
+        assert np.array_equal(sums.data, np.sum(e, axis=dim, keepdims=True))
         if temperature == 0.02:
             assert np.all(np.moveaxis(got, dim, 0)[0] == 0.0)
 
