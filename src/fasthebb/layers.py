@@ -134,7 +134,8 @@ def out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def extract_patches(images: Tensor, geometry: ConvGeometry) -> PatchBatch:
-    """Flatten every window of every image into one large batch."""
+    """Flatten every window of every image into one large batch.  The batch is
+    one buffer, copied in ranges of images by :func:`~fasthebb.tensor.split_rows`."""
     if images.ndim != 4:
         raise ShapeMismatch(f"expected BxCxHxW images, got {images.shape}")
     b, c, h, w = images.shape
@@ -153,10 +154,13 @@ def extract_patches(images: Tensor, geometry: ConvGeometry) -> PatchBatch:
         arr, (g.kernel_h, g.kernel_w), axis=(2, 3)
     )[:, :, :: g.stride, :: g.stride]  # b, c, out_h, out_w, kh, kw
     # image-major over b, row-major over offsets; channel-major within a patch
-    flat = np.transpose(windows, (0, 2, 3, 1, 4, 5)).reshape(
-        b * out_h * out_w, 1, g.patch_size
-    )
-    return PatchBatch(Tensor(flat, dtype=images.dtype))
+    flat = np.empty((b, out_h, out_w, c, g.kernel_h, g.kernel_w), dtype=arr.dtype)
+
+    def fill(start: int, stop: int) -> None:
+        flat[start:stop] = np.transpose(windows[start:stop], (0, 2, 3, 1, 4, 5))
+
+    tc.split_rows(fill, b)
+    return PatchBatch(Tensor(flat.reshape(b * out_h * out_w, 1, g.patch_size), dtype=images.dtype))
 
 
 def conv_forward(layer: HebbLayer, images: Tensor) -> Tensor:
@@ -178,14 +182,21 @@ def layer_rows(layer: HebbLayer, x: Tensor) -> Tensor:
 
 def layer_output(layer: HebbLayer, y: Tensor, x: Tensor) -> Tensor:
     """The b_eff x N x 1 forward ``y`` of ``layer_rows(layer, x)`` as the
-    stage output: B x N (dense) or B x N x out_h x out_w (conv)."""
+    stage output: B x N (dense) or B x N x out_h x out_w (conv), the latter
+    copied in ranges of images by :func:`~fasthebb.tensor.split_rows`."""
     b, n, g = x.shape[0], layer.num_neurons, layer.geometry
     if g is None:
         return tc.reshape(y, (b, n))
     out_h = out_extent(x.shape[2], g.kernel_h, g.stride, g.padding)
     out_w = out_extent(x.shape[3], g.kernel_w, g.stride, g.padding)
     grid = y.data.reshape(b, out_h, out_w, n)
-    return Tensor(np.transpose(grid, (0, 3, 1, 2)), dtype=y.dtype)
+    out = np.empty((b, n, out_h, out_w), dtype=y.dtype)
+
+    def fill(start: int, stop: int) -> None:
+        out[start:stop] = np.transpose(grid[start:stop], (0, 3, 1, 2))
+
+    tc.split_rows(fill, b)
+    return Tensor(out, dtype=y.dtype)
 
 
 def hebb_update(layer: HebbLayer, x: Tensor, y: Optional[Tensor] = None) -> UpdateResult:

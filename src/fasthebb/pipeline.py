@@ -1,7 +1,13 @@
 """Two-phase semi-supervised protocol: unsupervised Hebbian pretraining over
 all samples, then a supervised linear probe on the labeled subset, with the
 constant-then-halving learning-rate schedule, Nesterov momentum, and early
-stopping on validation accuracy."""
+stopping on validation accuracy.
+
+Both phases use the thread pool of :mod:`~fasthebb.tensor` where that keeps
+every bit: feature extraction forwards blocks of images on it, and a pretrain
+step runs the HPCA metric on it beside the update kernel, while the layers
+split patch rows, forwards and stage outputs over it.  The update's
+contractions over the batch stay on the calling thread."""
 
 from __future__ import annotations
 
@@ -9,6 +15,7 @@ import errno
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -101,20 +108,25 @@ def _hebb_stage(
 ) -> tuple[HebbLayer, float, Optional[Tensor]]:
     """One batch through one Hebbian layer.  Its rows and their forward y under
     the weights the update starts from feed the update and the metric, as an SGD
-    loop logs its loss; when ``output`` is set the stage output is the forward
-    under the updated weights (else None).  All die before the next layer
-    builds its rows."""
+    loop logs its loss; a metric the kernel does not return runs on a pool
+    worker beside the kernel (:func:`~fasthebb.tensor.overlap`).  When
+    ``output`` is set the stage output is the forward under the updated
+    weights (else None).  All die before the next layer builds its rows."""
     rows = ly.layer_rows(layer, x)
     y = rules.forward_linear(layer.weights, rows)
-    update = ly.hebb_update(layer, rows, y) if train else None
-    metric = update.metric if update else None
-    if metric is None:  # no kernel ran, or HPCA's, which holds no per-row residual
-        metric = rules.layer_metric(layer.weights, rows, y, layer.params)
-    if train:
-        layer = ly.apply_update(layer, update)
-        del y  # the forward under the new weights allocates without the old one alive
-        y = rules.forward_linear(layer.weights, rows) if output else None
-    return layer, metric, ly.layer_output(layer, y, x) if output else None
+    metric = partial(rules.layer_metric, layer.weights, rows, y, layer.params)
+    if not train:
+        return layer, metric(), ly.layer_output(layer, y, x) if output else None
+    if rules.KERNEL_METRIC[layer.params.rule]:
+        update = ly.hebb_update(layer, rows, y)
+        value = update.metric
+    else:
+        update, value = tc.overlap(partial(ly.hebb_update, layer, rows, y), metric)
+    del metric, y  # the forward under the new weights allocates without the old one alive
+    layer = ly.apply_update(layer, update)
+    if not output:
+        return layer, value, None
+    return layer, value, ly.layer_output(layer, rules.forward_linear(layer.weights, rows), x)
 
 
 _PATIENCE = 3  # epochs without a better metric that make a plateau
@@ -196,14 +208,13 @@ def pretrain(
     return stack, metrics
 
 
-_SAME_ROWS_FROM = 256  # GEMM rows from which each output row's bits no longer depend on the row count
 _BLOCK_IMAGES = 16  # images per forward when every Hebbian layer has that many rows per image
 _BATCH_IMAGES = 256  # images per forward otherwise
 
 
 def _images_per_forward(stack: Sequence, images: np.ndarray) -> int:
     """``_BLOCK_IMAGES`` when every Hebbian layer is a conv layer with at least
-    ``_SAME_ROWS_FROM`` patch rows per image, else ``_BATCH_IMAGES``; the
+    ``SAME_ROWS_FROM`` patch rows per image, else ``_BATCH_IMAGES``; the
     extents are walked through the conv, relu and max-pool stages."""
     if images.ndim != 4:
         return _BATCH_IMAGES
@@ -218,7 +229,7 @@ def _images_per_forward(stack: Sequence, images: np.ndarray) -> int:
                     return _BATCH_IMAGES
                 h = ly.out_extent(h, g.kernel_h, g.stride, g.padding)
                 w = ly.out_extent(w, g.kernel_w, g.stride, g.padding)
-                if h * w < _SAME_ROWS_FROM:
+                if h * w < tc.SAME_ROWS_FROM:
                     return _BATCH_IMAGES
             elif not isinstance(stage, (ReLU, Flatten)):
                 return _BATCH_IMAGES
@@ -233,13 +244,13 @@ def extract_features(stack: Sequence, data: Dataset) -> np.ndarray:
     The images go through in blocks on the thread pool of
     :func:`~fasthebb.tensor.parallel_map`, and each block's rows are copied
     into one feature matrix.  A block of 16 images keeps the stage buffers in
-    cache, but it may only be used where it changes no bit.  In a sweep on
-    OpenBLAS 0.3.31 (S <= 3072, N <= 100), every output row of a GEMM with at
-    least 256 rows was the same at every row count; below 256 rows it was not
-    always (16 rows at S=784 already differ).  So 16-image blocks apply when
-    every Hebbian layer is a conv layer with at least 256 patch rows
-    (out_h * out_w) per image, and any other stack, one with a dense Hebbian
-    layer included, goes through in 256-image batches."""
+    cache, but it may only be used where it changes no bit: a GEMM's output
+    rows keep their bits at any row count only from
+    :data:`~fasthebb.tensor.SAME_ROWS_FROM` rows up.  So 16-image blocks apply
+    when every Hebbian layer is a conv layer with at least that many patch
+    rows (out_h * out_w) per image, and any other stack, one with a dense
+    Hebbian layer included, goes through in 256-image batches.  The stages
+    inside a block run inline on its worker."""
     n = len(data)
     if n == 0:
         return np.zeros((0, 0))

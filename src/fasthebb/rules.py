@@ -35,6 +35,7 @@ __all__ = [
     "RULE_HPCA",
     "RULES",
     "METRIC_FALLS",
+    "KERNEL_METRIC",
     "LearningParams",
     "UpdateResult",
     "forward_linear",
@@ -51,6 +52,7 @@ RULE_SWTA = "swta"
 RULE_HPCA = "hpca"
 RULES = (RULE_SWTA, RULE_HPCA)  # the order of bench rows and of the ``--rule`` default
 METRIC_FALLS = {RULE_SWTA: False, RULE_HPCA: True}  # as a layer learns, HPCA's residual falls and SWTA's score rises
+KERNEL_METRIC = {RULE_SWTA: True, RULE_HPCA: False}  # whether a rule's kernels return its layer metric
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class LearningParams:
 class UpdateResult:
     delta_w: Tensor  # 1 x N x S, learning rate already applied
     peak_temp_elements: int = 0
-    metric: Optional[float] = None  # layer_metric of the rows, from the SWTA softmax; None for HPCA
+    metric: Optional[float] = None  # layer_metric of the rows where KERNEL_METRIC is set, else None
 
 
 def _check_update_shapes(w: Tensor, x: Tensor) -> tuple[int, int, int]:
@@ -92,11 +94,21 @@ def _check_update_shapes(w: Tensor, x: Tensor) -> tuple[int, int, int]:
 
 
 def forward_linear(w: Tensor, x: Tensor) -> Tensor:
-    """Y[b,n] = sum_s W[n,s] * X[b,s] (dot product, no bias)."""
+    """Y[b,n] = sum_s W[n,s] * X[b,s] (dot product, no bias).
+
+    Y is one buffer, filled by :func:`~fasthebb.tensor.split_rows` in row
+    ranges of at least ``SAME_ROWS_FROM`` rows, where every row has the bits
+    of one product over all rows."""
     b, n, s = _check_update_shapes(w, x)
-    wt = tc.transpose(w)  # 1 x S x N
-    y = tc.matmul(tc.reshape(x, (1, b, s)), wt)  # 1 x B x N
-    return tc.reshape(y, (b, n, 1))
+    wt = tc.transpose(w).data  # 1 x S x N
+    rows = x.data.reshape(1, b, s)
+    y = np.empty((1, b, n), dtype=np.result_type(rows, wt))
+
+    def fill(start: int, stop: int) -> None:
+        np.matmul(rows[:, start:stop], wt, out=y[:, start:stop])
+
+    tc.split_rows(fill, b, tc.SAME_ROWS_FROM)
+    return Tensor(y.reshape(b, n, 1), dtype=y.dtype)
 
 
 def aggregate(coeffs: Tensor, per_sample: Tensor) -> Tensor:
@@ -238,6 +250,9 @@ def update_fn(rule: str, impl: str):
         raise ConfigError(f"no kernel for rule={rule!r} impl={impl!r}") from None
 
 
+_METRIC_ROWS = 1024  # fewest rows in a block of the HPCA metric: a block's x, y and yWWᵀ stay in cache
+
+
 def layer_metric(w: Tensor, x: Tensor, y: Tensor, params: LearningParams) -> float:
     """Cheap per-batch training metric from a layer's rows x and their forward
     y = W·x.  Pretraining takes it under the weights the batch's update starts
@@ -246,8 +261,12 @@ def layer_metric(w: Tensor, x: Tensor, y: Tensor, params: LearningParams) -> flo
 
     HPCA's residual norm ``‖x − Wᵀy‖`` comes from the identity
     ``‖x − Wᵀy‖² = ‖x‖² − 2‖y‖² + yᵀ(WWᵀ)y``, which holds because ``y = W·x``
-    with the same weights; so no temporary exceeds max(b_eff·N, N·S, N·N).
-    A squared residual that rounds below zero is clamped to 0 before the root.
+    with the same weights.  It runs in blocks of ``_METRIC_ROWS`` to
+    2·``_METRIC_ROWS`` rows (one block when there are fewer), more than
+    ``SAME_ROWS_FROM``, so each row has the bits of one product over all rows;
+    no temporary but the b_eff squared norms exceeds
+    max(2·_METRIC_ROWS·N, N·S, N·N).  A squared residual that rounds below
+    zero is clamped to 0 before the root.
 
     SWTA's mean max score needs no softmax: at a row's maximum the softmax
     stores ``exp(0)/Σ = 1.0/Σ``, the largest value of the row, so
@@ -259,13 +278,15 @@ def layer_metric(w: Tensor, x: Tensor, y: Tensor, params: LearningParams) -> flo
         np.exp(z, out=z)
         return float(np.mean(1.0 / np.sum(z, axis=1)))
     b, n, _ = y.shape
-    gram = tc.matmul(w, tc.transpose(w))  # 1 x N x N
-    y_rows = tc.reshape(y, (1, b, n))
-    yg = tc.matmul(y_rows, gram)  # 1 x B x N
-    x, y2 = tc.reshape(x, (b, x.shape[2])).data, y_rows.data[0]
-    sq = (
-        np.einsum("ij,ij->i", x, x)
-        - 2.0 * np.einsum("ij,ij->i", y2, y2)
-        + np.einsum("ij,ij->i", yg.data[0], y2)
-    )
+    gram = tc.matmul(w, tc.transpose(w)).data  # 1 x N x N
+    x, y = x.data.reshape(b, x.shape[2]), y.data.reshape(1, b, n)
+    sq = np.empty(b, dtype=np.result_type(x, y, gram))
+    for start, stop in tc.row_ranges(b, b // _METRIC_ROWS):
+        xb, yb = x[start:stop], y[0, start:stop]
+        yg = np.matmul(y[:, start:stop], gram)[0]
+        sq[start:stop] = (
+            np.einsum("ij,ij->i", xb, xb)
+            - 2.0 * np.einsum("ij,ij->i", yb, yb)
+            + np.einsum("ij,ij->i", yg, yb)
+        )
     return float(np.mean(np.sqrt(np.maximum(sq, 0.0))))

@@ -18,9 +18,16 @@ the kernel on free; the next step then reuses pages it has already touched
 rather than faulting in and zeroing new ones.  The cost is that the process
 keeps its peak resident size after its largest step.
 
-:func:`parallel_map` runs independent calls on a per-process thread pool whose
-workers fill the CPUs that BLAS leaves idle: the CPUs this process may run on,
-divided by the thread count of the loaded OpenBLAS.
+:func:`parallel_map`, :func:`split_rows` and :func:`overlap` run work on a
+per-process thread pool whose workers fill the CPUs that BLAS leaves idle: the
+CPUs this process may run on, divided by the thread count of the loaded
+OpenBLAS.  ``parallel_map`` runs independent calls; ``split_rows`` fills one
+buffer in row ranges, the calling thread taking one range; ``overlap`` runs a
+second call beside the caller's.  The last two run inline when the pool has
+one worker, and when called from a pool worker, so they nest inside
+``parallel_map`` calls.  Only work whose bits do not depend on the split goes
+to the pool: copies, and GEMM rows in ranges of at least
+:data:`SAME_ROWS_FROM` rows.
 """
 
 from __future__ import annotations
@@ -45,6 +52,10 @@ __all__ = [
     "reshape",
     "openblas_threads",
     "parallel_map",
+    "SAME_ROWS_FROM",
+    "row_ranges",
+    "split_rows",
+    "overlap",
 ]
 
 _TRACKERS: list["AllocationTracker"] = []
@@ -52,12 +63,15 @@ _TRACKERS_LOCK = threading.Lock()  # pool workers allocate concurrently
 
 _M_TRIM_THRESHOLD = -1  # glibc mallopt parameters
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_memory() -> None:
-    """Serve buffers up to 1 GiB from the heap, and give its top back to the
+    """Serve buffers up to 1 GiB from the heap, give its top back to the
     kernel only when 2 GiB of it are free, so freed buffers stay mapped for
-    reuse; does nothing without glibc's ``mallopt``."""
+    reuse, and keep one heap for all threads, so a buffer a pool worker frees
+    is reused by the next step on any thread; does nothing without glibc's
+    ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):  # no C library (Windows), or not glibc
@@ -65,6 +79,7 @@ def _keep_freed_memory() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 1 << 30)
     mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_freed_memory()
@@ -94,39 +109,118 @@ def _pool_workers() -> int:
     return max(1, len(os.sched_getaffinity(0)) // threads[0]())
 
 
-_pool = None  # the ThreadPoolExecutor of process _pool_pid
+_pool = None  # (ThreadPoolExecutor, its worker count) of process _pool_pid
 _pool_pid = -1
 _pool_lock = threading.Lock()
+_this_thread = threading.local()  # ``in_pool`` is set on the pool's own threads
+
+
+def _mark_pool_thread() -> None:
+    _this_thread.in_pool = True
 
 
 def _thread_pool():
-    """The process's pool, made on first use and again in a forked child,
-    whose copy of the parent's pool has no threads and would never run."""
+    """The process's pool and its worker count, made on first use and again
+    in a forked child, whose copy of the parent's pool has no threads and
+    would never run."""
     global _pool, _pool_pid
     with _pool_lock:
         if _pool_pid != os.getpid():
             # imported here: concurrent.futures takes ~10 ms to import, which
-            # a process that never calls parallel_map should not pay at start
+            # a process that never uses the pool should not pay at start
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = ThreadPoolExecutor(_pool_workers(), thread_name_prefix="fasthebb")
-            _pool_pid = os.getpid()
+            workers = _pool_workers()
+            pool = ThreadPoolExecutor(workers, thread_name_prefix="fasthebb", initializer=_mark_pool_thread)
+            _pool, _pool_pid = (pool, workers), os.getpid()
         return _pool
+
+
+def _in_callers_errstate(fn):
+    """``fn`` to be called on another thread under the calling thread's
+    floating-point error settings, which numpy does not carry across."""
+    err = np.geterr()
+
+    def call(*args):
+        with np.errstate(**err):
+            return fn(*args)
+
+    return call
 
 
 def parallel_map(fn, items):
     """An iterator over ``fn(item)`` for each item, in order, with the calls
     run on the process's thread pool under the caller's floating-point error
-    settings (numpy does not carry ``errstate`` into other threads).  A call
-    that raises raises at its place in the iteration, and the calls not yet
-    started are then dropped."""
-    err = np.geterr()
+    settings.  A call that raises raises at its place in the iteration, and
+    the calls not yet started are then dropped."""
+    return _thread_pool()[0].map(_in_callers_errstate(fn), items)
 
-    def call(item):
-        with np.errstate(**err):
-            return fn(item)
 
-    return _thread_pool().map(call, items)
+def _pool_to_share():
+    """The pool that may take part of a call's work and its worker count, or
+    (None, 1) when the call runs inline: on a pool worker, whose wait on the
+    pool could deadlock once every worker waits, and with a one-worker pool,
+    where BLAS already has the other CPUs."""
+    if getattr(_this_thread, "in_pool", False):
+        return None, 1
+    pool, workers = _thread_pool()
+    return (pool, workers) if workers > 1 else (None, 1)
+
+
+# GEMM rows from which each output row's bits no longer depend on the row
+# count (OpenBLAS 0.3.31, S <= 3072, N <= 100; 16 rows at S=784 already differ)
+SAME_ROWS_FROM = 256
+
+
+def row_ranges(count: int, parts: int, min_rows: int = 1) -> list[tuple[int, int]]:
+    """``range(count)`` as at most ``parts`` consecutive ``(start, stop)``
+    ranges of near-equal length, each at least ``min_rows`` long unless there
+    is only one."""
+    parts = max(1, min(parts, count // min_rows))
+    bounds = [count * i // parts for i in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def split_rows(fill, count: int, min_rows: int = 1) -> None:
+    """Call ``fill(start, stop)`` on the :func:`row_ranges` of ``count``, one
+    range per pool worker and each at least ``min_rows`` long.  The calling
+    thread fills the first range while pool workers fill the others under the
+    caller's floating-point error settings; the call returns when every range
+    is filled and then raises the first error in range order.  Inline, it is
+    one ``fill(0, count)`` on the calling thread."""
+    pool, workers = _pool_to_share()
+    ranges = row_ranges(count, workers, min_rows)
+    if len(ranges) == 1:
+        fill(0, count)
+        return
+    from concurrent.futures import wait
+
+    call = _in_callers_errstate(fill)
+    futures = [pool.submit(call, start, stop) for start, stop in ranges[1:]]
+    try:
+        fill(*ranges[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def overlap(main, side):
+    """``(main(), side())``, with ``side`` run on a pool worker under the
+    caller's floating-point error settings while ``main`` runs on the calling
+    thread.  An error in ``main`` is raised once ``side`` has finished, else
+    an error in ``side``.  Inline, ``main`` runs and then ``side``."""
+    pool, _ = _pool_to_share()
+    if pool is None:
+        return main(), side()
+    from concurrent.futures import wait
+
+    future = pool.submit(_in_callers_errstate(side))
+    try:
+        out = main()
+    finally:
+        wait([future])
+    return out, future.result()
 
 
 class AllocationTracker:

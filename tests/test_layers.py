@@ -92,6 +92,17 @@ class TestExtractPatches:
         with pytest.raises(GeometryError):
             extract_patches(Tensor(np.zeros((1, 1, 4, 4))), geometry)
 
+    @pytest.mark.parametrize("geometry", [ConvGeometry(5, 5, 3, padding=2), ConvGeometry(3, 2, 3, stride=2)])
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_split_over_images_is_the_window_copy(self, b, geometry, pool_workers):
+        g = geometry
+        images = np.random.default_rng(b).standard_normal((b, 3, 9, 8))
+        padded = np.pad(images, ((0, 0), (0, 0), (g.padding,) * 2, (g.padding,) * 2))
+        windows = sliding_window_view(padded, (g.kernel_h, g.kernel_w), axis=(2, 3))[:, :, :: g.stride, :: g.stride]
+        want = np.transpose(windows, (0, 2, 3, 1, 4, 5)).reshape(-1, 1, g.patch_size)
+        got = extract_patches(Tensor(images), g).patches.data
+        assert got.shape == want.shape and np.array_equal(got, want)
+
 
 class TestConvForward:
     def test_1x1_identity_kernel(self):

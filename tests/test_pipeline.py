@@ -14,6 +14,7 @@ from fasthebb.errors import (
     BadMagic,
     CorruptFile,
     EmptyLabeledSet,
+    NonFiniteWeights,
     ShapeMismatch,
     VersionMismatch,
 )
@@ -361,13 +362,13 @@ class TestExtractFeatures:
         assert feats.shape == (7, 3)
 
 
-def _conv_stack():
+def _bench_stack(rule="hpca"):
     """The benchmark's conv stack: 1024 and 256 patch rows per 3x32x32 image."""
     return [
-        HebbLayer(init_weights(32, 75, seed=0), LearningParams(rule="hpca"), ConvGeometry(5, 5, 3, padding=2)),
+        HebbLayer(init_weights(32, 75, seed=0), LearningParams(rule=rule), ConvGeometry(5, 5, 3, padding=2)),
         ReLU(),
         MaxPool(2, 2),
-        HebbLayer(init_weights(64, 288, seed=1), LearningParams(rule="hpca"), ConvGeometry(3, 3, 32, padding=1)),
+        HebbLayer(init_weights(64, 288, seed=1), LearningParams(rule=rule), ConvGeometry(3, 3, 32, padding=1)),
         ReLU(),
         MaxPool(2, 2),
         Flatten(),
@@ -382,16 +383,6 @@ def _images(n, shape=(3, 32, 32), seed=0):
 def _flat_forward(stack, images):
     out = forward_stack(stack, Tensor(images))
     return out.data.reshape(len(images), -1)
-
-
-@pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
-def pool_workers(request, monkeypatch):
-    """A fresh pool of ``request.param`` workers, shut down afterwards."""
-    monkeypatch.setattr(tc, "_pool_workers", lambda: request.param)
-    monkeypatch.setattr(tc, "_pool", None)  # restored, with its pid, afterwards
-    monkeypatch.setattr(tc, "_pool_pid", -1)
-    yield request.param
-    tc._pool.shutdown()
 
 
 @pytest.fixture
@@ -412,7 +403,7 @@ class TestExtractFeaturesInBlocks:
 
     @pytest.mark.parametrize("n", [1, 15, 16, 17, 33, 256, 257])
     def test_conv_stack_equals_one_forward(self, n, pool_workers, forward_sizes):
-        stack, ds = _conv_stack(), _images(n)
+        stack, ds = _bench_stack(), _images(n)
         want = _flat_forward(stack, ds.images)
         forward_sizes.clear()
         got = extract_features(stack, ds)
@@ -428,7 +419,7 @@ class TestExtractFeaturesInBlocks:
         assert sorted(forward_sizes) == [44, 256]
 
     def test_conv_layer_with_few_rows_keeps_256_image_batches(self, forward_sizes):
-        stack = _conv_stack()[:3] + [HebbLayer(init_weights(4, 288, seed=1), LearningParams(), ConvGeometry(3, 3, 32))]
+        stack = _bench_stack()[:3] + [HebbLayer(init_weights(4, 288, seed=1), LearningParams(), ConvGeometry(3, 3, 32))]
         extract_features(stack, _images(20))  # the last conv layer gives 14 x 14 = 196 rows per image
         assert forward_sizes == [20]
 
@@ -442,7 +433,7 @@ class TestExtractFeaturesInBlocks:
         assert np.all(np.isinf(feats))  # the products overflow
 
     def test_forked_child_extracts_features(self):
-        stack, ds = _conv_stack(), _images(20)
+        stack, ds = _bench_stack(), _images(20)
         want = extract_features(stack, ds)  # the parent has made its pool
 
         def child():
@@ -457,9 +448,71 @@ class TestExtractFeaturesInBlocks:
         assert proc.exitcode == 0
 
     def test_an_error_in_a_block_reaches_the_caller(self, pool_workers):
-        stack = _conv_stack()
+        stack = _bench_stack()
         with pytest.raises(ShapeMismatch, match="expected 3 channels, got 1"):
             extract_features(stack, _images(40, shape=(1, 32, 32)))
+
+
+class TestPretrainOnThePool:
+    """Patch rows, forwards and stage outputs split over the pool, and the HPCA
+    metric beside the kernel, keep every bit of the inline run."""
+
+    @staticmethod
+    def _pretrain(pool_of, workers, stack, images, config):
+        with pool_of(workers):
+            out, metrics = pretrain(stack, Dataset(images, np.zeros(len(images), dtype=np.int64), 1), config)
+        return [s.weights.data for s in out if isinstance(s, HebbLayer)], metrics.epoch_metrics
+
+    @pytest.mark.parametrize("rule", rules.RULES)
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_bench_stack(self, n, rule, pool_of):
+        images, config = _images(n).images, TrainConfig(epochs=1, batch_size=64)
+        inline = self._pretrain(pool_of, 1, _bench_stack(rule), images, config)
+        split = self._pretrain(pool_of, 2, _bench_stack(rule), images, config)
+        assert all(np.array_equal(a, b) for a, b in zip(inline[0], split[0]))
+        assert inline[1] == split[1]
+
+    @pytest.mark.parametrize("rule", rules.RULES)
+    def test_dense_stack(self, rule, pool_of):
+        # 600 rows per batch: the first batch's forwards split into 300-row ranges
+        images = np.random.default_rng(4).standard_normal((700, 1, 2, 4))
+        config = TrainConfig(epochs=2, batch_size=600)
+        inline = self._pretrain(pool_of, 1, _dense_stack(rule), images, config)
+        split = self._pretrain(pool_of, 2, _dense_stack(rule), images, config)
+        assert all(np.array_equal(a, b) for a, b in zip(inline[0], split[0]))
+        assert inline[1] == split[1]
+
+    def test_hpca_kernel_peak_is_that_of_a_direct_call(self, pool_of, monkeypatch):
+        # the metric runs beside the kernel; its allocations must not raise the kernel's peak
+        calls = []
+
+        def update_fn(rule, impl, _orig=rules.update_fn):
+            kernel = _orig(rule, impl)
+
+            def recorded(w, x, params, y=None):
+                result = kernel(w, x, params, y)
+                calls.append((w, x, params, y, result.peak_temp_elements))
+                return result
+
+            return recorded
+
+        monkeypatch.setattr(rules, "update_fn", update_fn)
+        with pool_of(2):
+            pretrain(_bench_stack(), _images(64), TrainConfig(epochs=1, batch_size=64))
+        assert len(calls) == 2
+        for w, x, params, y, peak in calls:
+            assert peak == rules.hpca_update_fast(w, x, params, y).peak_temp_elements
+
+    def test_overflow_keeps_the_callers_errstate(self, pool_of):
+        # 2 images of 1024 patch rows: the patches and forward split, the metric runs beside the kernel
+        g = ConvGeometry(5, 5, 3, padding=2)
+        layer = HebbLayer(Tensor(np.full((1, 4, g.patch_size), 1e300)), LearningParams(rule="hpca"), g)
+        data = Dataset(np.full((2, 3, 32, 32), 1e300), np.zeros(2, dtype=np.int64), 1)
+        with pool_of(2), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a warning in any thread raises
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteWeights) as caught:
+                pretrain([layer, ReLU()], data, TrainConfig(epochs=1, batch_size=2))
+        assert caught.value.exit_code == 3
 
 
 class TestProbe:

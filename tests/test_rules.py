@@ -63,6 +63,15 @@ class TestForwardLinear:
         with pytest.raises(ShapeMismatch):
             forward_linear(Tensor(np.ones((1, 2, 3))), Tensor(np.ones((4, 1, 2))))
 
+    @pytest.mark.parametrize("n, s", [(32, 75), (64, 288), (16, 784)])
+    @pytest.mark.parametrize("b", [100, 511, 512, 513])
+    def test_row_ranges_equal_one_product(self, b, n, s, pool_workers):
+        # from 512 rows a 2-worker pool fills two ranges of at least 256 rows;
+        # at S=784 a product of 50 rows has other bits than the same rows of 100
+        w, x = rand_case(b, n, s, seed=b)
+        want = np.matmul(x.data.reshape(1, b, s), np.swapaxes(w.data, 1, 2).copy())
+        assert np.array_equal(forward_linear(w, x).data, want.reshape(b, n, 1))
+
 
 class TestAggregate:
     def test_uniform_coefficients_give_mean(self):
@@ -327,3 +336,24 @@ def test_delta_w_keeps_input_dtype(rule, impl, dtype):
 def test_update_fn_unknown():
     with pytest.raises(ValueError):
         rules.update_fn("swta", "turbo")
+
+
+@pytest.mark.parametrize("rule", rules.RULES)
+@pytest.mark.parametrize("impl", ["naive", "fast"])
+def test_kernel_metric_says_which_kernels_return_the_metric(rule, impl):
+    w, x = rand_case(9, 3, 4, seed=5)
+    params = LearningParams(rule=rule)
+    assert (rules.update_fn(rule, impl)(w, x, params).metric is not None) == rules.KERNEL_METRIC[rule]
+
+
+@pytest.mark.parametrize("n, s", [(32, 75), (64, 288)])
+@pytest.mark.parametrize("b", [255, 256, 1024, 1025, 2047, 2048, 2560, 5000])
+def test_hpca_metric_in_row_blocks_equals_one_pass(b, n, s):
+    # blocks of 1024 to 2047 rows: every row keeps the bits of the whole-batch formula
+    w, x = rand_case(b, n, s, seed=b)
+    y = forward_linear(w, x)
+    x2, y2 = x.data[:, 0], y.data[:, :, 0]
+    yg = np.matmul(y2[None], np.matmul(w.data, np.swapaxes(w.data, 1, 2).copy()))[0]
+    sq = np.einsum("ij,ij->i", x2, x2) - 2.0 * np.einsum("ij,ij->i", y2, y2) + np.einsum("ij,ij->i", yg, y2)
+    want = float(np.mean(np.sqrt(np.maximum(sq, 0.0))))
+    assert rules.layer_metric(w, x, y, LearningParams(rule="hpca")) == want

@@ -3,6 +3,8 @@ import os
 import platform
 import sys
 import threading
+import time
+import types
 
 import numpy as np
 import pytest
@@ -320,6 +322,19 @@ class TestFreedMemoryStaysMapped:
         monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a C library that is not glibc
         assert tc._keep_freed_memory() is None
 
+    def test_sets_mmap_and_trim_thresholds_and_one_heap(self, monkeypatch):
+        calls = []
+
+        class Mallopt:  # takes argtypes and restype like a ctypes function
+            def __call__(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=Mallopt()))
+        tc._keep_freed_memory()
+        # M_MMAP_THRESHOLD 1 GiB, M_TRIM_THRESHOLD 2 GiB - 1, M_ARENA_MAX 1
+        assert calls == [(-3, 1 << 30), (-1, 2**31 - 1), (-8, 1)]
+
 
 class TestPoolWorkers:
     """One pool worker per CPU that BLAS leaves idle, and 1 when BLAS is unknown."""
@@ -334,6 +349,131 @@ class TestPoolWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(tc, "openblas_threads", lambda: None)
         assert tc._pool_workers() == 1
+
+
+class TestSplitRows:
+    """Row ranges on the pool: the caller fills the first, workers the rest,
+    and the call runs inline with one worker or on a worker."""
+
+    @pytest.mark.parametrize(
+        "count, parts, min_rows, ranges",
+        [
+            (10, 3, 1, [(0, 3), (3, 6), (6, 10)]),
+            (511, 2, 256, [(0, 511)]),
+            (512, 2, 256, [(0, 256), (256, 512)]),
+            (513, 2, 256, [(0, 256), (256, 513)]),
+            (5, 8, 1, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
+            (0, 2, 1, [(0, 0)]),
+        ],
+    )
+    def test_row_ranges(self, count, parts, min_rows, ranges):
+        assert tc.row_ranges(count, parts, min_rows) == ranges
+
+    @staticmethod
+    def _split(count, min_rows=1):
+        calls = []
+        tc.split_rows(lambda start, stop: calls.append((threading.get_ident(), start, stop)), count, min_rows)
+        return calls
+
+    def test_two_workers_split_from_the_caller(self, pool_of):
+        with pool_of(2):
+            calls = sorted(self._split(1000), key=lambda c: c[1])
+            (first, *_), (second, *_) = calls
+            assert [c[1:] for c in calls] == [(0, 500), (500, 1000)]
+            assert first == threading.get_ident() != second
+            assert self._split(511, 256) == [(threading.get_ident(), 0, 511)]
+
+    def test_one_worker_runs_inline(self, pool_of):
+        main = threading.get_ident()
+        with pool_of(1):
+            assert self._split(1000) == [(main, 0, 1000)]
+            order = []
+            assert tc.overlap(lambda: order.append(threading.get_ident()) or 1,
+                              lambda: order.append(threading.get_ident()) or 2) == (1, 2)
+            assert order == [main, main]  # main first, then side
+
+    def test_on_a_worker_runs_inline(self, pool_of):
+        # both workers wait on the barrier together, so a split that waited on
+        # the pool from a worker would never be served
+        barrier = threading.Barrier(2, timeout=30)
+
+        def nested(_):
+            barrier.wait()
+            me = threading.get_ident()
+            side = tc.overlap(lambda: None, threading.get_ident)[1]
+            return self._split(1000) == [(me, 0, 1000)] and side == me
+
+        results = []
+        with pool_of(2):
+            runner = threading.Thread(target=lambda: results.extend(tc.parallel_map(nested, range(2))))
+            runner.start()
+            runner.join(timeout=60)
+            assert not runner.is_alive()
+        assert results == [True, True]
+
+    def test_overlap_runs_side_on_a_worker(self, pool_of):
+        with pool_of(2):
+            main, side = tc.overlap(threading.get_ident, threading.get_ident)
+        assert main == threading.get_ident() != side
+
+    def test_first_error_in_range_order_after_every_range(self, pool_of):
+        done = []
+
+        def fill(start, stop):
+            if not start:
+                raise KeyError("first range")
+            time.sleep(0.05)
+            done.append(start)
+            raise ValueError(f"range from {start}")
+
+        with pool_of(2), pytest.raises(KeyError, match="first range"):
+            tc.split_rows(fill, 10)
+        assert done == [5]
+
+    def test_overlap_raises_main_error_after_side(self, pool_of):
+        done = []
+
+        def side():
+            time.sleep(0.05)
+            done.append(1)
+            raise ValueError("side")
+
+        def main():
+            raise KeyError("main")
+
+        with pool_of(2):
+            with pytest.raises(KeyError, match="main"):
+                tc.overlap(main, side)
+            assert done == [1]
+            with pytest.raises(ValueError, match="side"):
+                tc.overlap(lambda: None, side)
+
+    def test_workers_keep_the_callers_errstate(self, pool_of):
+        big = np.full(4, 1e300)
+        with pool_of(2), np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                tc.split_rows(lambda start, stop: big[start:stop] * big[start:stop], 4)
+            with pytest.raises(FloatingPointError):
+                tc.overlap(lambda: None, lambda: big * big)
+
+    def test_more_workers_than_cores_fill_each_row_once(self, pool_of):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pool_of(8):
+                for count in (1, 7, 100, 1001):
+                    out = np.zeros(count)
+
+                    def fill(start, stop):
+                        out[start:stop] += np.arange(start, stop) + 1.0
+
+                    tc.split_rows(fill, count)
+                    assert np.array_equal(out, np.arange(count) + 1.0)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pool_fixture_without_a_pool(self, pool_workers):
+        assert tc._pool is None  # nothing here made the pool, and the teardown still passes
 
 
 def test_tensor_is_immutable():
