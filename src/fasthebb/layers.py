@@ -220,19 +220,36 @@ def apply_update(layer: HebbLayer, result: UpdateResult) -> HebbLayer:
 
 
 def relu(x: Tensor) -> Tensor:
-    return Tensor(np.maximum(x.data, 0.0), dtype=x.dtype)
+    """``max(x, 0)`` into one buffer, filled in ranges of images by
+    :func:`~fasthebb.tensor.split_rows`."""
+    out = np.empty_like(x.data)
+
+    def fill(start: int, stop: int) -> None:
+        np.maximum(x.data[start:stop], 0.0, out=out[start:stop])
+
+    tc.split_rows(fill, x.shape[0])
+    return Tensor(out, dtype=x.dtype)
 
 
 def max_pool(x: Tensor, window: int, stride: int) -> Tensor:
     """Max pooling over the last two dims of a BxCxHxW tensor, as an
     ``np.maximum`` fold over the ``window`` strided column slices, then over
-    the ``window`` strided row slices.  NaN propagates; of tied maxima
-    (``+0.0``, ``-0.0``) the last in row-major window order wins."""
+    the ``window`` strided row slices, into one buffer filled in ranges of
+    images by :func:`~fasthebb.tensor.split_rows`.  NaN propagates; of tied
+    maxima (``+0.0``, ``-0.0``) the last in row-major window order wins."""
     if x.ndim != 4:
         raise ShapeMismatch(f"expected BxCxHxW input, got {x.shape}")
-    out = x.data
-    for axis in (3, 2):
-        span = (out_extent(out.shape[axis], window, stride, 0) - 1) * stride + 1
-        lead = (slice(None),) * axis
-        out = reduce(np.maximum, [out[lead + (slice(k, k + span, stride),)] for k in range(window)])
+    b, c, h, w = x.shape
+    out_w, out_h = out_extent(w, window, stride, 0), out_extent(h, window, stride, 0)
+    span_w, span_h = (out_w - 1) * stride + 1, (out_h - 1) * stride + 1
+    out = np.empty((b, c, out_h, out_w), dtype=x.dtype)
+
+    def fill(start: int, stop: int) -> None:
+        cols = reduce(np.maximum, [x.data[start:stop, ..., k : k + span_w : stride] for k in range(window)])
+        pooled = out[start:stop]
+        pooled[...] = cols[:, :, :span_h:stride]
+        for k in range(1, window):
+            np.maximum(pooled, cols[:, :, k : k + span_h : stride], out=pooled)
+
+    tc.split_rows(fill, b)
     return Tensor(out, dtype=x.dtype)

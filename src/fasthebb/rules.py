@@ -128,13 +128,16 @@ def _swta_scores(w: Tensor, x: Tensor, y: Optional[Tensor], params: LearningPara
     :func:`layer_metric`)."""
     if y is None:
         y = forward_linear(w, x)
-    r, row_sums = tc.softmax(y, params.temperature, dim=1)  # B x N x 1, B x 1 x 1
+    r, row_sums = tc.softmax(y, params.temperature)  # B x N x 1, B x 1 x 1
     col_sums = tc.reduce_sum(r, 0)  # 1 x N x 1
     # sum_b R[b,n] > 0 holds in exact arithmetic; at low temperature the
     # scores of a losing neuron can underflow to 0.0, in which case the
     # whole column is zero and C can be anything (its contribution vanishes)
     safe = Tensor(np.where(col_sums.data > 0, col_sums.data, 1.0), dtype=col_sums.dtype)
     return r, safe, float(np.mean(1.0 / row_sums.data))
+
+
+_CR_ROWS = 1024  # fewest rows in a range of the fast SWTA kernel's C*R: fewer cost more to hand over than to compute
 
 
 def swta_update_naive(
@@ -163,13 +166,25 @@ def swta_update_fast(
     delta_w = eta * matmul((C*R)_{1,n,b}, X_{1,b,s}) - eta * Q * W
     with Q = sum_b (C*R).  ``y`` is the forward of ``x`` under ``w`` when
     the caller has it.
+
+    The per-row work (the softmax, C*R and its transposed copy) is split over
+    the pool by :func:`~fasthebb.tensor.split_rows`, each row computed from
+    that row alone; the column sums and the product with X stay on one thread,
+    so every bit is that of one pass.
     """
     b, n, s = _check_update_shapes(w, x)
     with AllocationTracker() as tr:
         r, safe, metric = _swta_scores(w, x, y, params)
-        buf = r.data / safe.data  # C = R / sum_b R, in the buffer that becomes C*R
-        buf *= r.data
-        del r  # the caller's y may be alive: at most three B x N buffers at once
+        rd, sd = r.data, safe.data
+        buf = np.empty(rd.shape, dtype=np.result_type(rd, sd))
+
+        def fill(start: int, stop: int) -> None:
+            rows = buf[start:stop]  # C = R / sum_b R, in the buffer that becomes C*R
+            np.divide(rd[start:stop], sd, out=rows)
+            rows *= rd[start:stop]
+
+        tc.split_rows(fill, b, _CR_ROWS)
+        del r, rd  # the caller's y may be alive: at most three B x N buffers at once
         cr = Tensor(buf, dtype=buf.dtype)  # B x N x 1
         q = tc.reduce_sum(cr, 0)  # 1 x N x 1
         cr_t = tc.transpose(tc.reshape(cr, (1, b, n)))  # 1 x N x B

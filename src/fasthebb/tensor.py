@@ -24,10 +24,12 @@ CPUs this process may run on, divided by the thread count of the loaded
 OpenBLAS.  ``parallel_map`` runs independent calls; ``split_rows`` fills one
 buffer in row ranges, the calling thread taking one range; ``overlap`` runs a
 second call beside the caller's.  The last two run inline when the pool has
-one worker, and when called from a pool worker, so they nest inside
-``parallel_map`` calls.  Only work whose bits do not depend on the split goes
-to the pool: copies, and GEMM rows in ranges of at least
-:data:`SAME_ROWS_FROM` rows.
+one worker, when called from a pool worker, so they nest inside
+``parallel_map`` calls, and on the calling thread while an ``overlap`` side
+runs, which then has the second CPU.  Only work whose bits do not depend on
+the split goes to the pool: copies (:func:`transpose` among them), per-row
+arithmetic whose every row depends on that row alone (:func:`softmax`), and
+GEMM rows in ranges of at least :data:`SAME_ROWS_FROM` rows.
 """
 
 from __future__ import annotations
@@ -112,11 +114,11 @@ def _pool_workers() -> int:
 _pool = None  # (ThreadPoolExecutor, its worker count) of process _pool_pid
 _pool_pid = -1
 _pool_lock = threading.Lock()
-_this_thread = threading.local()  # ``in_pool`` is set on the pool's own threads
+_this_thread = threading.local()  # ``inline`` is set on the pool's own threads, and on a caller during overlap
 
 
 def _mark_pool_thread() -> None:
-    _this_thread.in_pool = True
+    _this_thread.inline = True
 
 
 def _thread_pool():
@@ -159,9 +161,10 @@ def parallel_map(fn, items):
 def _pool_to_share():
     """The pool that may take part of a call's work and its worker count, or
     (None, 1) when the call runs inline: on a pool worker, whose wait on the
-    pool could deadlock once every worker waits, and with a one-worker pool,
-    where BLAS already has the other CPUs."""
-    if getattr(_this_thread, "in_pool", False):
+    pool could deadlock once every worker waits; on a caller inside
+    :func:`overlap`'s ``main``, whose side already has the second CPU; and
+    with a one-worker pool, where BLAS already has the other CPUs."""
+    if getattr(_this_thread, "inline", False):
         return None, 1
     pool, workers = _thread_pool()
     return (pool, workers) if workers > 1 else (None, 1)
@@ -208,17 +211,21 @@ def split_rows(fill, count: int, min_rows: int = 1) -> None:
 def overlap(main, side):
     """``(main(), side())``, with ``side`` run on a pool worker under the
     caller's floating-point error settings while ``main`` runs on the calling
-    thread.  An error in ``main`` is raised once ``side`` has finished, else
-    an error in ``side``.  Inline, ``main`` runs and then ``side``."""
+    thread.  While ``side`` runs, the splits ``main`` makes on the calling
+    thread run inline.  An error in ``main`` is raised once ``side`` has
+    finished, else an error in ``side``.  Inline, ``main`` runs and then
+    ``side``."""
     pool, _ = _pool_to_share()
     if pool is None:
         return main(), side()
     from concurrent.futures import wait
 
     future = pool.submit(_in_callers_errstate(side))
+    _this_thread.inline = True
     try:
         out = main()
     finally:
+        _this_thread.inline = False
         wait([future])
     return out, future.result()
 
@@ -379,20 +386,36 @@ def reduce_sum(a: Tensor, dim_index: int) -> Tensor:
     return _wrap_new(np.cumsum(a.data, axis=dim_index)[tuple(idx)] + 0.0)
 
 
-def softmax(y: Tensor, temperature: float, dim: int = 1) -> tuple[Tensor, Tensor]:
-    """Temperature softmax along ``dim`` with max-subtraction for stability,
-    and the sums of the shifted exponentials that it divided by (``dim`` kept
+# fewest rows in a range of :func:`softmax`: below that, handing a range to a
+# worker costs more than its arithmetic
+_SOFTMAX_ROWS = 1024
+
+
+def softmax(y: Tensor, temperature: float) -> tuple[Tensor, Tensor]:
+    """Temperature softmax along axis 1 with max-subtraction for stability,
+    and the sums of the shifted exponentials that it divided by (axis 1 kept
     as a singleton).
 
-    The scaled copy of ``y`` is the only score buffer; the shift, ``exp`` and
-    the normalisation then run in place on it."""
+    One score buffer and one row-sum buffer are filled by :func:`split_rows`
+    in ranges of at least ``_SOFTMAX_ROWS`` rows; each range scales its rows,
+    then shifts, exponentiates, sums and normalises them in place.  A row's
+    max, sum and division read that row alone, so every row has the bits of
+    one pass over all rows."""
     if not temperature > 0:
         raise InvalidTemperature(f"temperature must be > 0, got {temperature}")
-    z = y.data / temperature
-    z -= np.max(z, axis=dim, keepdims=True)
-    np.exp(z, out=z)
-    sums = np.sum(z, axis=dim, keepdims=True)
-    z /= sums
+    src = y.data
+    z = np.empty(src.shape, dtype=np.result_type(src, temperature))
+    sums = np.empty(src.shape[:1] + (1,) + src.shape[2:], dtype=z.dtype)
+
+    def fill(start: int, stop: int) -> None:
+        rows = z[start:stop]
+        np.divide(src[start:stop], temperature, out=rows)
+        rows -= np.max(rows, axis=1, keepdims=True)
+        np.exp(rows, out=rows)
+        np.sum(rows, axis=1, keepdims=True, out=sums[start:stop])
+        rows /= sums[start:stop]
+
+    split_rows(fill, src.shape[0], _SOFTMAX_ROWS)
     return _wrap_new(z), _wrap_new(sums)
 
 
@@ -412,16 +435,21 @@ def transpose(a: Tensor) -> Tensor:
     """Swap the last two dimensions into a new row-major buffer.
 
     The copy runs in blocks of ``_TRANSPOSE_BLOCK`` source rows, each written
-    to the matching column range of the output; the values are those of
+    to the matching column range of the output, and :func:`split_rows` hands
+    ranges of whole blocks to the pool; the values are those of
     ``np.swapaxes(a, -1, -2).copy()``.  A view would be cheaper but changes
     which path BLAS takes on the result, and with it the bits of products.
     """
     src = a.data
     rows = src.shape[-2]
     out = np.empty(src.shape[:-2] + (src.shape[-1], rows), dtype=src.dtype)
-    for i in range(0, rows, _TRANSPOSE_BLOCK):
-        block = slice(i, i + _TRANSPOSE_BLOCK)
-        out[..., block] = np.swapaxes(src[..., block, :], -1, -2)
+
+    def fill(first: int, stop: int) -> None:
+        for i in range(first * _TRANSPOSE_BLOCK, stop * _TRANSPOSE_BLOCK, _TRANSPOSE_BLOCK):
+            block = slice(i, i + _TRANSPOSE_BLOCK)
+            out[..., block] = np.swapaxes(src[..., block, :], -1, -2)
+
+    split_rows(fill, -(-rows // _TRANSPOSE_BLOCK))
     return _wrap_new(out)
 
 

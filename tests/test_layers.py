@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -244,18 +244,30 @@ class TestFixedFunction:
         with pytest.raises(GeometryError):
             max_pool(Tensor(np.zeros((1, 1, 2, 2))), 3, 1)
 
+    def test_relu_keeps_nan_and_the_sign_of_zero(self, pool_workers):
+        # np.maximum keeps a NaN and returns its second operand on a tie, so
+        # relu(-0.0) is +0.0, in every range of images
+        x = np.random.default_rng(2).standard_normal((5, 3, 4, 4))
+        x[0, 0, 0, :3] = x[4, 2, 3, :3] = [np.nan, -0.0, 0.0]
+        got = relu(Tensor(x)).data
+        assert np.array_equal(got, np.where(np.isnan(x) | (x > 0), x, 0.0), equal_nan=True)
+        assert np.isnan(got[0, 0, 0, 0]) and np.isnan(got[4, 2, 3, 0])
+        assert not np.signbit(got).any()
+
 
 class TestMaxPoolProperty:
     """max_pool against the window view, on overlapping windows (window >
     stride), gapped ones (window < stride), extents the stride does not
-    divide, and inputs seeded with +0.0, -0.0 and NaN."""
+    divide, and inputs seeded with +0.0, -0.0 and NaN; the split over images
+    on a 2-worker pool gives the bits of the 1-worker run."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         b=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 13), w=st.integers(1, 13),
         window=st.integers(1, 4), stride=st.integers(1, 4), seed=st.integers(0, 2**16),
     )
-    def test_matches_window_view(self, b, c, h, w, window, stride, seed):
+    def test_matches_window_view(self, pool_of, b, c, h, w, window, stride, seed):
+        # pool_of only hands out a context manager, so sharing it between examples is safe
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((b, c, h, w))
         x[rng.random(x.shape) < 0.3] = 0.0
@@ -265,7 +277,13 @@ class TestMaxPoolProperty:
             with pytest.raises(GeometryError):
                 max_pool(Tensor(x), window, stride)
             return
-        got = max_pool(Tensor(x), window, stride).data
+        runs = []
+        for workers in (1, 2):
+            with pool_of(workers):
+                runs.append(max_pool(Tensor(x), window, stride).data)
+        got = runs[1]
+        assert np.array_equal(runs[0], got, equal_nan=True)
+        assert np.array_equal(np.signbit(runs[0]), np.signbit(got))
         view = sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
         want = view.max(axis=(4, 5))
         assert got.shape == want.shape

@@ -153,7 +153,7 @@ def _loop_layer_metric(layer, x):
     x = layer_rows(layer, x)
     y = rules.forward_linear(layer.weights, x)
     if layer.params.rule == rules.RULE_SWTA:
-        r, _ = tc.softmax(y, layer.params.temperature, dim=1)
+        r, _ = tc.softmax(y, layer.params.temperature)
         return float(np.mean(np.max(r.data, axis=1)))
     # the HPCA formula is held to the reconstruction in TestLayerMetric
     return rules.layer_metric(layer.weights, x, y, layer.params)

@@ -239,6 +239,31 @@ class TestSwta:
         assert rel_err(naive.delta_w.data, fast) <= 1e-10
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("temperature", [1.0, 0.05])
+@pytest.mark.parametrize(
+    "kernel, b, n, s",
+    [(swta_update_fast, 65536, 32, 75), (swta_update_fast, 16384, 64, 288),
+     (swta_update_naive, 2048, 32, 75), (swta_update_naive, 2049, 8, 288)],
+    ids=["fast-conv1", "fast-conv2", "naive-2048", "naive-2049"],
+)
+def test_swta_two_workers_give_the_bits_of_one(kernel, b, n, s, temperature, dtype, pool_of):
+    # the fast kernels at the benchmark's conv-layer shapes; the naive ones
+    # build B x N x S, so they run at the fewest rows that split
+    w, x = rand_case(b, n, s, seed=b)
+    w, x = Tensor(w.data, dtype=dtype), Tensor(x.data * 3.0, dtype=dtype)
+    params = LearningParams(eta=0.1, temperature=temperature, rule="swta")
+    runs = []
+    for workers in (1, 2):
+        with pool_of(workers):
+            runs.append(kernel(w, x, params))
+    one, two = runs
+    assert two.delta_w.dtype == dtype
+    assert np.array_equal(one.delta_w.data, two.delta_w.data)
+    assert one.metric == two.metric
+    assert one.peak_temp_elements == two.peak_temp_elements
+
+
 def _losing_neuron_case():
     """Neuron 2 is neuron 0 mirrored, and every input has x_0 >= 5, so neuron 2
     trails neuron 0 by at least 10 on every sample."""

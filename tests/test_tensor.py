@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -159,31 +160,31 @@ class TestReduceSum:
 
 class TestSoftmax:
     def test_symmetry(self):
-        out, _ = tc.softmax(T([[0.0, 0.0]]), 1.0, dim=1)
+        out, _ = tc.softmax(T([[0.0, 0.0]]), 1.0)
         np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-15)
 
     def test_log2_case(self):
-        out, _ = tc.softmax(T([[np.log(2.0), 0.0]]), 1.0, dim=1)
+        out, _ = tc.softmax(T([[np.log(2.0), 0.0]]), 1.0)
         np.testing.assert_allclose(out.data, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
 
     def test_high_temperature_near_uniform(self):
         rng = np.random.default_rng(3)
         y = Tensor(rng.standard_normal((4, 6)))
-        out, _ = tc.softmax(y, 1e9, dim=1)
+        out, _ = tc.softmax(y, 1e9)
         np.testing.assert_allclose(out.data, 1.0 / 6.0, atol=1e-6)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
         y = Tensor(rng.standard_normal((8, 5)) * 5)
-        out, _ = tc.softmax(y, 0.5, dim=1)
+        out, _ = tc.softmax(y, 0.5)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(out.data > 0) and np.all(out.data < 1)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(9)
         y = rng.standard_normal((4, 5))
-        a, _ = tc.softmax(Tensor(y), 2.0, dim=1)
-        b, _ = tc.softmax(Tensor(y + 17.3), 2.0, dim=1)
+        a, _ = tc.softmax(Tensor(y), 2.0)
+        b, _ = tc.softmax(Tensor(y + 17.3), 2.0)
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_invalid_temperature(self):
@@ -197,21 +198,60 @@ class TestSoftmax:
         [(1.0, 0.0, 1.0), (3.0, 0.0, 0.3), (1.0, 700.0, 1.0), (1.0, -700.0, 1.0), (5.0, 0.0, 0.02)],
         ids=["random", "T=0.3", "y~+700", "y~-700", "T=0.02"],
     )
-    @pytest.mark.parametrize("shape, dim", [((64, 8, 1), 1), ((64, 8), 1), ((64, 8), 0)])
-    def test_bitwise_equals_four_array_expression(self, shape, dim, scale, shift, temperature):
+    # the ids name the shape and the axis softmax normalises over
+    @pytest.mark.parametrize("shape", [(64, 8, 1), (64, 8)], ids=["shape0-1", "shape1-1"])
+    def test_bitwise_equals_four_array_expression(self, shape, scale, shift, temperature):
         y = np.random.default_rng(4).standard_normal(shape) * scale + shift
         # neuron 0 always loses by a wide margin: at T=0.02 its whole column is 0.0
-        np.moveaxis(y, dim, 0)[0] -= 100.0
+        y[:, 0] -= 100.0
         z = y / temperature
-        z = z - np.max(z, axis=dim, keepdims=True)
+        z = z - np.max(z, axis=1, keepdims=True)
         e = np.exp(z)
-        want = e / np.sum(e, axis=dim, keepdims=True)
-        got, sums = tc.softmax(T(y), temperature, dim=dim)
+        want = e / np.sum(e, axis=1, keepdims=True)
+        got, sums = tc.softmax(T(y), temperature)
         got = got.data
         assert np.array_equal(got, want)
-        assert np.array_equal(sums.data, np.sum(e, axis=dim, keepdims=True))
+        assert np.array_equal(sums.data, np.sum(e, axis=1, keepdims=True))
         if temperature == 0.02:
-            assert np.all(np.moveaxis(got, dim, 0)[0] == 0.0)
+            assert np.all(got[:, 0] == 0.0)
+
+    ROWS = tc._SOFTMAX_ROWS
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.02])
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [((2 * ROWS - 1, 32, 1), np.float64), ((2 * ROWS, 32, 1), np.float64), ((2 * ROWS + 1, 32, 1), np.float64),
+         ((2 * ROWS + 1, 8), np.float32), ((65536, 32, 1), np.float64)],
+        ids=["below-split", "at-split", "above-split", "2d-float32", "conv1"],
+    )
+    def test_two_workers_give_the_bits_of_one(self, shape, dtype, temperature, pool_of):
+        y = np.random.default_rng(shape[0]).standard_normal(shape) * 5.0
+        y[:, 0] -= 100.0  # at T=0.02 neuron 0's whole column underflows to 0.0
+        y = Tensor(y, dtype=dtype)
+        runs = []
+        for workers in (1, 2):
+            with pool_of(workers):
+                runs.append(tc.softmax(y, temperature))
+        (one, one_sums), (two, two_sums) = runs
+        assert two.dtype == two_sums.dtype == dtype
+        assert np.array_equal(one.data, two.data)
+        assert np.array_equal(one_sums.data, two_sums.data)
+        if temperature == 0.02:
+            assert np.all(two.data[:, 0] == 0.0)
+
+    def test_overflow_in_a_workers_range_keeps_the_callers_errstate(self, pool_of):
+        # the first 1024 rows are the caller's range, the rest a worker's; only
+        # the worker's rows overflow y / T
+        y = np.zeros((2 * self.ROWS, 4, 1))
+        y[-1, 0] = 1e300
+        with pool_of(2):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                tc.softmax(Tensor(y), 1e-10)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)  # a warning in any thread raises
+                with np.errstate(all="ignore"):
+                    scores, _ = tc.softmax(Tensor(y), 1e-10)
+        assert np.isnan(scores.data[-1]).all() and np.isfinite(scores.data[:-1]).all()
 
 
 class TestTrilMask:
@@ -242,6 +282,15 @@ class TestTranspose:
         assert out.data.flags.c_contiguous
         assert not out.data.flags.writeable
         assert not np.shares_memory(out.data, a.data)
+
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 64 * BLOCK])
+    def test_two_workers_give_the_bits_of_one(self, rows, pool_of):
+        a = Tensor(np.random.default_rng(rows).standard_normal((1, rows, 3)))
+        runs = []
+        for workers in (1, 2):
+            with pool_of(workers):
+                runs.append(tc.transpose(a).data)
+        assert np.array_equal(*runs)
 
     def test_keeps_dtype_and_counts_one_allocation(self):
         a = Tensor(np.ones((BLOCK + 1, 3)), dtype=np.float32)
@@ -415,6 +464,23 @@ class TestSplitRows:
         with pool_of(2):
             main, side = tc.overlap(threading.get_ident, threading.get_ident)
         assert main == threading.get_ident() != side
+
+    def test_overlap_main_splits_inline_and_later_splits_use_the_pool(self, pool_of):
+        # inside main the side has the second CPU; once overlap returns, or
+        # raises, the caller's splits go to the pool again
+        def raises(error):
+            raise error
+
+        me = threading.get_ident()
+        with pool_of(2):
+            assert tc.overlap(lambda: self._split(1000), lambda: None)[0] == [(me, 0, 1000)]
+            assert len(self._split(1000)) == 2
+            with pytest.raises(KeyError):
+                tc.overlap(lambda: raises(KeyError("main")), lambda: None)
+            assert len(self._split(1000)) == 2
+            with pytest.raises(ValueError):
+                tc.overlap(lambda: None, lambda: raises(ValueError("side")))
+            assert len(self._split(1000)) == 2
 
     def test_first_error_in_range_order_after_every_range(self, pool_of):
         done = []
