@@ -83,16 +83,14 @@ class BenchReport:
     rows: list[BenchRow] = field(default_factory=list)
     environment: dict = field(default_factory=dict)
 
-    def to_csv(self, include_timing: bool = True) -> str:
+    def to_csv(self) -> str:
         out = io.StringIO()
         out.write(",".join(CSV_COLUMNS) + "\n")
         for row in self.rows:
             values = []
             for col in CSV_COLUMNS:
                 value = getattr(row, col)
-                if col in ("median_ns", "speedup") and not include_timing:
-                    value = ""
-                elif col == "speedup":
+                if col == "speedup":
                     value = f"{value:.4f}"
                 elif col == "equiv_ok":
                     value = "1" if value else "0"
@@ -157,7 +155,7 @@ def bench_kernels(
         for rule in rule_names:
             for b, n, s in grid:
                 rng = np.random.default_rng(seed)
-                x = Tensor(rng.standard_normal((b, 1, s)), dtype=dtype)
+                x = Tensor(rng.standard_normal((b, 1, s)).astype(dtype))
                 w = init_weights(n, s, seed=seed + 1, dtype=dtype)
                 params = LearningParams(rule=rule)  # eta 1e-3, temperature 1.0
                 naive = rules.update_fn(rule, "naive")

@@ -104,8 +104,8 @@ def _cmd_pretrain(args) -> int:
 def _cmd_probe(args) -> int:
     ckpt = pipeline.load_checkpoint(args.ckpt)
     cfg = parse_config(ckpt.config_echo)
-    data = build_dataset(cfg, "train")
     train_cfg = build_train_config(cfg, seed_override=args.seed)
+    data = build_dataset(cfg, "train")
     stack = restore_stack(cfg, data.images.shape[1:], ckpt)
     labeled, _ = split_regime(data, Regime(args.regime, args.seed))
     test = build_dataset(cfg, "test")  # a bad test split fails before any feature is computed

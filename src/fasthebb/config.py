@@ -4,9 +4,11 @@
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .pipeline import TrainConfig
 
 __all__ = ["parse_config", "KNOWN_KEYS"]
 
@@ -19,10 +21,7 @@ KNOWN_KEYS = {
         "noise_std", "seed", "path", "test_path", "cov_diag",
     },
     "model": {"init_seed"},  # plus layer1, layer2, ...
-    "train": {
-        "epochs", "batch_size", "hebb_lr", "probe_lr", "momentum",
-        "nesterov", "weight_decay", "early_stopping", "seed", "schedule",
-    },
+    "train": {f.metadata.get("key", f.name) for f in fields(TrainConfig)},
 }
 
 

@@ -3,7 +3,7 @@ files; shared by the CLI subcommands."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -199,20 +199,17 @@ def _build_stage(kind: str, opts: dict, shape: tuple, hebb_lr: float, seed: int)
 
 
 def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConfig:
+    """The [train] section as a :class:`TrainConfig`: a key that is present
+    is read with the type of its field's default; an absent key keeps it."""
     section = cfg.get("train", {})
-    seed = _read(section, "seed", int, 0)
-    return TrainConfig(
-        epochs=_read(section, "epochs", int, 20),
-        batch_size=_read(section, "batch_size", int, 64),
-        hebb_lr=_read(section, "hebb_lr", float, 1e-3),
-        probe_lr=_read(section, "probe_lr", float, 1e-3),
-        momentum=_read(section, "momentum", float, 0.9),
-        nesterov=_read(section, "nesterov", bool, True),
-        weight_decay=_read(section, "weight_decay", float, 0.0),
-        early_stopping=_read(section, "early_stopping", bool, True),
-        seed=seed if seed_override is None else seed_override,
-        layer_schedule=_read(section, "schedule", str, "joint"),
-    )
+    values = {}
+    for f in fields(TrainConfig):
+        key = f.metadata.get("key", f.name)
+        if key in section:
+            values[f.name] = _read(section, key, type(f.default))
+    if seed_override is not None:
+        values["seed"] = seed_override
+    return TrainConfig(**values)
 
 
 def restore_stack(cfg: dict, input_shape, ckpt: CheckpointData) -> list:

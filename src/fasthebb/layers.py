@@ -115,7 +115,7 @@ class Flatten:
 def init_weights(n: int, s: int, seed: int, dtype=np.float64) -> Tensor:
     """Zero-mean Gaussian init with std 1/sqrt(S), seeded."""
     rng = np.random.default_rng(seed)
-    return Tensor(rng.normal(0.0, 1.0 / np.sqrt(s), size=(1, n, s)), dtype=dtype)
+    return Tensor(rng.normal(0.0, 1.0 / np.sqrt(s), size=(1, n, s)).astype(dtype))
 
 
 def out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
@@ -160,7 +160,7 @@ def extract_patches(images: Tensor, geometry: ConvGeometry) -> PatchBatch:
         flat[start:stop] = np.transpose(windows[start:stop], (0, 2, 3, 1, 4, 5))
 
     tc.split_rows(fill, b)
-    return PatchBatch(Tensor(flat.reshape(b * out_h * out_w, 1, g.patch_size), dtype=images.dtype))
+    return PatchBatch(Tensor(flat.reshape(b * out_h * out_w, 1, g.patch_size)))
 
 
 def conv_forward(layer: HebbLayer, images: Tensor) -> Tensor:
@@ -196,7 +196,7 @@ def layer_output(layer: HebbLayer, y: Tensor, x: Tensor) -> Tensor:
         out[start:stop] = np.transpose(grid[start:stop], (0, 3, 1, 2))
 
     tc.split_rows(fill, b)
-    return Tensor(out, dtype=y.dtype)
+    return Tensor(out)
 
 
 def hebb_update(layer: HebbLayer, x: Tensor, y: Optional[Tensor] = None) -> UpdateResult:
@@ -228,7 +228,7 @@ def relu(x: Tensor) -> Tensor:
         np.maximum(x.data[start:stop], 0.0, out=out[start:stop])
 
     tc.split_rows(fill, x.shape[0])
-    return Tensor(out, dtype=x.dtype)
+    return Tensor(out)
 
 
 def max_pool(x: Tensor, window: int, stride: int) -> Tensor:
@@ -252,4 +252,4 @@ def max_pool(x: Tensor, window: int, stride: int) -> Tensor:
             np.maximum(pooled, cols[:, :, k : k + span_h : stride], out=pooled)
 
     tc.split_rows(fill, b)
-    return Tensor(out, dtype=x.dtype)
+    return Tensor(out)

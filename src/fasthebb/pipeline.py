@@ -29,6 +29,7 @@ from .errors import (
     CorruptFile,
     EmptyLabeledSet,
     GeometryError,
+    NonFiniteWeights,
     VersionMismatch,
 )
 from .layers import Flatten, HebbLayer, MaxPool, ReLU
@@ -56,6 +57,9 @@ _RULE_NAMES = {v: k for k, v in _RULE_IDS.items()}
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The [train] section: each field is read from the config key of its
+    name (``schedule`` for ``layer_schedule``) and typed like its default."""
+
     epochs: int = 20
     batch_size: int = 64
     hebb_lr: float = 1e-3
@@ -65,7 +69,7 @@ class TrainConfig:
     weight_decay: float = 0.0
     early_stopping: bool = True
     seed: int = 0
-    layer_schedule: str = "joint"  # or "layerwise"
+    layer_schedule: str = field(default="joint", metadata={"key": "schedule"})  # or "layerwise"
 
     def __post_init__(self):
         for key, floor in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
@@ -74,6 +78,10 @@ class TrainConfig:
         for key in ("hebb_lr", "probe_lr"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.layer_schedule not in ("joint", "layerwise"):
             raise ConfigError(f"unknown schedule {self.layer_schedule!r}")
 
@@ -316,6 +324,7 @@ def train_probe(
     data and the returned probe is the state at the epoch of maximum
     validation accuracy (earliest on ties).  With it off, the probe is the
     last epoch's state, and its accuracy is scored on the training rows.
+    A probe with a NaN or Inf weight or bias raises :class:`NonFiniteWeights`.
     """
     if len(features) == 0:
         raise EmptyLabeledSet("train_probe needs at least one labeled sample")
@@ -361,6 +370,8 @@ def train_probe(
         val_acc, best_epoch, w, b = best
     else:  # the last epoch's weights, with their own accuracy
         best_epoch = config.epochs - 1
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        raise NonFiniteWeights("probe training produced NaN or Inf weights")
     return LinearProbe(w, b, best_epoch, val_acc)
 
 

@@ -108,7 +108,7 @@ def forward_linear(w: Tensor, x: Tensor) -> Tensor:
         np.matmul(rows[:, start:stop], wt, out=y[:, start:stop])
 
     tc.split_rows(fill, b, tc.SAME_ROWS_FROM)
-    return Tensor(y.reshape(b, n, 1), dtype=y.dtype)
+    return Tensor(y.reshape(b, n, 1))
 
 
 def aggregate(coeffs: Tensor, per_sample: Tensor) -> Tensor:
@@ -133,7 +133,7 @@ def _swta_scores(w: Tensor, x: Tensor, y: Optional[Tensor], params: LearningPara
     # sum_b R[b,n] > 0 holds in exact arithmetic; at low temperature the
     # scores of a losing neuron can underflow to 0.0, in which case the
     # whole column is zero and C can be anything (its contribution vanishes)
-    safe = Tensor(np.where(col_sums.data > 0, col_sums.data, 1.0), dtype=col_sums.dtype)
+    safe = Tensor(np.where(col_sums.data > 0, col_sums.data, 1.0))
     return r, safe, float(np.mean(1.0 / row_sums.data))
 
 
@@ -151,9 +151,7 @@ def swta_update_naive(
         r, safe, metric = _swta_scores(w, x, y, params)
         c = tc.elementwise("div", r, safe)
         diff = tc.elementwise("sub", x, w)  # B x N x S
-        per_sample = tc.elementwise(
-            "scale", tc.elementwise("mul", r, diff), params.eta
-        )
+        per_sample = tc.elementwise("mul", tc.elementwise("mul", r, diff), params.eta)
         delta_w = aggregate(c, per_sample)
     return UpdateResult(delta_w, tr.largest, metric)
 
@@ -185,14 +183,12 @@ def swta_update_fast(
 
         tc.split_rows(fill, b, _CR_ROWS)
         del r, rd  # the caller's y may be alive: at most three B x N buffers at once
-        cr = Tensor(buf, dtype=buf.dtype)  # B x N x 1
+        cr = Tensor(buf)  # B x N x 1
         q = tc.reduce_sum(cr, 0)  # 1 x N x 1
         cr_t = tc.transpose(tc.reshape(cr, (1, b, n)))  # 1 x N x B
         pull = tc.matmul(cr_t, tc.reshape(x, (1, b, s)))  # 1 x N x S
         decay = tc.elementwise("mul", q, w)  # 1 x N x S
-        delta_w = tc.elementwise(
-            "scale", tc.elementwise("sub", pull, decay), params.eta
-        )
+        delta_w = tc.elementwise("mul", tc.elementwise("sub", pull, decay), params.eta)
     return UpdateResult(delta_w, tr.largest, metric)
 
 
@@ -220,7 +216,7 @@ def hpca_update_naive(
         del resid
         summed = tc.reduce_sum(per_sample, 0)
         del per_sample
-        delta_w = tc.elementwise("scale", summed, params.eta / b)
+        delta_w = tc.elementwise("mul", summed, params.eta / b)
     return UpdateResult(delta_w, tr.largest)
 
 
@@ -243,9 +239,7 @@ def hpca_update_fast(
         p = tc.elementwise("mul", gram, mask)
         pull = tc.matmul(y_t, tc.reshape(x, (1, b, s)))  # 1 x N x S
         decay = tc.matmul(p, w)  # 1 x N x S
-        delta_w = tc.elementwise(
-            "scale", tc.elementwise("sub", pull, decay), params.eta / b
-        )
+        delta_w = tc.elementwise("mul", tc.elementwise("sub", pull, decay), params.eta / b)
     return UpdateResult(delta_w, tr.largest)
 
 
@@ -283,15 +277,12 @@ def layer_metric(w: Tensor, x: Tensor, y: Tensor, params: LearningParams) -> flo
     max(2·_METRIC_ROWS·N, N·S, N·N).  A squared residual that rounds below
     zero is clamped to 0 before the root.
 
-    SWTA's mean max score needs no softmax: at a row's maximum the softmax
-    stores ``exp(0)/Σ = 1.0/Σ``, the largest value of the row, so
-    ``mean(1.0/Σ)`` over the row sums ``Σ`` of ``exp(z)``, ``z = y/T − max z``,
-    is bit for bit ``mean(max(softmax(y/T)))`` from one b_eff·N buffer."""
+    SWTA's mean max score is ``mean(1.0/Σ)`` over the row sums ``Σ`` that
+    :func:`~fasthebb.tensor.softmax` returns: at a row's maximum the softmax
+    stores ``exp(0)/Σ = 1.0/Σ``, the largest value of the row, so this is bit
+    for bit ``mean(max(softmax(y/T)))``."""
     if params.rule == RULE_SWTA:
-        z = y.data / params.temperature
-        z -= np.max(z, axis=1, keepdims=True)
-        np.exp(z, out=z)
-        return float(np.mean(1.0 / np.sum(z, axis=1)))
+        return float(np.mean(1.0 / tc.softmax(y, params.temperature)[1].data))
     b, n, _ = y.shape
     gram = tc.matmul(w, tc.transpose(w)).data  # 1 x N x N
     x, y = x.data.reshape(b, x.shape[2]), y.data.reshape(1, b, n)

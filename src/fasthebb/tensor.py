@@ -3,7 +3,10 @@
 Tensors are immutable wrappers around row-major numpy arrays with explicit
 broadcasting rules: only extent-1 (singleton) dimensions broadcast, any other
 mismatch raises :class:`ShapeMismatch`.  All operations are pure functions
-returning new tensors.
+returning new tensors.  :class:`Tensor` is the one constructor: it keeps the
+dtype of a native float32 or float64 array and makes anything else float64,
+and every operation keeps its operands' float dtype, so a float32 batch stays
+float32 through every stage.
 
 :func:`reduce_sum` adds strictly left to right, bit for bit like a sequential
 loop; which numpy routine does that is chosen from the input's shape alone.
@@ -261,15 +264,19 @@ def _record_alloc(count: int) -> None:
                 tracker.largest = count
 
 
+_FLOATS = frozenset((np.dtype(np.float32), np.dtype(np.float64)))  # native byte order
+
+
 class Tensor:
-    """Dense row-major tensor of 64-bit floats (32-bit mode available)."""
+    """Dense row-major tensor of floats.  A native float32 or float64 array
+    keeps its dtype; any other data becomes float64."""
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype=np.float64):
-        arr = np.ascontiguousarray(data, dtype=dtype)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
+    def __init__(self, data):
+        arr = np.ascontiguousarray(data)  # at least 1-d
+        if arr.dtype not in _FLOATS:
+            arr = arr.astype(np.float64)
         arr.flags.writeable = False
         self.data = arr
         _record_alloc(arr.size)
@@ -290,9 +297,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
 
@@ -303,15 +307,6 @@ def _wrap_shared(arr: np.ndarray) -> Tensor:
     view = arr.view()
     view.flags.writeable = False
     t.data = view
-    return t
-
-
-def _wrap_new(arr: np.ndarray) -> Tensor:
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    t = Tensor.__new__(Tensor)
-    t.data = arr
-    _record_alloc(arr.size)
     return t
 
 
@@ -335,22 +330,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"contracted dims differ: {a.shape[-1]} vs {b.shape[-2]}"
         )
     _check_batch_dims(a.shape[:-2], b.shape[:-2])
-    return _wrap_new(np.matmul(a.data, b.data))
+    return Tensor(np.matmul(a.data, b.data))
 
 
-_ELEMENTWISE_OPS = ("add", "sub", "mul", "div", "scale")
+_ELEMENTWISE_OPS = ("add", "sub", "mul", "div")
 
 
 def elementwise(op: str, a: Tensor, b) -> Tensor:
-    """Componentwise op with singleton-only broadcasting.
-
-    ``b`` may be a scalar; ``scale`` requires a scalar operand.
-    """
+    """Componentwise op with singleton-only broadcasting; ``b`` may be a
+    scalar."""
     if op not in _ELEMENTWISE_OPS:
         raise ValueError(f"unknown elementwise op {op!r}")
     if isinstance(b, Tensor):
-        if op == "scale":
-            raise ShapeMismatch("scale takes a scalar operand")
         if a.ndim != b.ndim:
             raise ShapeMismatch(f"rank mismatch: {a.shape} vs {b.shape}")
         _check_batch_dims(a.shape, b.shape)
@@ -363,9 +354,9 @@ def elementwise(op: str, a: Tensor, b) -> Tensor:
         out = a.data - rhs
     elif op == "div":
         out = a.data / rhs
-    else:  # mul, scale
+    else:
         out = a.data * rhs
-    return _wrap_new(out)
+    return Tensor(out)
 
 
 def reduce_sum(a: Tensor, dim_index: int) -> Tensor:
@@ -378,12 +369,12 @@ def reduce_sum(a: Tensor, dim_index: int) -> Tensor:
         raise IndexError(f"dim {dim_index} out of range for shape {a.shape}")
     if int(np.prod(a.shape[dim_index + 1 :])) > 1:
         # on a row-major array numpy then adds whole trailing slices in order
-        return _wrap_new(np.sum(a.data, axis=dim_index, keepdims=True))
+        return Tensor(np.sum(a.data, axis=dim_index, keepdims=True))
     # the reduced dim is innermost, where np.sum would add in pairs; cumsum
     # adds sequentially, and + 0.0 starts the sum from +0.0 as np.sum does
     idx = [slice(None)] * a.ndim
     idx[dim_index] = slice(-1, None)
-    return _wrap_new(np.cumsum(a.data, axis=dim_index)[tuple(idx)] + 0.0)
+    return Tensor(np.cumsum(a.data, axis=dim_index)[tuple(idx)] + 0.0)
 
 
 # fewest rows in a range of :func:`softmax`: below that, handing a range to a
@@ -416,14 +407,14 @@ def softmax(y: Tensor, temperature: float) -> tuple[Tensor, Tensor]:
         rows /= sums[start:stop]
 
     split_rows(fill, src.shape[0], _SOFTMAX_ROWS)
-    return _wrap_new(z), _wrap_new(sums)
+    return Tensor(z), Tensor(sums)
 
 
 def tril_mask(n: int, dtype=np.float64) -> Tensor:
     """n x n lower-triangular matrix of ones (diagonal inclusive)."""
     if n < 1:
         raise ShapeMismatch(f"tril_mask needs n >= 1, got {n}")
-    return _wrap_new(np.tril(np.ones((n, n), dtype=dtype)))
+    return Tensor(np.tril(np.ones((n, n), dtype=dtype)))
 
 
 # source rows copied per block by :func:`transpose`: a block of source rows
@@ -450,7 +441,7 @@ def transpose(a: Tensor) -> Tensor:
             out[..., block] = np.swapaxes(src[..., block, :], -1, -2)
 
     split_rows(fill, -(-rows // _TRANSPOSE_BLOCK))
-    return _wrap_new(out)
+    return Tensor(out)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -133,6 +133,19 @@ BAD_INPUTS = {
     "num-0": (_demo("num = 200", "num = 0"), 2, "'num'"),
     "data-seed-negative": (_demo("seed = 3", "seed = -1"), 2, "'seed'"),
     "train-seed-negative": (_demo("\nseed = 0\n", "\nseed = -1\n"), 2, "seed"),
+    "momentum-1": (_demo("epochs = 4", "epochs = 4\nmomentum = 1"), 2, "momentum"),
+    "momentum-negative": (_demo("epochs = 4", "epochs = 4\nmomentum = -0.5"), 2, "momentum"),
+    "momentum-nan": (_demo("epochs = 4", "epochs = 4\nmomentum = nan"), 2, "momentum"),
+    "momentum-before-data": (
+        _demo("epochs = 4", "epochs = 4\nmomentum = 1.5", DEMO_CONFIG.replace("kind = clusters", "kind = fhds\npath = x")),
+        2, "momentum",
+    ),
+    "weight-decay-negative": (_demo("epochs = 4", "epochs = 4\nweight_decay = -0.1"), 2, "weight_decay"),
+    "weight-decay-nan": (_demo("epochs = 4", "epochs = 4\nweight_decay = nan"), 2, "weight_decay"),
+    "weight-decay-before-data": (
+        _demo("epochs = 4", "epochs = 4\nweight_decay = -1", DEMO_CONFIG.replace("kind = clusters", "kind = fhds\npath = x")),
+        2, "weight_decay",
+    ),
     "conv-stride-0": (_image("conv k=3 n=2 stride=0"), 2, "layer1:"),
     "maxpool-stride-0": (_image("conv k=3 n=2", "maxpool window=2 stride=0"), 2, "layer2:"),
     "maxpool-window-0": (_image("conv k=3 n=2", "maxpool window=0"), 2, "layer2:"),
@@ -298,9 +311,16 @@ class TestBenchKernels:
         assert after == before
 
     def test_csv_stable_without_timing(self):
-        a = bench_kernels([(16, 3, 5)], reps=5, seed=0).to_csv(include_timing=False)
-        b = bench_kernels([(16, 3, 5)], reps=5, seed=0).to_csv(include_timing=False)
-        assert a == b
+        timed = [CSV_COLUMNS.index("median_ns"), CSV_COLUMNS.index("speedup")]
+
+        def untimed_csv():
+            rows = [line.split(",") for line in bench_kernels([(16, 3, 5)], reps=5, seed=0).to_csv().splitlines()]
+            for row in rows[1:]:
+                for i in timed:
+                    row[i] = ""
+            return rows
+
+        assert untimed_csv() == untimed_csv()
 
 
 class TestCli:
@@ -448,6 +468,17 @@ class TestCli:
         assert main(["eval", "--ckpt", str(ckpt), "--topk", "1"]) == 0
         out = capsys.readouterr().out
         assert "top-1 accuracy" in out
+
+    def test_probe_with_non_finite_weights_is_numeric_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.fhb"
+        assert main(_pretrain(tmp_path, DEMO_CONFIG.replace("probe_lr = 0.05", "probe_lr = inf"))) == 0
+        raw = ckpt.read_bytes()
+        capsys.readouterr()
+        assert main(["probe", "--ckpt", str(ckpt), "--regime", "25"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1 and "NaN or Inf" in err
+        assert ckpt.read_bytes() == raw
 
     def test_eval_without_probe_is_data_error(self, demo_config, tmp_path):
         ckpt = tmp_path / "model.fhb"

@@ -57,7 +57,7 @@ class TestForwardLinear:
     def test_hand_dot_product(self):
         w = Tensor([[[1.0, 1.0]]])
         x = Tensor([[[2.0, 3.0]]])
-        assert forward_linear(w, x).item() == 5.0
+        assert forward_linear(w, x).data.reshape(-1).tolist() == [5.0]
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -251,7 +251,7 @@ def test_swta_two_workers_give_the_bits_of_one(kernel, b, n, s, temperature, dty
     # the fast kernels at the benchmark's conv-layer shapes; the naive ones
     # build B x N x S, so they run at the fewest rows that split
     w, x = rand_case(b, n, s, seed=b)
-    w, x = Tensor(w.data, dtype=dtype), Tensor(x.data * 3.0, dtype=dtype)
+    w, x = Tensor(w.data.astype(dtype)), Tensor((x.data * 3.0).astype(dtype))
     params = LearningParams(eta=0.1, temperature=temperature, rule="swta")
     runs = []
     for workers in (1, 2):
@@ -353,7 +353,7 @@ def test_given_forward_gives_the_same_update(rule, impl):
 @pytest.mark.parametrize("rule, impl", sorted(rules._KERNELS))
 def test_delta_w_keeps_input_dtype(rule, impl, dtype):
     w, x = rand_case(9, 4, 6, seed=2)
-    w, x = Tensor(w.data, dtype=dtype), Tensor(x.data, dtype=dtype)
+    w, x = Tensor(w.data.astype(dtype)), Tensor(x.data.astype(dtype))
     res = rules.update_fn(rule, impl)(w, x, LearningParams(eta=0.1, rule=rule))
     assert res.delta_w.dtype == dtype
 

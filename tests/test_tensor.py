@@ -21,6 +21,21 @@ def T(data):
     return Tensor(np.asarray(data, dtype=np.float64))
 
 
+class TestConstructor:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_array_keeps_its_dtype(self, dtype):
+        assert Tensor(np.ones(3, dtype)).dtype == dtype
+
+    @pytest.mark.parametrize(
+        "data", [np.arange(3), np.ones(3, np.float16), np.ones(3, ">f8"), [1, 2, 3], [1.0, 2.0], 5],
+        ids=["int", "float16", "big-endian", "int-list", "float-list", "scalar"],
+    )
+    def test_other_data_becomes_float64(self, data):
+        t = Tensor(data)
+        assert t.dtype == np.float64 and t.dtype.isnative
+        np.testing.assert_array_equal(t.data, np.atleast_1d(data))
+
+
 class TestMatmul:
     def test_identity_case(self):
         a = T([[[1.0, 2.0], [3.0, 4.0]]])
@@ -91,7 +106,7 @@ class TestElementwise:
 
     def test_scale(self):
         np.testing.assert_array_equal(
-            tc.elementwise("scale", T([1.0, 2.0, 3.0]), 2.0).data, [2.0, 4.0, 6.0]
+            tc.elementwise("mul", T([1.0, 2.0, 3.0]), 2.0).data, [2.0, 4.0, 6.0]
         )
 
     def test_non_singleton_mismatch(self):
@@ -227,7 +242,7 @@ class TestSoftmax:
     def test_two_workers_give_the_bits_of_one(self, shape, dtype, temperature, pool_of):
         y = np.random.default_rng(shape[0]).standard_normal(shape) * 5.0
         y[:, 0] -= 100.0  # at T=0.02 neuron 0's whole column underflows to 0.0
-        y = Tensor(y, dtype=dtype)
+        y = Tensor(y.astype(dtype))
         runs = []
         for workers in (1, 2):
             with pool_of(workers):
@@ -293,7 +308,7 @@ class TestTranspose:
         assert np.array_equal(*runs)
 
     def test_keeps_dtype_and_counts_one_allocation(self):
-        a = Tensor(np.ones((BLOCK + 1, 3)), dtype=np.float32)
+        a = Tensor(np.ones((BLOCK + 1, 3), np.float32))
         with AllocationTracker() as tracker:
             out = tc.transpose(a)
         assert out.dtype == np.float32
