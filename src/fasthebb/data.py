@@ -105,7 +105,8 @@ def load_cifar10(path) -> Dataset:
     labels = records[:, 0].astype(np.int64)
     if labels.max(initial=0) >= CIFAR_CLASSES:
         raise BadLabel(f"{path}: label byte {labels.max()} exceeds 9")
-    images = records[:, 1:].reshape(-1, *CIFAR_SHAPE).astype(np.float64) / 255.0
+    images = records[:, 1:].reshape(-1, *CIFAR_SHAPE).astype(np.float64)
+    images /= 255.0  # in place: one float64 copy of the pixels, not two
     return Dataset(images, labels, CIFAR_CLASSES)
 
 
@@ -246,20 +247,41 @@ def fhds_shape(path) -> tuple[int, ...]:
         return _fhds_header(fh.read(_FHDS_HEADER), path, os.fstat(fh.fileno()).st_size)[1:]
 
 
+_FINITE_BLOCK = 1 << 20  # values per block of the NaN/Inf count: a 1 MiB bool array
+
+
+def _read_exactly(fh, buf: np.ndarray, path) -> None:
+    """Fill ``buf`` from ``fh``; a short read is a truncated file."""
+    if fh.readinto(memoryview(buf).cast("B")) != buf.nbytes:
+        raise CorruptFile(f"{path}: truncated FHDS file")
+
+
 def load_dataset(path) -> Dataset:
-    raw = Path(path).read_bytes()
-    shape = _fhds_header(raw, path, len(raw))
-    count = math.prod(shape)
-    try:
-        offset = _FHDS_HEADER
-        images = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        offset += 8 * count
-        class_count = struct.unpack_from("<I", raw, offset)[0]
-        offset += 4
-        labels = np.frombuffer(raw, dtype="<u4", count=shape[0], offset=offset)
-    except (struct.error, ValueError) as exc:
-        raise CorruptFile(f"{path}: truncated FHDS file") from exc
-    bad = count - np.count_nonzero(np.isfinite(images))
+    """Read an FHDS file written by :func:`save_dataset`.
+
+    The header is checked against the file size before any image buffer
+    exists, and the pixels are read straight into the one array the
+    :class:`Dataset` keeps, so loading grows the process by one copy of the
+    image block.  NaN and Inf are counted over fixed blocks of the pixels,
+    never with a bool array as long as the data."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        shape = _fhds_header(fh.read(_FHDS_HEADER), path, size)
+        count = math.prod(shape)
+        if _FHDS_HEADER + 8 * count + 4 + 4 * shape[0] > size:
+            raise CorruptFile(f"{path}: truncated FHDS file")
+        images = np.empty(shape, dtype="<f8")
+        _read_exactly(fh, images, path)
+        tail = np.empty(1 + shape[0], dtype="<u4")  # class count, then the labels
+        _read_exactly(fh, tail, path)
+    flat = images.reshape(-1)
+    # one buffer for every block: a fresh array per block raised the peak RSS
+    # of the benchmark's kernels workload from 189 to 204 MB
+    finite = np.empty(min(count, _FINITE_BLOCK), dtype=bool)
+    bad = 0
+    for start in range(0, count, _FINITE_BLOCK):
+        block = flat[start : start + _FINITE_BLOCK]
+        bad += len(block) - np.count_nonzero(np.isfinite(block, out=finite[: len(block)]))
     if bad:
         raise CorruptFile(f"{path}: {bad} of {count} image values are NaN or Inf")
-    return Dataset(images.reshape(shape).copy(), labels.astype(np.int64), class_count)
+    return Dataset(images, tail[1:].astype(np.int64), int(tail[0]))

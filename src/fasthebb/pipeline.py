@@ -399,7 +399,9 @@ def _pack_array(fh, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _unpack_array(raw: bytes, offset: int, path) -> tuple[np.ndarray, int]:
+def _unpack_array(raw: bytes, offset: int, path, block: str) -> tuple[np.ndarray, int]:
+    """The array block at ``offset`` and the offset after it; a block holding
+    NaN or Inf is a corrupt file, named by ``block`` in the error."""
     ndim = struct.unpack_from("<B", raw, offset)[0]
     offset += 1
     shape = struct.unpack_from(f"<{ndim}I", raw, offset)
@@ -411,6 +413,9 @@ def _unpack_array(raw: bytes, offset: int, path) -> tuple[np.ndarray, int]:
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
     except ValueError:  # more dims than numpy allows, or extents whose product overflows
         raise CorruptFile(f"{path}: checkpoint array block has an impossible shape {shape}") from None
+    bad = count - np.count_nonzero(np.isfinite(arr))
+    if bad:
+        raise CorruptFile(f"{path}: {block}: {bad} of {count} values are NaN or Inf")
     offset += 8 * count
     return arr.copy(), offset
 
@@ -474,20 +479,20 @@ def load_checkpoint(path) -> CheckpointData:
         count = struct.unpack_from("<I", raw, 8)[0]
         offset = 12
         rule_names, weights = [], []
-        for _ in range(count):
+        for index in range(1, count + 1):
             rid = struct.unpack_from("<B", raw, offset)[0]
             offset += 1
             if rid not in _RULE_NAMES:
                 raise CorruptFile(f"{path}: unknown rule id {rid}")
-            arr, offset = _unpack_array(raw, offset, path)
+            arr, offset = _unpack_array(raw, offset, path, f"Hebbian weight block {index}")
             rule_names.append(_RULE_NAMES[rid])
             weights.append(arr)
         has_probe = struct.unpack_from("<B", raw, offset)[0]
         offset += 1
         probe = None
         if has_probe:
-            pw, offset = _unpack_array(raw, offset, path)
-            pb, offset = _unpack_array(raw, offset, path)
+            pw, offset = _unpack_array(raw, offset, path, "probe weights")
+            pb, offset = _unpack_array(raw, offset, path, "probe bias")
             probe = LinearProbe(pw, pb.reshape(-1))
         text_len = struct.unpack_from("<I", raw, offset)[0]
         offset += 4

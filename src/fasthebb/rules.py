@@ -8,8 +8,9 @@ Shapes follow the (batch b, neuron n, size s) convention:
 * outputs Y: B x N x 1
 
 The naive kernels materialize the full B x N x S per-sample update and then
-aggregate over b; the fast kernels contract b early with matrix products, so
-their largest temporary is max(N*B, N*S, N*N) elements, as counted by
+aggregate over b, with at most two B x N x S tensors alive at once; the fast
+kernels contract b early with matrix products, so their largest temporary is
+max(N*B, N*S, N*N) elements, as counted by
 :class:`~fasthebb.tensor.AllocationTracker` and reported as
 ``peak_temp_elements``.  Both forms of a rule are algebraically identical;
 tests hold them to 1e-10 relative Frobenius error in double precision.
@@ -145,13 +146,19 @@ def swta_update_naive(
 ) -> UpdateResult:
     """Reference SWTA path: builds the B x N x S per-sample update, then
     aggregates with score-weighted coefficients C = R / sum_b R.  ``y`` is
-    the forward of ``x`` under ``w`` when the caller has it."""
+    the forward of ``x`` under ``w`` when the caller has it.
+
+    Each B x N x S tensor is dropped once the next exists, so at most two
+    are alive at once."""
     _check_update_shapes(w, x)
     with AllocationTracker() as tr:
         r, safe, metric = _swta_scores(w, x, y, params)
         c = tc.elementwise("div", r, safe)
         diff = tc.elementwise("sub", x, w)  # B x N x S
-        per_sample = tc.elementwise("mul", tc.elementwise("mul", r, diff), params.eta)
+        scored = tc.elementwise("mul", r, diff)  # B x N x S
+        del diff
+        per_sample = tc.elementwise("mul", scored, params.eta)
+        del scored
         delta_w = aggregate(c, per_sample)
     return UpdateResult(delta_w, tr.largest, metric)
 
@@ -201,6 +208,8 @@ def hpca_update_naive(
     delta_w  = (eta/B) * sum_b Y[b,n] * E[b,n,s]
 
     ``y`` is the forward of ``x`` under ``w`` when the caller has it.
+    Each B x N x S tensor is dropped once the next exists, so at most two
+    are alive at once.
     """
     b, n, s = _check_update_shapes(w, x)
     with AllocationTracker() as tr:

@@ -269,14 +269,15 @@ _FLOATS = frozenset((np.dtype(np.float32), np.dtype(np.float64)))  # native byte
 
 class Tensor:
     """Dense row-major tensor of floats.  A native float32 or float64 array
-    keeps its dtype; any other data becomes float64."""
+    keeps its dtype; any other data becomes float64.  ``data`` is read-only;
+    a contiguous float array is wrapped without a copy, through a read-only
+    view, so the caller's own array stays writable."""
 
     __slots__ = ("data",)
 
     def __init__(self, data):
         arr = np.ascontiguousarray(data)  # at least 1-d
-        if arr.dtype not in _FLOATS:
-            arr = arr.astype(np.float64)
+        arr = arr.view() if arr.dtype in _FLOATS else arr.astype(np.float64)
         arr.flags.writeable = False
         self.data = arr
         _record_alloc(arr.size)

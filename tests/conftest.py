@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -31,3 +32,23 @@ def pool_workers(request):
     """A fresh pool of ``request.param`` workers, shut down afterwards."""
     with _pool_of(request.param):
         yield request.param
+
+
+def _peak_bytes(fn, *args):
+    """The most bytes ``fn(*args)`` held at once, as ``tracemalloc`` sees
+    them: numpy buffers and Python objects, from any thread.  The resident
+    size cannot stand in: glibc keeps the heap at its high-water mark for the
+    whole process (see :mod:`fasthebb.tensor`)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak_bytes():
+    """``peak_bytes(fn, *args)``: the most bytes the call held at once."""
+    return _peak_bytes

@@ -85,20 +85,33 @@ def _image(*layers):
     return argv
 
 
-def _bad_echo(command, *args):
-    """``command`` on a checkpoint of DEMO_CONFIG whose echo starts with bytes that are not UTF-8."""
+def _demo_ckpt(command, *args, weights=np.zeros((1, 6, 16)), probe=np.zeros((4, 6)), edit=bytes):
+    """``command`` on a checkpoint of DEMO_CONFIG with these layer and probe
+    weights, its bytes passed through ``edit``."""
 
     def argv(tmp_path):
         path = tmp_path / "m.fhb"
-        stack = [HebbLayer(Tensor(np.zeros((1, 6, 16))), LearningParams(rule="hpca"))]
-        save_checkpoint(path, stack, LinearProbe(np.zeros((4, 6)), np.zeros(4)), DEMO_CONFIG)
-        raw = bytearray(path.read_bytes())
-        echo = len(raw) - len(DEMO_CONFIG.encode())
-        raw[echo : echo + 2] = b"\xff\xfe"
-        path.write_bytes(bytes(raw))
+        stack = [HebbLayer(Tensor(weights), LearningParams(rule="hpca"))]
+        save_checkpoint(path, stack, LinearProbe(probe, np.zeros(4)), DEMO_CONFIG)
+        path.write_bytes(edit(path.read_bytes()))
         return [command, "--ckpt", str(path), *args]
 
     return argv
+
+
+def _echo_not_utf8(raw):
+    """The checkpoint ``raw`` with its config echo starting with bytes that are not UTF-8."""
+    raw = bytearray(raw)
+    echo = len(raw) - len(DEMO_CONFIG.encode())
+    raw[echo : echo + 2] = b"\xff\xfe"
+    return bytes(raw)
+
+
+def _with_value(shape, index, value):
+    """Zeros of ``shape`` with ``value`` at ``index``."""
+    out = np.zeros(shape)
+    out[index] = value
+    return out
 
 
 def _flat_fhds(tmp_path):
@@ -166,8 +179,16 @@ BAD_INPUTS = {
         lambda tmp_path: ["report", "--in", str(_write_bytes(tmp_path / "m.fhb", b"FHB1\x01\x00\xff\xfe"))],
         2, "UTF-8",
     ),
-    "eval-echo-not-utf8": (_bad_echo("eval"), 2, "config echo is not UTF-8"),
-    "probe-echo-not-utf8": (_bad_echo("probe", "--regime", "25"), 2, "config echo is not UTF-8"),
+    "eval-echo-not-utf8": (_demo_ckpt("eval", edit=_echo_not_utf8), 2, "config echo is not UTF-8"),
+    "probe-echo-not-utf8": (_demo_ckpt("probe", "--regime", "25", edit=_echo_not_utf8), 2, "config echo is not UTF-8"),
+    "eval-nan-probe": (
+        _demo_ckpt("eval", probe=_with_value((4, 6), (1, 2), np.nan)),
+        2, "m.fhb: probe weights: 1 of 24 values are NaN or Inf",
+    ),
+    "probe-inf-weights": (
+        _demo_ckpt("probe", "--regime", "25", weights=_with_value((1, 6, 16), (0, 5, 15), -np.inf)),
+        2, "m.fhb: Hebbian weight block 1: 1 of 96 values are NaN or Inf",
+    ),
     "fhds-images-not-4d": (_flat_fhds, 2, "4-d"),
     "fhds-nan-pixel": (_nan_pixel, 2, "d.fhds: 1 of 6144 image values are NaN or Inf"),
 }

@@ -61,6 +61,15 @@ class TestCifarReader:
         with pytest.raises(BadLabel):
             load_cifar10(path)
 
+    def test_load_holds_the_raw_bytes_and_one_float_copy(self, tmp_path, peak_bytes):
+        rng = np.random.default_rng(3)
+        records = rng.integers(0, 256, (1000, 3073), dtype=np.uint8)
+        records[:, 0] %= 10
+        path = tmp_path / "big.bin"
+        path.write_bytes(records.tobytes())
+        load_cifar10(path)  # warm-up: first-call allocations are not the reader's
+        assert peak_bytes(load_cifar10, path) <= records.nbytes + 1000 * 3072 * 8 + 2**20
+
 
 class TestSynthetic:
     def test_gaussian_deterministic(self):
@@ -157,6 +166,16 @@ class TestSplitRegime:
         assert counts.sum() == round(0.03 * 500)
 
 
+@pytest.fixture(scope="module")
+def big_fhds(tmp_path_factory):
+    """An FHDS file of 1024 4x32x32 images (32 MiB of pixels) and its dataset."""
+    images = np.arange(1024 * 4 * 32 * 32, dtype=np.float64).reshape(1024, 4, 32, 32) / 7
+    ds = Dataset(images, np.arange(1024) % 3, 3)
+    path = tmp_path_factory.mktemp("fhds") / "big.fhds"
+    dio.save_dataset(path, ds)
+    return path, ds
+
+
 class TestFhdsFormat:
     def test_round_trip(self, tmp_path):
         ds = make_labeled_dataset(20, 10, seed=6)
@@ -225,3 +244,36 @@ class TestFhdsFormat:
         dio.save_dataset(path, Dataset(images, ds.labels, ds.class_count))
         with pytest.raises(CorruptFile, match=re.escape(f"{path}: 1 of 16 image values are NaN or Inf")):
             dio.load_dataset(path)
+
+    def test_load_holds_one_copy_of_the_images(self, big_fhds, peak_bytes):
+        path, ds = big_fhds
+        loaded = dio.load_dataset(path)
+        np.testing.assert_array_equal(loaded.images, ds.images)
+        np.testing.assert_array_equal(loaded.labels, ds.labels)
+        assert loaded.class_count == 3
+        assert peak_bytes(dio.load_dataset, path) <= ds.images.nbytes + 2**21
+
+    def test_non_finite_values_counted_across_blocks(self, tmp_path):
+        count = dio._FINITE_BLOCK + 5
+        images = np.zeros((1, 1, 1, count))
+        for i, value in zip((0, dio._FINITE_BLOCK - 1, dio._FINITE_BLOCK, count - 1), (np.nan, np.inf, -np.inf, np.nan)):
+            images[0, 0, 0, i] = value
+        path = tmp_path / "n.fhds"
+        dio.save_dataset(path, Dataset(images, [0], 1))
+        with pytest.raises(CorruptFile, match=re.escape(f"{path}: 4 of {count} image values are NaN or Inf")):
+            dio.load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [(-4200, "impossible image shape"), (-4098, "truncated FHDS file"), (-10, "truncated FHDS file")],
+        ids=["images", "class-count", "labels"],
+    )
+    def test_cut_file_fails_before_the_image_buffer(self, big_fhds, tmp_path, peak_bytes, cut, message):
+        path = tmp_path / "cut.fhds"
+        path.write_bytes(big_fhds[0].read_bytes()[:cut])
+
+        def load():
+            with pytest.raises(CorruptFile, match=message):
+                dio.load_dataset(path)
+
+        assert peak_bytes(load) < 2**20

@@ -16,7 +16,7 @@ from fasthebb.cli import main
 from fasthebb.config import parse_config
 from fasthebb.data import Dataset, save_dataset
 from fasthebb.experiment import build_stack
-from fasthebb.pipeline import LinearProbe, save_checkpoint
+from fasthebb.pipeline import LinearProbe, load_checkpoint, save_checkpoint
 
 CONFIG = """\
 [data]
@@ -68,8 +68,9 @@ def _damage(raw: bytes, cut, flips) -> bytes:
 
 
 # Byte offsets in the intact files: the checkpoint's probe weights carry their
-# rank at 569 and its config echo starts at 667; the FHDS header holds the rank
-# at 8 and the extents (16, 2, 4, 4) at 12-27, images follow from 28.
+# rank at 569, their values follow from 578, and its config echo starts at 667;
+# the FHDS header holds the rank at 8 and the extents (16, 2, 4, 4) at 12-27,
+# images follow from 28, the class count from 4124 and the labels from 4128.
 ECHO_TEST_PATH_END = -len(CONFIG.split("test_path = {data}")[1]) - 1  # last byte of the echo's test_path
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
@@ -81,11 +82,13 @@ ECHO_TEST_PATH_END = -len(CONFIG.split("test_path = {data}")[1]) - 1  # last byt
 )
 @example("m.fhb", "eval", None, [(569, 24)])  # probe weights of rank 26: more dims than numpy allows
 @example("m.fhb", "eval", None, [(667, 128)])  # config echo not UTF-8
+@example("m.fhb", "eval", None, [(584, 0xF8), (585, 0x7F)])  # a NaN probe weight
 @example("m.fhb", "eval", None, [(ECHO_TEST_PATH_END, ord("s"))])  # a NUL byte in the data path
 @example("m.fhb", "eval", None, [(14, 1), (16, 64), (18, 3), (20, 32), (22, 18), (24, 32)])  # 2^22 x 2^21 x 2^21: int64 product 0
 @example("d.fhds", "pretrain", None, [(8, 6)])  # 2-d images
 @example("d.fhds", "pretrain", None, [(12, 16)])  # no images
 @example("d.fhds", "pretrain", None, [(16, 2), (18, 16), (20, 4), (22, 16), (24, 4), (26, 16)])  # 16 x 2^60: int64 product 0
+@example("d.fhds", "pretrain", 4150, [(0, 1)])  # cut inside the label block
 @example("d.fhds", "pretrain", None, [(275, 64)])  # an image value near 1e300: the update overflows
 def test_damaged_file_exits_with_a_code_and_one_line(root, target, command, cut, flips):
     if command not in READERS[target]:  # pretrain reads no checkpoint
@@ -106,3 +109,7 @@ def test_damaged_file_exits_with_a_code_and_one_line(root, target, command, cut,
     assert code in (0, 1, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
     assert not caught, [str(w.message) for w in caught]
+    if code == 0 and target == "m.fhb":  # an accepted checkpoint holds only finite numbers
+        ckpt = load_checkpoint(root / "m.fhb")
+        probe = [] if ckpt.probe is None else [ckpt.probe.weights, ckpt.probe.bias]
+        assert all(np.isfinite(a).all() for a in ckpt.weights + probe)

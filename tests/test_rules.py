@@ -328,6 +328,17 @@ class TestHpca:
         assert fast.peak_temp_elements <= n * n + n * s + n * b + 64
 
 
+@pytest.mark.parametrize("kernel, rule", [(swta_update_naive, "swta"), (hpca_update_naive, "hpca")])
+def test_naive_holds_two_b_by_n_by_s_tensors(kernel, rule, peak_bytes):
+    # beside them only B x N terms (Y, R, C and the row and column sums),
+    # N x S terms (the result and its partial sums) and HPCA's N x N mask
+    b, n, s = 256, 64, 288
+    w, x = rand_case(b, n, s, seed=7)
+    params = LearningParams(eta=0.1, rule=rule)
+    kernel(w, x, params)  # warm-up: the pool's threads and numpy's caches are not the kernel's
+    assert peak_bytes(kernel, w, x, params) <= 8 * (2 * b * n * s + 4 * b * n + 2 * n * s + n * n)
+
+
 @pytest.mark.parametrize("rule", ["swta", "hpca"])
 def test_delta_linear_in_eta(rule):
     w, x = rand_case(6, 3, 4, seed=5)

@@ -35,6 +35,13 @@ class TestConstructor:
         assert t.dtype == np.float64 and t.dtype.isnative
         np.testing.assert_array_equal(t.data, np.atleast_1d(data))
 
+    def test_wraps_a_float_array_without_taking_it_over(self):
+        a = np.ones(3)
+        t = Tensor(a)
+        a[0] = 2.0  # the caller's array stays writable
+        assert not t.data.flags.writeable
+        assert np.shares_memory(t.data, a) and t.data[0] == 2.0
+
 
 class TestMatmul:
     def test_identity_case(self):
