@@ -4,7 +4,8 @@ size grid, checks their equivalence inline, and emits CSV/JSON reports.
 Memory is reported as tensor elements allocated through the tensor core
 (the largest temporary of each kernel invocation), not OS RSS, so the
 numbers line up exactly with the kernels' space-complexity bounds.  The
-kernels run on one BLAS thread, pinned through the loaded OpenBLAS.
+kernels run on the BLAS thread count :mod:`~fasthebb.tensor` leaves in
+place: one unless the environment sets it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import io
 import json
 import platform
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -45,23 +45,6 @@ CSV_COLUMNS = (
 )
 
 EQUIV_TOL = {8: 1e-10, 4: 1e-4}  # tolerance by dtype itemsize
-
-
-@contextmanager
-def _one_blas_thread():
-    """Pin BLAS to one thread, yielding the count read back from it (None
-    when no OpenBLAS is found); the previous count is restored on exit."""
-    threads = openblas_threads()
-    if threads is None:
-        yield None
-        return
-    get, set_ = threads
-    previous = get()
-    set_(1)
-    try:
-        yield get()
-    finally:
-        set_(previous)
 
 
 @dataclass
@@ -140,43 +123,46 @@ def bench_kernels(
     """
     if reps < 5:
         raise UsageError(f"reps must be >= 5, got {reps}")
-    rule_names = rule_names or rules.RULES
+    if rule_names is None:
+        rule_names = rules.RULES
+    elif not rule_names:
+        raise UsageError("no rule given")
     for rule in rule_names:
         if rule not in rules.RULES:
             raise UsageError(f"unknown rule {rule!r}")
     tol = EQUIV_TOL[np.dtype(dtype).itemsize]
-    with _one_blas_thread() as threads:
-        report = BenchReport(environment={
-            "cpu": platform.processor() or platform.machine(),
-            "python": platform.python_version(),
-            "precision": np.dtype(dtype).name,
-            "threads": threads,  # read back from BLAS; None when it could not be pinned
-        })
-        for rule in rule_names:
-            for b, n, s in grid:
-                rng = np.random.default_rng(seed)
-                x = Tensor(rng.standard_normal((b, 1, s)).astype(dtype))
-                w = init_weights(n, s, seed=seed + 1, dtype=dtype)
-                params = LearningParams(rule=rule)  # eta 1e-3, temperature 1.0
-                naive = rules.update_fn(rule, "naive")
-                fast = rules.update_fn(rule, "fast")
-                err = _relative_error(
-                    naive(w, x, params).delta_w.data, fast(w, x, params).delta_w.data
+    threads = openblas_threads()
+    report = BenchReport(environment={
+        "cpu": platform.processor() or platform.machine(),
+        "python": platform.python_version(),
+        "precision": np.dtype(dtype).name,
+        "threads": threads[0]() if threads else None,  # read back from BLAS
+    })
+    for rule in rule_names:
+        for b, n, s in grid:
+            rng = np.random.default_rng(seed)
+            x = Tensor(rng.standard_normal((b, 1, s)).astype(dtype))
+            w = init_weights(n, s, seed=seed + 1, dtype=dtype)
+            params = LearningParams(rule=rule)  # eta 1e-3, temperature 1.0
+            naive = rules.update_fn(rule, "naive")
+            fast = rules.update_fn(rule, "fast")
+            err = _relative_error(
+                naive(w, x, params).delta_w.data, fast(w, x, params).delta_w.data
+            )
+            ok = err <= tol
+            if not ok:
+                raise EquivalenceViolation(
+                    f"{rule} (B,N,S)=({b},{n},{s}): relative error {err:.3e} > {tol}"
                 )
-                ok = err <= tol
-                if not ok:
-                    raise EquivalenceViolation(
-                        f"{rule} (B,N,S)=({b},{n},{s}): relative error {err:.3e} > {tol}"
-                    )
-                naive_ns, naive_peak = _time_kernel(naive, w, x, params, reps)
-                fast_ns, fast_peak = _time_kernel(fast, w, x, params, reps)
-                report.rows.append(
-                    BenchRow(rule, "naive", b, n, s, reps, naive_ns, naive_peak, 1.0, ok)
+            naive_ns, naive_peak = _time_kernel(naive, w, x, params, reps)
+            fast_ns, fast_peak = _time_kernel(fast, w, x, params, reps)
+            report.rows.append(
+                BenchRow(rule, "naive", b, n, s, reps, naive_ns, naive_peak, 1.0, ok)
+            )
+            report.rows.append(
+                BenchRow(
+                    rule, "fast", b, n, s, reps, fast_ns, fast_peak,
+                    naive_ns / max(fast_ns, 1), ok,
                 )
-                report.rows.append(
-                    BenchRow(
-                        rule, "fast", b, n, s, reps, fast_ns, fast_peak,
-                        naive_ns / max(fast_ns, 1), ok,
-                    )
-                )
+            )
     return report

@@ -89,6 +89,7 @@ def _cmd_pretrain(args) -> int:
     text, cfg = load_config(args.config)
     train_cfg = build_train_config(cfg)
     stack = build_stack(cfg, input_shape(cfg), train_cfg.hebb_lr)  # before any image is loaded
+    pipeline.checkpoint_path(args.out)
     data = build_dataset(cfg, "train")
     stack, metrics = pipeline.pretrain(stack, data, train_cfg)
     pipeline.save_checkpoint(args.out, stack, None, text)
@@ -103,6 +104,8 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_probe(args) -> int:
     ckpt = pipeline.load_checkpoint(args.ckpt)
+    out = args.out or args.ckpt
+    pipeline.checkpoint_path(out)
     cfg = parse_config(ckpt.config_echo)
     train_cfg = build_train_config(cfg, seed_override=args.seed)
     data = build_dataset(cfg, "train")
@@ -115,7 +118,6 @@ def _cmd_probe(args) -> int:
     )
     test_features = pipeline.extract_features(stack, test)
     test_acc = pipeline.evaluate(probe, test_features, test.labels, k=1)
-    out = args.out or args.ckpt
     pipeline.save_checkpoint(out, stack, probe, ckpt.config_echo)
     print(f"labeled samples: {len(labeled)}")
     print(f"validation accuracy: {probe.val_accuracy:.4f} (epoch {probe.best_epoch})")

@@ -1,5 +1,6 @@
 """Plain-text experiment configuration: ``key = value`` lines grouped under
-``[section]`` headers.  Unknown sections or keys are errors."""
+``[section]`` headers.  Unknown sections or keys, and a key set twice in one
+section, are errors."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from .pipeline import TrainConfig
 __all__ = ["parse_config", "KNOWN_KEYS"]
 
 _SECTION_RE = re.compile(r"^\[([a-z]+)\]$")
-_LAYER_KEY_RE = re.compile(r"^layer\d+$")
+_LAYER_KEY_RE = re.compile(r"^layer(0|[1-9]\d*)$")  # one spelling per stage: no layer01
 
 KNOWN_KEYS = {
     "data": {
@@ -51,6 +52,8 @@ def parse_config(text: str) -> dict[str, dict[str, str]]:
             section_name == "model" and _LAYER_KEY_RE.match(key)
         ):
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section_name}]")
+        if key in current:
+            raise ConfigError(f"line {lineno}: key {key!r} is set twice in [{section_name}]")
         current[key] = value
     return sections
 

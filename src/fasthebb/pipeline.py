@@ -44,6 +44,7 @@ __all__ = [
     "extract_features",
     "train_probe",
     "evaluate",
+    "checkpoint_path",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -299,10 +300,7 @@ def probe_loss_grad(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean softmax cross-entropy and its closed-form gradient."""
     b = len(features)
-    scores = features @ weights.T + bias
-    scores = scores - scores.max(axis=1, keepdims=True)
-    exp = np.exp(scores)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs = tc.softmax(Tensor(features @ weights.T + bias), 1.0)[0].data
     nll = -np.mean(np.log(probs[np.arange(b), labels]))
     loss = nll + 0.5 * weight_decay * float(np.sum(weights * weights))
     delta = probs.copy()
@@ -420,6 +418,17 @@ def _unpack_array(raw: bytes, offset: int, path, block: str) -> tuple[np.ndarray
     return arr.copy(), offset
 
 
+def checkpoint_path(path) -> Path:
+    """``path`` as a :class:`Path` a checkpoint can be written to: not a
+    directory, in a directory that exists."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path.parent))
+    return path
+
+
 def save_checkpoint(
     path, stack: Sequence, probe: Optional[LinearProbe], config_echo: str
 ) -> None:
@@ -431,9 +440,7 @@ def save_checkpoint(
     then replace it, so a write that fails leaves an existing checkpoint as
     it was."""
     hebb = [s for s in stack if isinstance(s, HebbLayer)]
-    path = Path(path)
-    if path.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    path = checkpoint_path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:

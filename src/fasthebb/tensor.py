@@ -24,7 +24,9 @@ keeps its peak resident size after its largest step.
 :func:`parallel_map`, :func:`split_rows` and :func:`overlap` run work on a
 per-process thread pool whose workers fill the CPUs that BLAS leaves idle: the
 CPUs this process may run on, divided by the thread count of the loaded
-OpenBLAS.  ``parallel_map`` runs independent calls; ``split_rows`` fills one
+OpenBLAS, which import pins to one unless the environment sets it.  So by
+default the batch contractions run on the calling thread and the per-row work
+on every CPU.  ``parallel_map`` runs independent calls; ``split_rows`` fills one
 buffer in row ranges, the calling thread taking one range; ``overlap`` runs a
 second call beside the caller's.  The last two run inline when the pool has
 one worker, when called from a pool worker, so they nest inside
@@ -105,6 +107,18 @@ def openblas_threads():
     return get, set_
 
 
+def _one_blas_thread() -> None:
+    """Pin the loaded OpenBLAS to one thread before any GEMM runs, unless one
+    of the variables OpenBLAS reads its thread count from is set."""
+    if not any(map(os.environ.get, ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))):
+        threads = openblas_threads()
+        if threads is not None:
+            threads[1](1)
+
+
+_one_blas_thread()
+
+
 def _pool_workers() -> int:
     """The CPUs this process may use over the BLAS thread count, at least 1;
     1 when no OpenBLAS is found, since its thread count is then unknown."""
@@ -166,7 +180,7 @@ def _pool_to_share():
     (None, 1) when the call runs inline: on a pool worker, whose wait on the
     pool could deadlock once every worker waits; on a caller inside
     :func:`overlap`'s ``main``, whose side already has the second CPU; and
-    with a one-worker pool, where BLAS already has the other CPUs."""
+    with a one-worker pool."""
     if getattr(_this_thread, "inline", False):
         return None, 1
     pool, workers = _thread_pool()

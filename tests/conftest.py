@@ -1,5 +1,7 @@
+import os
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +54,22 @@ def _peak_bytes(fn, *args):
 def peak_bytes():
     """``peak_bytes(fn, *args)``: the most bytes the call held at once."""
     return _peak_bytes
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_env(**blas):
+    """An environment for a fresh interpreter that imports this checkout's
+    fasthebb, with none of the variables OpenBLAS reads its thread count from
+    set except those given in ``blas``."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    src = str(Path(tc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env | blas
+
+
+@pytest.fixture
+def fresh_env():
+    """``fresh_env(OPENBLAS_NUM_THREADS="2")``: see :func:`_fresh_env`."""
+    return _fresh_env

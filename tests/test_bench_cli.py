@@ -1,9 +1,11 @@
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fasthebb import cli as cli_mod, pipeline, rules, tensor as tc
+from fasthebb import cli as cli_mod, pipeline
 from fasthebb.bench import CSV_COLUMNS, bench_kernels
 from fasthebb.cli import main
 from fasthebb.config import parse_config
@@ -175,6 +177,15 @@ BAD_INPUTS = {
         lambda tmp_path: ["report", "--in", _write(tmp_path, "r.csv", "a,b,c\n1,2\n")], 2, "column",
     ),
     "pretrain-out-directory": (lambda tmp_path: _pretrain(tmp_path, DEMO_CONFIG, out="."), 2, "directory"),
+    "pretrain-out-in-missing-directory": (
+        lambda tmp_path: _pretrain(tmp_path, DEMO_CONFIG, out="missing/m.fhb"), 2, "No such file or directory",
+    ),
+    "probe-out-in-missing-directory": (
+        lambda tmp_path: _demo_ckpt("probe", "--regime", "25", "--out", str(tmp_path / "missing" / "m.fhb"))(tmp_path),
+        2, "No such file or directory",
+    ),
+    "key-set-twice": (_demo("epochs = 4", "epochs = 2\nepochs = 5"), 2, "key 'epochs' is set twice"),
+    "layer-key-zero-padded": (_demo("layer2 = relu", "layer2 = relu\nlayer01 = relu"), 2, "unknown key 'layer01'"),
     "report-not-utf8": (
         lambda tmp_path: ["report", "--in", str(_write_bytes(tmp_path / "m.fhb", b"FHB1\x01\x00\xff\xfe"))],
         2, "UTF-8",
@@ -239,6 +250,20 @@ class TestConfigParser:
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config(f"[data]\nkind = clusters\n{line}\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[train]\nepochs = 2\nepochs = 5\n", "line 3: key 'epochs' is set twice in \\[train\\]"),
+            ("[train]\nepochs = 2\n[data]\nkind = fhds\n[train]\nepochs = 5\n", "line 6: key 'epochs' is set twice"),
+            ("[model]\nlayer1 = relu\nlayer01 = flatten\n", "line 3: unknown key 'layer01'"),
+            ("[model]\nlayer01 = relu\n", "line 2: unknown key 'layer01'"),
+        ],
+        ids=["set-twice", "set-twice-across-blocks", "zero-padded-stage", "zero-padded-alone"],
+    )
+    def test_ambiguous_key_is_error(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_unknown_section_is_error(self):
         with pytest.raises(ConfigError):
             parse_config("[wat]\nx = 1\n")
@@ -301,36 +326,6 @@ class TestBenchKernels:
         assert report.environment["precision"] == "float32"
         assert report.all_equivalent()
 
-    def test_kernels_run_on_one_blas_thread(self, monkeypatch):
-        threads = tc.openblas_threads()
-        if threads is None:
-            pytest.skip("numpy's OpenBLAS is not mapped into this process")
-        get, set_ = threads
-        seen = []
-
-        def update_fn(rule, impl, _orig=rules.update_fn):
-            kernel = _orig(rule, impl)
-
-            def counted(*args):
-                seen.append(get())  # the count while the kernel runs
-                return kernel(*args)
-
-            return counted
-
-        monkeypatch.setattr(rules, "update_fn", update_fn)
-        outer = get()
-        set_(2)  # a count other than 1 where the machine allows it
-        try:
-            before = get()
-            report = bench_kernels([(16, 3, 5)], reps=5, seed=0)
-            after = get()
-        finally:
-            set_(outer)
-        assert len(seen) == 2 * 2 * (1 + 1 + 5)  # 2 rules x 2 impls x (check, warm-up, reps)
-        assert set(seen) == {1}
-        assert report.environment["threads"] == 1
-        assert after == before
-
     def test_csv_stable_without_timing(self):
         timed = [CSV_COLUMNS.index("median_ns"), CSV_COLUMNS.index("speedup")]
 
@@ -370,11 +365,13 @@ class TestCli:
         [
             (["--grid", "B=8;N=2;S=3", "--reps", "3"], 1),
             (["--grid", "B=8;N=2;S=3", "--rule", "hcpa"], 1),
+            (["--grid", "B=8;N=2;S=3", "--rule", ","], 1),
+            (["--grid", "B=8;N=2;S=3", "--rule", ""], 1),
             (["--grid", "B=x;N=2;S=3"], 2),
             (["--grid", "B=0;N=2;S=3"], 2),
             (["--grid", "B=8;N=-1;S=3"], 2),
         ],
-        ids=["reps-floor", "unknown-rule", "non-integer", "zero", "negative"],
+        ids=["reps-floor", "unknown-rule", "empty-rule-list", "empty-rule", "non-integer", "zero", "negative"],
     )
     def test_bench_bad_arguments_one_line(self, args, code, tmp_path, capsys):
         assert main(["bench", *args, "--out", str(tmp_path / "x.csv")]) == code
@@ -467,6 +464,15 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1 and err.startswith("error: layer1: ")
         assert calls == []
 
+    @pytest.mark.parametrize("out", [".", "missing/m.fhb"], ids=["directory", "in-missing-directory"])
+    def test_pretrain_checks_the_out_path_before_any_data(self, out, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli_mod, "build_dataset", lambda *args: calls.append(args))
+        assert main(_pretrain(tmp_path, DEMO_CONFIG, out=out)) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert calls == []
+
     def test_option_of_another_layer_kind_is_config_error(self):
         text = DEMO_CONFIG.replace("layer2 = relu", "layer2 = relu window=2")
         with pytest.raises(ConfigError, match="relu layer has no option 'window'"):
@@ -523,3 +529,28 @@ class TestCli:
         assert main(["pretrain", "--config", str(demo_config), "--out", str(a)]) == 0
         assert main(["pretrain", "--config", str(demo_config), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_same_bits_and_output_with_blas_pinned_by_import_or_environment(self, tmp_path, fresh_env):
+        """pretrain, probe and eval in fresh processes: the pin the import
+        makes gives the checkpoints and output of OPENBLAS_NUM_THREADS=1, and
+        OpenBLAS on two threads with a one-worker pool gives them too."""
+        rng = np.random.default_rng(5)
+        save_dataset(tmp_path / "d.fhds", Dataset(rng.random((64, 3, 16, 16)), rng.integers(0, 4, 64), 4))
+        layers = "layer1 = conv k=3 n=8 rule=hpca\nlayer2 = relu\nlayer3 = maxpool window=2\nlayer4 = conv k=3 n=6 rule=swta"
+        text = IMAGE_CONFIG.format(data=tmp_path / "d.fhds", layers=layers).replace("epochs = 1", "epochs = 2\nbatch_size = 32")
+        _write(tmp_path, "c.cfg", text)
+        runs = {}
+        for name, blas in {"import": {}, "env-1": {"OPENBLAS_NUM_THREADS": "1"}, "env-2": {"OPENBLAS_NUM_THREADS": "2"}}.items():
+            cwd = tmp_path / name
+            cwd.mkdir()
+            outputs = []
+            for argv in (["pretrain", "--config", "../c.cfg", "--out", "m.fhb"], ["probe", "--ckpt", "m.fhb", "--regime", "25"], ["eval", "--ckpt", "m.fhb"]):
+                run = subprocess.run(
+                    [sys.executable, "-m", "fasthebb", *argv], cwd=cwd, env=fresh_env(**blas),
+                    capture_output=True, text=True, timeout=300,
+                )
+                assert run.returncode == 0, run.stderr
+                outputs += [run.stdout, (cwd / "m.fhb").read_bytes()]
+            runs[name] = outputs
+        assert runs["env-1"] == runs["import"]
+        assert runs["env-2"] == runs["import"]

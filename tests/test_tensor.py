@@ -1,6 +1,7 @@
 import ctypes
 import os
 import platform
+import subprocess
 import sys
 import threading
 import time
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from fasthebb import tensor as tc
 from fasthebb.errors import InvalidTemperature, ShapeMismatch
 from fasthebb.tensor import AllocationTracker, Tensor
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")  # OpenBLAS reads its thread count from these
 
 
 def T(data):
@@ -420,6 +423,34 @@ class TestPoolWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(tc, "openblas_threads", lambda: None)
         assert tc._pool_workers() == 1
+
+    @pytest.mark.parametrize("var", [None, *BLAS_THREAD_VARS])
+    def test_blas_pinned_unless_the_environment_sets_it(self, monkeypatch, var):
+        for name in BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        if var is not None:
+            monkeypatch.setenv(var, "2")
+        pins = []
+        monkeypatch.setattr(tc, "openblas_threads", lambda: (None, pins.append))
+        tc._one_blas_thread()
+        assert pins == ([] if var else [1])
+
+    def test_no_pin_without_openblas(self, monkeypatch):
+        for name in BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(tc, "openblas_threads", lambda: None)
+        tc._one_blas_thread()  # nothing to pin, and no error
+
+    @pytest.mark.parametrize("blas", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["default", "user-set-2"])
+    def test_fresh_process_blas_threads_and_pool(self, fresh_env, blas):
+        cpus = len(os.sched_getaffinity(0))
+        if tc.openblas_threads() is None or cpus < 2:
+            pytest.skip("needs numpy's OpenBLAS and at least 2 CPUs")
+        code = "from fasthebb import tensor as tc; print(tc.openblas_threads()[0](), tc._thread_pool()[1])"
+        run = subprocess.run([sys.executable, "-c", code], env=fresh_env(**blas), capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        threads = int(blas.get("OPENBLAS_NUM_THREADS", 1))
+        assert [int(v) for v in run.stdout.split()] == [threads, cpus // threads]
 
 
 class TestSplitRows:
