@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import rules
-from .errors import EquivalenceViolation, UsageError
+from .errors import UsageError
 from .layers import init_weights
 from .rules import LearningParams
 from .tensor import Tensor, openblas_threads
@@ -117,9 +117,9 @@ def bench_kernels(
 ) -> BenchReport:
     """Benchmark naive vs fast kernels over (B, N, S) sizes.
 
-    Both implementations run on identical seeded inputs; each fast row
-    carries an inline equivalence verdict against the naive result, and an
-    out-of-tolerance row raises EquivalenceViolation.
+    Both implementations run on identical seeded inputs; both rows of a size
+    carry the inline equivalence verdict of the fast result against the naive
+    one, so an out-of-tolerance pair is reported with ``equiv_ok`` False.
     """
     if reps < 5:
         raise UsageError(f"reps must be >= 5, got {reps}")
@@ -150,10 +150,6 @@ def bench_kernels(
                 naive(w, x, params).delta_w.data, fast(w, x, params).delta_w.data
             )
             ok = err <= tol
-            if not ok:
-                raise EquivalenceViolation(
-                    f"{rule} (B,N,S)=({b},{n},{s}): relative error {err:.3e} > {tol}"
-                )
             naive_ns, naive_peak = _time_kernel(naive, w, x, params, reps)
             fast_ns, fast_peak = _time_kernel(fast, w, x, params, reps)
             report.rows.append(

@@ -14,7 +14,7 @@ import numpy as np
 from . import bench as bench_mod, pipeline, rules
 from .config import load_config, parse_config
 from .data import REGIME_FRACTIONS, Regime, split_regime
-from .errors import ConfigError, CorruptFile, FastHebbError, UsageError
+from .errors import ConfigError, CorruptFile, EquivalenceViolation, FastHebbError, UsageError
 from .experiment import build_dataset, build_stack, build_train_config, input_shape, restore_stack
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def _cmd_pretrain(args) -> int:
     text, cfg = load_config(args.config)
     train_cfg = build_train_config(cfg)
     stack = build_stack(cfg, input_shape(cfg), train_cfg.hebb_lr)  # before any image is loaded
-    pipeline.checkpoint_path(args.out)
+    pipeline.writable_path(args.out)
     data = build_dataset(cfg, "train")
     stack, metrics = pipeline.pretrain(stack, data, train_cfg)
     pipeline.save_checkpoint(args.out, stack, None, text)
@@ -105,7 +105,7 @@ def _cmd_pretrain(args) -> int:
 def _cmd_probe(args) -> int:
     ckpt = pipeline.load_checkpoint(args.ckpt)
     out = args.out or args.ckpt
-    pipeline.checkpoint_path(out)
+    pipeline.writable_path(out)
     cfg = parse_config(ckpt.config_echo)
     train_cfg = build_train_config(cfg, seed_override=args.seed)
     data = build_dataset(cfg, "train")
@@ -143,14 +143,16 @@ def _cmd_bench(args) -> int:
     grid = _parse_grid(args.grid)
     rule_names = [r.strip() for r in args.rule.split(",") if r.strip()]
     dtype = np.float32 if args.float32 else np.float64
+    out = pipeline.writable_path(args.out)  # both paths are checked before any kernel runs
+    json_out = args.json_out and pipeline.writable_path(args.json_out)
     report = bench_mod.bench_kernels(grid, rule_names, reps=args.reps, seed=args.seed, dtype=dtype)
-    with open(args.out, "w") as fh:
-        fh.write(report.to_csv())
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(report.to_json())
+    out.write_text(report.to_csv())
+    if json_out:
+        json_out.write_text(report.to_json())
+    if not report.all_equivalent():
+        raise EquivalenceViolation(f"fast and naive kernels disagree beyond tolerance (equiv_ok 0 in {args.out})")
     print(f"bench report written to {args.out}")
-    return EXIT_OK if report.all_equivalent() else EXIT_NUMERIC
+    return EXIT_OK
 
 
 def _cmd_report(args) -> int:

@@ -181,8 +181,9 @@ def _stratified_counts(labels: np.ndarray, class_count: int, total: int, rng) ->
     return counts
 
 
-def split_regime(dataset: Dataset, regime: Regime) -> tuple[Dataset, Dataset]:
-    """Split into (labeled, unlabeled), stratified by class, seeded."""
+def split_regime(dataset: Dataset, regime: Regime) -> tuple[Dataset, np.ndarray]:
+    """Split into the labeled subset, stratified by class and seeded, and the
+    sorted indices of the unlabeled rest, whose images are not copied."""
     rng = np.random.default_rng(regime.seed)
     total = round(regime.labeled_fraction / 100.0 * len(dataset))
     counts = _stratified_counts(dataset.labels, dataset.class_count, total, rng)
@@ -194,7 +195,7 @@ def split_regime(dataset: Dataset, regime: Regime) -> tuple[Dataset, Dataset]:
     labeled_idx = np.sort(np.concatenate(labeled_idx)) if labeled_idx else np.array([], dtype=np.int64)
     mask = np.zeros(len(dataset), dtype=bool)
     mask[labeled_idx] = True
-    return dataset.subset(labeled_idx), dataset.subset(np.flatnonzero(~mask))
+    return dataset.subset(labeled_idx), np.flatnonzero(~mask)
 
 
 def save_dataset(path, dataset: Dataset) -> None:

@@ -164,11 +164,15 @@ def extract_patches(images: Tensor, geometry: ConvGeometry) -> PatchBatch:
 
 
 def conv_forward(layer: HebbLayer, images: Tensor) -> Tensor:
-    """Convolution as patch extraction followed by the dense forward pass."""
+    """Convolution as patch extraction followed by the dense forward pass.
+    The patches are dropped before the output is copied, so at most two of
+    patches, forward and output are alive at once."""
     if layer.geometry is None:
         raise ShapeMismatch("conv_forward needs a conv layer")
     patches = extract_patches(images, layer.geometry).patches
-    return layer_output(layer, rules.forward_linear(layer.weights, patches), images)
+    y = rules.forward_linear(layer.weights, patches)
+    del patches
+    return layer_output(layer, y, images)
 
 
 def layer_rows(layer: HebbLayer, x: Tensor) -> Tensor:

@@ -44,7 +44,7 @@ __all__ = [
     "extract_features",
     "train_probe",
     "evaluate",
-    "checkpoint_path",
+    "writable_path",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -117,25 +117,31 @@ def _hebb_stage(
 ) -> tuple[HebbLayer, float, Optional[Tensor]]:
     """One batch through one Hebbian layer.  Its rows and their forward y under
     the weights the update starts from feed the update and the metric, as an SGD
-    loop logs its loss; a metric the kernel does not return runs on a pool
-    worker beside the kernel (:func:`~fasthebb.tensor.overlap`).  When
-    ``output`` is set the stage output is the forward under the updated
-    weights (else None).  All die before the next layer builds its rows."""
+    loop logs its loss.  A kernel that returns the metric (SWTA) runs that
+    forward itself and drops it once its scores exist; otherwise (HPCA) the
+    stage runs it once for both, and the metric runs on a pool worker beside
+    the kernel (:func:`~fasthebb.tensor.overlap`).  When ``output`` is set the
+    stage output is the forward under the updated weights (else None), copied
+    out after the rows are dropped.  So a training stage holds its rows and at
+    most two b_eff x N buffers at once, and all die before the next layer
+    builds its rows."""
     rows = ly.layer_rows(layer, x)
-    y = rules.forward_linear(layer.weights, rows)
-    metric = partial(rules.layer_metric, layer.weights, rows, y, layer.params)
-    if not train:
-        return layer, metric(), ly.layer_output(layer, y, x) if output else None
-    if rules.KERNEL_METRIC[layer.params.rule]:
-        update = ly.hebb_update(layer, rows, y)
+    if train and rules.KERNEL_METRIC[layer.params.rule]:
+        update = ly.hebb_update(layer, rows)
         value = update.metric
     else:
+        y = rules.forward_linear(layer.weights, rows)
+        metric = partial(rules.layer_metric, layer.weights, rows, y, layer.params)
+        if not train:
+            return layer, metric(), ly.layer_output(layer, y, x) if output else None
         update, value = tc.overlap(partial(ly.hebb_update, layer, rows, y), metric)
-    del metric, y  # the forward under the new weights allocates without the old one alive
+        del metric, y  # the forward under the new weights allocates without the old one alive
     layer = ly.apply_update(layer, update)
     if not output:
         return layer, value, None
-    return layer, value, ly.layer_output(layer, rules.forward_linear(layer.weights, rows), x)
+    y = rules.forward_linear(layer.weights, rows)
+    del rows  # the stage output allocates without the rows alive
+    return layer, value, ly.layer_output(layer, y, x)
 
 
 _PATIENCE = 3  # epochs without a better metric that make a plateau
@@ -418,9 +424,9 @@ def _unpack_array(raw: bytes, offset: int, path, block: str) -> tuple[np.ndarray
     return arr.copy(), offset
 
 
-def checkpoint_path(path) -> Path:
-    """``path`` as a :class:`Path` a checkpoint can be written to: not a
-    directory, in a directory that exists."""
+def writable_path(path) -> Path:
+    """``path`` as a :class:`Path` a checkpoint or report can be written to:
+    not a directory, in a directory that exists."""
     path = Path(path)
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
@@ -440,7 +446,7 @@ def save_checkpoint(
     then replace it, so a write that fails leaves an existing checkpoint as
     it was."""
     hebb = [s for s in stack if isinstance(s, HebbLayer)]
-    path = checkpoint_path(path)
+    path = writable_path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:

@@ -17,7 +17,10 @@ tests hold them to 1e-10 relative Frobenius error in double precision.
 
 Every kernel takes the forward Y of X under W as an optional fourth argument
 and computes it only when that is omitted, so a caller that needs Y anyway
-(pretraining, for the layer metric) runs one forward per update.
+(pretraining an HPCA layer, for its layer metric) runs one forward per update.
+The SWTA kernels return the metric themselves, so pretraining passes them no
+Y and the forward they run dies once the scores exist: the fast SWTA kernel
+then holds at most two B x N buffers at once.
 """
 
 from __future__ import annotations
@@ -189,7 +192,7 @@ def swta_update_fast(
             rows *= rd[start:stop]
 
         tc.split_rows(fill, b, _CR_ROWS)
-        del r, rd  # the caller's y may be alive: at most three B x N buffers at once
+        del r, rd  # two B x N buffers at once, three while a caller holds the y it passed
         cr = Tensor(buf)  # B x N x 1
         q = tc.reduce_sum(cr, 0)  # 1 x N x 1
         cr_t = tc.transpose(tc.reshape(cr, (1, b, n)))  # 1 x N x B

@@ -1,3 +1,4 @@
+import json
 import struct
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from fasthebb import cli as cli_mod, pipeline
+from fasthebb import cli as cli_mod, pipeline, rules, tensor as tc
 from fasthebb.bench import CSV_COLUMNS, bench_kernels
 from fasthebb.cli import main
 from fasthebb.config import parse_config
@@ -14,7 +15,7 @@ from fasthebb.errors import ConfigError
 from fasthebb.experiment import build_stack
 from fasthebb.layers import HebbLayer
 from fasthebb.pipeline import LinearProbe, load_checkpoint, save_checkpoint
-from fasthebb.rules import LearningParams
+from fasthebb.rules import LearningParams, UpdateResult
 from fasthebb.tensor import Tensor
 
 DEMO_CONFIG = """\
@@ -172,6 +173,12 @@ BAD_INPUTS = {
     ),
     "bench-seed-negative": (
         _cli("bench", "--grid", "B=8;N=2;S=3", "--out", "{tmp}/x.csv", "--seed", "-1"), 1, "--seed",
+    ),
+    "bench-out-in-missing-directory": (
+        _cli("bench", "--grid", "B=8;N=2;S=3", "--out", "{tmp}/missing/x.csv"), 2, "No such file or directory",
+    ),
+    "bench-json-is-directory": (
+        _cli("bench", "--grid", "B=8;N=2;S=3", "--out", "{tmp}/x.csv", "--json", "{tmp}"), 2, "directory",
     ),
     "report-ragged-csv": (
         lambda tmp_path: ["report", "--in", _write(tmp_path, "r.csv", "a,b,c\n1,2\n")], 2, "column",
@@ -472,6 +479,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "out, json_out",
+        [("missing/x.csv", None), (".", None), ("x.csv", "missing/x.json"), ("x.csv", ".")],
+        ids=["out-in-missing-directory", "out-directory", "json-in-missing-directory", "json-directory"],
+    )
+    def test_bench_checks_its_output_paths_before_any_kernel(self, out, json_out, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli_mod.bench_mod, "bench_kernels", lambda *args, **kwargs: calls.append(args))
+        argv = ["bench", "--grid", "B=8;N=2;S=3", "--out", str(tmp_path / out)]
+        if json_out:
+            argv += ["--json", str(tmp_path / json_out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert calls == []
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_bench_with_a_wrong_fast_kernel_writes_its_reports_and_exits_3(self, tmp_path, capsys, monkeypatch):
+        def wrong(w, x, params, y=None):
+            result = rules.swta_update_fast(w, x, params, y)
+            return UpdateResult(tc.elementwise("mul", result.delta_w, 2.0), result.peak_temp_elements)
+
+        monkeypatch.setitem(rules._KERNELS, ("swta", "fast"), wrong)
+        out, json_out = tmp_path / "x.csv", tmp_path / "x.json"
+        argv = ["bench", "--grid", "B=8;N=2;S=3", "--out", str(out), "--json", str(json_out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
+        assert "disagree" in captured.err and captured.out == ""
+        rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in out.read_text().splitlines()[1:]]
+        assert {(r["rule"], r["impl"]): r["equiv_ok"] for r in rows} == {
+            ("swta", "naive"): "0", ("swta", "fast"): "0", ("hpca", "naive"): "1", ("hpca", "fast"): "1",
+        }
+        assert [r["equiv_ok"] for r in json.loads(json_out.read_text())["rows"]] == [False, False, True, True]
+        assert main(["report", "--in", str(out)]) == 3
 
     def test_option_of_another_layer_kind_is_config_error(self):
         text = DEMO_CONFIG.replace("layer2 = relu", "layer2 = relu window=2")

@@ -129,7 +129,7 @@ class TestSplitRegime:
         ds = make_labeled_dataset()
         labeled, unlabeled = split_regime(ds, Regime(100, seed=1))
         assert len(labeled) == 500
-        assert len(unlabeled) == 0
+        assert len(unlabeled) == 0 and unlabeled.dtype.kind == "i"
 
     def test_ten_percent_stratified(self):
         ds = make_labeled_dataset(500, 10)
@@ -138,6 +138,7 @@ class TestSplitRegime:
         assert len(unlabeled) == 450
         counts = np.bincount(labeled.labels, minlength=10)
         np.testing.assert_array_equal(counts, 5)
+        np.testing.assert_array_equal(np.bincount(ds.labels[unlabeled], minlength=10), 45)
 
     def test_deterministic(self):
         ds = make_labeled_dataset()
@@ -147,12 +148,14 @@ class TestSplitRegime:
         np.testing.assert_array_equal(a.images, b.images)
 
     def test_disjoint_union(self):
+        # the unlabeled part is the sorted indices of the rows the labeled subset leaves out
         ds = make_labeled_dataset(200, 10)
         labeled, unlabeled = split_regime(ds, Regime(25, seed=3))
         assert len(labeled) + len(unlabeled) == 200
-        merged = np.concatenate([labeled.images, unlabeled.images]).reshape(200, -1)
-        original = ds.images.reshape(200, -1)
-        assert {tuple(row) for row in merged} == {tuple(row) for row in original}
+        assert np.all(np.diff(unlabeled) > 0) and 0 <= unlabeled[0] and unlabeled[-1] < 200
+        rest = np.setdiff1d(np.arange(200), unlabeled)
+        np.testing.assert_array_equal(labeled.images, ds.images[rest])
+        np.testing.assert_array_equal(labeled.labels, ds.labels[rest])
 
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):

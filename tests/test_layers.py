@@ -135,6 +135,15 @@ class TestConvForward:
         expected = conv_oracle(img.data, layer.weights.data, geometry)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
+    def test_holds_two_of_patches_forward_and_output(self, peak_bytes):
+        g = ConvGeometry(5, 5, 3, padding=2)
+        layer = HebbLayer(init_weights(32, g.patch_size, seed=0), LearningParams(rule="hpca"), g)
+        img = Tensor(np.random.default_rng(1).uniform(size=(16, 3, 32, 32)))
+        b_eff = 16 * 32 * 32
+        patches, y = 8 * b_eff * g.patch_size, 8 * b_eff * layer.num_neurons
+        conv_forward(layer, img)  # warm-up: the pool's threads are not the forward's
+        assert peak_bytes(conv_forward, layer, img) <= max(patches + y, 2 * y) + 2**21
+
 
 class TestHebbUpdate:
     @pytest.mark.parametrize("rule", ["swta", "hpca"])

@@ -515,6 +515,22 @@ class TestPretrainOnThePool:
         assert caught.value.exit_code == 3
 
 
+class TestStageMemory:
+    """A training conv stage holds its patch rows and at most two b_eff x N
+    buffers at once: the SWTA kernel runs its own forward, which dies once
+    its scores exist, and the rows die before the stage output is copied."""
+
+    @pytest.mark.parametrize("rule", rules.RULES)
+    def test_stage_holds_patches_and_two_b_by_n_buffers(self, rule, peak_bytes):
+        g = ConvGeometry(5, 5, 3, padding=2)
+        layer = HebbLayer(init_weights(32, g.patch_size, seed=0), LearningParams(rule=rule), g)
+        x = Tensor(_images(16).images)
+        b_eff, n = 16 * 32 * 32, layer.num_neurons
+        patches = 8 * b_eff * g.patch_size
+        pipeline._hebb_stage(layer, x, True, True)  # warm-up: the pool's threads are not the stage's
+        assert peak_bytes(pipeline._hebb_stage, layer, x, True, True) <= patches + 2 * 8 * b_eff * n + 2**21
+
+
 class TestProbe:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
