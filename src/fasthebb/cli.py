@@ -111,11 +111,11 @@ def _cmd_probe(args) -> int:
     data = build_dataset(cfg, "train")
     stack = restore_stack(cfg, data.images.shape[1:], ckpt)
     labeled, _ = split_regime(data, Regime(args.regime, args.seed))
+    class_count = data.class_count
+    del data  # the labeled subset is a copy; no other train image is read again
     test = build_dataset(cfg, "test")  # a bad test split fails before any feature is computed
     features = pipeline.extract_features(stack, labeled)
-    probe = pipeline.train_probe(
-        features, labeled.labels, train_cfg, class_count=data.class_count
-    )
+    probe = pipeline.train_probe(features, labeled.labels, train_cfg, class_count=class_count)
     test_features = pipeline.extract_features(stack, test)
     test_acc = pipeline.evaluate(probe, test_features, test.labels, k=1)
     pipeline.save_checkpoint(out, stack, probe, ckpt.config_echo)

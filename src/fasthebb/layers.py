@@ -8,7 +8,7 @@ a single larger mini-batch, and aggregation runs over all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -133,9 +133,29 @@ def out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
     return span // stride + 1
 
 
+@lru_cache(maxsize=8)
+def _patch_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int) -> np.ndarray:
+    """The flat offsets, into one padded C x Hp x Wp image, of every value of
+    every patch in :class:`PatchBatch` row order, read-only."""
+    out_h, out_w = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    corner = (np.arange(out_h) * (stride * wp))[:, None] + np.arange(out_w) * stride
+    window = (
+        (np.arange(c) * (hp * wp))[:, None, None]
+        + (np.arange(kh) * wp)[:, None]
+        + np.arange(kw)
+    )
+    idx = (corner[:, :, None, None, None] + window).astype(np.intp).ravel()
+    idx.flags.writeable = False
+    return idx
+
+
 def extract_patches(images: Tensor, geometry: ConvGeometry) -> PatchBatch:
     """Flatten every window of every image into one large batch.  The batch is
-    one buffer, copied in ranges of images by :func:`~fasthebb.tensor.split_rows`."""
+    one buffer, gathered in ranges of images by
+    :func:`~fasthebb.tensor.split_rows` through one cached index of the patch
+    offsets of a padded image.  That index holds out_h * out_w * S intp values
+    per conv shape (about 0.6 MB for 3 x 32 x 32 images at k=5, 30 MB for
+    224 x 224 RGB images at k=5), and the cache keeps the last 8 shapes."""
     if images.ndim != 4:
         raise ShapeMismatch(f"expected BxCxHxW images, got {images.shape}")
     b, c, h, w = images.shape
@@ -150,14 +170,15 @@ def extract_patches(images: Tensor, geometry: ConvGeometry) -> PatchBatch:
             arr,
             ((0, 0), (0, 0), (g.padding, g.padding), (g.padding, g.padding)),
         )
-    windows = np.lib.stride_tricks.sliding_window_view(
-        arr, (g.kernel_h, g.kernel_w), axis=(2, 3)
-    )[:, :, :: g.stride, :: g.stride]  # b, c, out_h, out_w, kh, kw
-    # image-major over b, row-major over offsets; channel-major within a patch
-    flat = np.empty((b, out_h, out_w, c, g.kernel_h, g.kernel_w), dtype=arr.dtype)
+    hp, wp = arr.shape[2], arr.shape[3]
+    idx = _patch_index(c, hp, wp, g.kernel_h, g.kernel_w, g.stride)
+    src = arr.reshape(b, c * hp * wp)
+    flat = np.empty((b, idx.size), dtype=arr.dtype)
 
     def fill(start: int, stop: int) -> None:
-        flat[start:stop] = np.transpose(windows[start:stop], (0, 2, 3, 1, 4, 5))
+        # "clip" lets numpy write straight into ``flat``; under "raise" it
+        # gathers into a temporary first.  Every offset is in range.
+        np.take(src[start:stop], idx, axis=1, out=flat[start:stop], mode="clip")
 
     tc.split_rows(fill, b)
     return PatchBatch(Tensor(flat.reshape(b * out_h * out_w, 1, g.patch_size)))

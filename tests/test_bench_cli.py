@@ -2,6 +2,7 @@ import json
 import struct
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -538,6 +539,26 @@ class TestCli:
         assert main(["eval", "--ckpt", str(ckpt), "--topk", "1"]) == 0
         out = capsys.readouterr().out
         assert "top-1 accuracy" in out
+
+    def test_probe_drops_the_train_split_before_extraction(self, demo_config, tmp_path, monkeypatch):
+        ckpt = tmp_path / "model.fhb"
+        assert main(["pretrain", "--config", str(demo_config), "--out", str(ckpt)]) == 0
+        train, alive = [], []
+
+        def build(cfg, split, _orig=cli_mod.build_dataset):
+            data = _orig(cfg, split)
+            if split == "train":
+                train.append(weakref.ref(data))
+            return data
+
+        def extract(stack, data, _orig=pipeline.extract_features):
+            alive.append(train[0]() is not None)
+            return _orig(stack, data)
+
+        monkeypatch.setattr(cli_mod, "build_dataset", build)
+        monkeypatch.setattr(pipeline, "extract_features", extract)
+        assert main(["probe", "--ckpt", str(ckpt), "--regime", "25", "--seed", "1"]) == 0
+        assert alive == [False, False]  # the labeled features, then the test features
 
     def test_probe_with_non_finite_weights_is_numeric_error(self, tmp_path, capsys):
         ckpt = tmp_path / "m.fhb"

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from fasthebb import layers
 from fasthebb.config import parse_config
 from fasthebb.errors import ConfigError, GeometryError, NonFiniteWeights, ShapeMismatch
 from fasthebb.experiment import build_stack
@@ -22,6 +23,15 @@ from fasthebb.layers import (
 from fasthebb.pipeline import forward_stack
 from fasthebb.rules import LearningParams, UpdateResult, update_fn
 from fasthebb.tensor import Tensor
+
+
+def window_copy(images, geometry):
+    """The patch batch as a copy of the 6-d window view: the reference the
+    gather in ``extract_patches`` must match bit for bit."""
+    g = geometry
+    padded = np.pad(images, ((0, 0), (0, 0), (g.padding,) * 2, (g.padding,) * 2))
+    windows = sliding_window_view(padded, (g.kernel_h, g.kernel_w), axis=(2, 3))[:, :, :: g.stride, :: g.stride]
+    return np.transpose(windows, (0, 2, 3, 1, 4, 5)).reshape(-1, 1, g.patch_size)
 
 
 def conv_oracle(images, weights, geometry):
@@ -95,13 +105,60 @@ class TestExtractPatches:
     @pytest.mark.parametrize("geometry", [ConvGeometry(5, 5, 3, padding=2), ConvGeometry(3, 2, 3, stride=2)])
     @pytest.mark.parametrize("b", [1, 2, 3])
     def test_split_over_images_is_the_window_copy(self, b, geometry, pool_workers):
-        g = geometry
         images = np.random.default_rng(b).standard_normal((b, 3, 9, 8))
-        padded = np.pad(images, ((0, 0), (0, 0), (g.padding,) * 2, (g.padding,) * 2))
-        windows = sliding_window_view(padded, (g.kernel_h, g.kernel_w), axis=(2, 3))[:, :, :: g.stride, :: g.stride]
-        want = np.transpose(windows, (0, 2, 3, 1, 4, 5)).reshape(-1, 1, g.patch_size)
-        got = extract_patches(Tensor(images), g).patches.data
+        want = window_copy(images, geometry)
+        got = extract_patches(Tensor(images), geometry).patches.data
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+class TestPatchGather:
+    """The cached-index gather gives every bit of the window copy, NaN
+    payloads and the sign of zero included, and its index is safe to share."""
+
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)], ids=["f32", "f64"])
+    @pytest.mark.parametrize("kernel", [(3, 2), (2, 4)], ids=["3x2", "2x4"])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("b", [1, 17])
+    def test_gather_is_the_window_copy_bit_for_bit(self, b, padding, stride, kernel, dtype, bits, pool_workers):
+        rng = np.random.default_rng([b, padding, stride, *kernel])
+        info = np.iinfo(bits)
+        # every bit pattern: NaNs with payloads, infinities, subnormals, -0.0
+        images = rng.integers(0, info.max, size=(b, 2, 7, 6), dtype=bits, endpoint=True).view(dtype)
+        g = ConvGeometry(*kernel, 2, stride=stride, padding=padding)
+        want = window_copy(images, g)
+        got = extract_patches(Tensor(images), g).patches.data
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.array_equal(got.view(bits), want.view(bits))
+
+    @pytest.mark.parametrize(
+        "shape, geometry",
+        [((3, 32, 32), ConvGeometry(5, 5, 3, padding=2)), ((32, 16, 16), ConvGeometry(3, 3, 32, padding=1)),
+         ((2, 7, 6), ConvGeometry(3, 2, 2, stride=3, padding=2)), ((1, 4, 5), ConvGeometry(4, 5, 1))],
+    )
+    def test_index_stays_inside_one_padded_image(self, shape, geometry):
+        # mode="clip" would clamp an out-of-range offset silently; none exists
+        c, h, w = shape
+        g = geometry
+        hp, wp = h + 2 * g.padding, w + 2 * g.padding
+        extract_patches(Tensor(np.zeros((1, *shape))), g)
+        idx = layers._patch_index(c, hp, wp, g.kernel_h, g.kernel_w, g.stride)
+        rows = out_extent(h, g.kernel_h, g.stride, g.padding) * out_extent(w, g.kernel_w, g.stride, g.padding)
+        assert idx.dtype == np.intp and idx.shape == (rows * g.patch_size,)
+        assert idx.min() == 0 and idx.max() < c * hp * wp
+
+    def test_index_is_read_only_and_built_once_per_shape(self):
+        layers._patch_index.cache_clear()
+        g = ConvGeometry(3, 3, 2, padding=1)
+        for b in (1, 4, 9):
+            extract_patches(Tensor(np.ones((b, 2, 6, 6))), g)
+        extract_patches(Tensor(np.ones((2, 2, 6, 7))), g)
+        info = layers._patch_index.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+        idx = layers._patch_index(2, 8, 8, 3, 3, 1)
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 1
 
 
 class TestConvForward:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fasthebb import data as dio, pipeline, rules, tensor as tc
+from fasthebb import data as dio, layers, pipeline, rules, tensor as tc
 from fasthebb.data import Dataset
 from fasthebb.errors import (
     BadMagic,
@@ -451,6 +451,35 @@ class TestExtractFeaturesInBlocks:
         stack = _bench_stack()
         with pytest.raises(ShapeMismatch, match="expected 3 channels, got 1"):
             extract_features(stack, _images(40, shape=(1, 32, 32)))
+
+
+@pytest.fixture
+def patch_calls(monkeypatch):
+    """The geometry of every ``layers.extract_patches`` call."""
+    calls = []
+
+    def counted(images, geometry, _orig=layers.extract_patches):
+        calls.append(geometry)
+        return _orig(images, geometry)
+
+    monkeypatch.setattr(layers, "extract_patches", counted)
+    return calls
+
+
+class TestPatchExtractionCount:
+    """Every conv path extracts its patches through the module attribute
+    ``layers.extract_patches``, which the benchmark's tracer counts, and does
+    so once per conv layer per batch or block."""
+
+    @pytest.mark.parametrize("rule", rules.RULES)
+    def test_one_pretrain_batch_extracts_once_per_conv_layer(self, rule, patch_calls):
+        pretrain(_bench_stack(rule), _images(64), TrainConfig(epochs=1, batch_size=64))
+        assert [g.kernel_h for g in patch_calls] == [5, 3]
+
+    def test_extract_features_extracts_once_per_conv_layer_per_block(self, pool_workers, patch_calls, forward_sizes):
+        extract_features(_bench_stack(), _images(40))
+        assert sorted(forward_sizes) == [8, 16, 16]
+        assert sorted(g.kernel_h for g in patch_calls) == [3] * 3 + [5] * 3
 
 
 class TestPretrainOnThePool:
