@@ -14,7 +14,7 @@ import io
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -31,19 +31,6 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-CSV_COLUMNS = (
-    "rule",
-    "impl",
-    "B",
-    "N",
-    "S",
-    "reps",
-    "median_ns",
-    "peak_elems",
-    "speedup",
-    "equiv_ok",
-)
-
 EQUIV_TOL = {8: 1e-10, 4: 1e-4}  # tolerance by dtype itemsize
 
 
@@ -59,6 +46,9 @@ class BenchRow:
     peak_elems: int
     speedup: float
     equiv_ok: bool
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRow))
 
 
 @dataclass
@@ -91,16 +81,14 @@ class BenchReport:
         return all(row.equiv_ok for row in self.rows)
 
 
-def _time_kernel(kernel, w, x, params, reps: int) -> tuple[int, int]:
-    """Median wall time (ns) over reps after one excluded warm-up."""
-    result = kernel(w, x, params)  # warm-up
-    peak = result.peak_temp_elements
+def _time_kernel(kernel, w, x, params, reps: int) -> int:
+    """Median wall time (ns) over reps."""
     times = []
     for _ in range(reps):
         start = time.perf_counter_ns()
         kernel(w, x, params)
         times.append(time.perf_counter_ns() - start)
-    return int(np.median(times)), peak
+    return int(np.median(times))
 
 
 def _relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -120,6 +108,8 @@ def bench_kernels(
     Both implementations run on identical seeded inputs; both rows of a size
     carry the inline equivalence verdict of the fast result against the naive
     one, so an out-of-tolerance pair is reported with ``equiv_ok`` False.
+    That pair is also the untimed warm-up and gives each row's peak, so each
+    kernel runs ``reps + 1`` times per size.
     """
     if reps < 5:
         raise UsageError(f"reps must be >= 5, got {reps}")
@@ -146,18 +136,16 @@ def bench_kernels(
             params = LearningParams(rule=rule)  # eta 1e-3, temperature 1.0
             naive = rules.update_fn(rule, "naive")
             fast = rules.update_fn(rule, "fast")
-            err = _relative_error(
-                naive(w, x, params).delta_w.data, fast(w, x, params).delta_w.data
-            )
-            ok = err <= tol
-            naive_ns, naive_peak = _time_kernel(naive, w, x, params, reps)
-            fast_ns, fast_peak = _time_kernel(fast, w, x, params, reps)
+            slow, quick = naive(w, x, params), fast(w, x, params)
+            ok = _relative_error(slow.delta_w.data, quick.delta_w.data) <= tol
+            naive_ns = _time_kernel(naive, w, x, params, reps)
+            fast_ns = _time_kernel(fast, w, x, params, reps)
             report.rows.append(
-                BenchRow(rule, "naive", b, n, s, reps, naive_ns, naive_peak, 1.0, ok)
+                BenchRow(rule, "naive", b, n, s, reps, naive_ns, slow.peak_temp_elements, 1.0, ok)
             )
             report.rows.append(
                 BenchRow(
-                    rule, "fast", b, n, s, reps, fast_ns, fast_peak,
+                    rule, "fast", b, n, s, reps, fast_ns, quick.peak_temp_elements,
                     naive_ns / max(fast_ns, 1), ok,
                 )
             )

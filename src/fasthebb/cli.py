@@ -109,11 +109,16 @@ def _cmd_probe(args) -> int:
     cfg = parse_config(ckpt.config_echo)
     train_cfg = build_train_config(cfg, seed_override=args.seed)
     data = build_dataset(cfg, "train")
-    stack = restore_stack(cfg, data.images.shape[1:], ckpt)
+    shape = data.images.shape[1:]
+    stack = restore_stack(cfg, shape, ckpt)
     labeled, _ = split_regime(data, Regime(args.regime, args.seed))
     class_count = data.class_count
     del data  # the labeled subset is a copy; no other train image is read again
     test = build_dataset(cfg, "test")  # a bad test split fails before any feature is computed
+    if test.images.shape[1:] != shape:  # only an FHDS test file can differ
+        raise CorruptFile(
+            f"{cfg['data']['test_path']}: test images are {test.images.shape[1:]}, train images {shape}"
+        )
     features = pipeline.extract_features(stack, labeled)
     probe = pipeline.train_probe(features, labeled.labels, train_cfg, class_count=class_count)
     test_features = pipeline.extract_features(stack, test)
@@ -200,6 +205,9 @@ def main(argv=None) -> int:
     except (FastHebbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_DATA)  # an OSError is a data error
+    except MemoryError as exc:  # the inputs ask for more than the machine has: a data error
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ KNOWN_KEYS = {
         "noise_std", "seed", "path", "test_path", "cov_diag",
     },
     "model": {"init_seed"},  # plus layer1, layer2, ...
-    "train": {f.metadata.get("key", f.name) for f in fields(TrainConfig)},
+    "train": {f.name for f in fields(TrainConfig)},
 }
 
 

@@ -168,16 +168,20 @@ def synth_clusters(
 
 
 def _stratified_counts(labels: np.ndarray, class_count: int, total: int, rng) -> np.ndarray:
-    """Per-class labeled counts, equal within +-1, deterministic given rng."""
+    """Per-class labeled counts summing to ``total``, deterministic given rng:
+    equal within +-1, except that a class never gives more than it has, and
+    its shortfall goes to the classes that still have samples, one each in
+    class-index order, without drawing from ``rng``."""
     base = total // class_count
     counts = np.full(class_count, base, dtype=np.int64)
     extra = total - base * class_count
     if extra:
         order = rng.permutation(class_count)
         counts[order[:extra]] += 1
-    # never ask for more than a class has
-    for cls in range(class_count):
-        counts[cls] = min(counts[cls], int(np.sum(labels == cls)))
+    sizes = np.bincount(labels, minlength=class_count)
+    counts = np.minimum(counts, sizes)
+    while counts.sum() < total:  # total <= len(labels), so this ends
+        counts[np.flatnonzero(counts < sizes)[: total - counts.sum()]] += 1
     return counts
 
 

@@ -204,9 +204,8 @@ def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConf
     section = cfg.get("train", {})
     values = {}
     for f in fields(TrainConfig):
-        key = f.metadata.get("key", f.name)
-        if key in section:
-            values[f.name] = _read(section, key, type(f.default))
+        if f.name in section:
+            values[f.name] = _read(section, f.name, type(f.default))
     if seed_override is not None:
         values["seed"] = seed_override
     return TrainConfig(**values)

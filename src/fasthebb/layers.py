@@ -81,8 +81,6 @@ class HebbLayer:
         return self.weights.shape[2]
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.geometry is None:
-            return layer_output(self, rules.forward_linear(self.weights, layer_rows(self, x)), x)
         return conv_forward(self, x)
 
 
@@ -184,16 +182,15 @@ def extract_patches(images: Tensor, geometry: ConvGeometry) -> PatchBatch:
     return PatchBatch(Tensor(flat.reshape(b * out_h * out_w, 1, g.patch_size)))
 
 
-def conv_forward(layer: HebbLayer, images: Tensor) -> Tensor:
-    """Convolution as patch extraction followed by the dense forward pass.
-    The patches are dropped before the output is copied, so at most two of
-    patches, forward and output are alive at once."""
-    if layer.geometry is None:
-        raise ShapeMismatch("conv_forward needs a conv layer")
-    patches = extract_patches(images, layer.geometry).patches
-    y = rules.forward_linear(layer.weights, patches)
-    del patches
-    return layer_output(layer, y, images)
+def conv_forward(layer: HebbLayer, x: Tensor) -> Tensor:
+    """The forward of a dense or conv layer: the dense forward pass of its
+    :func:`layer_rows` (a conv layer's patches), copied out as the stage
+    output.  The rows are dropped before the output is copied, so at most two
+    of rows, forward and output are alive at once."""
+    rows = layer_rows(layer, x)
+    y = rules.forward_linear(layer.weights, rows)
+    del rows
+    return layer_output(layer, y, x)
 
 
 def layer_rows(layer: HebbLayer, x: Tensor) -> Tensor:

@@ -59,7 +59,7 @@ _RULE_NAMES = {v: k for k, v in _RULE_IDS.items()}
 @dataclass(frozen=True)
 class TrainConfig:
     """The [train] section: each field is read from the config key of its
-    name (``schedule`` for ``layer_schedule``) and typed like its default."""
+    name and typed like its default."""
 
     epochs: int = 20
     batch_size: int = 64
@@ -70,7 +70,7 @@ class TrainConfig:
     weight_decay: float = 0.0
     early_stopping: bool = True
     seed: int = 0
-    layer_schedule: str = field(default="joint", metadata={"key": "schedule"})  # or "layerwise"
+    schedule: str = "joint"  # or "layerwise"
 
     def __post_init__(self):
         for key, floor in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
@@ -83,8 +83,8 @@ class TrainConfig:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if not self.weight_decay >= 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.layer_schedule not in ("joint", "layerwise"):
-            raise ConfigError(f"unknown schedule {self.layer_schedule!r}")
+        if self.schedule not in ("joint", "layerwise"):
+            raise ConfigError(f"unknown schedule {self.schedule!r}")
 
 
 def learning_rate(base: float, epoch: int, epochs: int) -> float:
@@ -192,7 +192,7 @@ def pretrain(
     last = hebb_positions[-1]
 
     phases: list[list[int]]
-    if config.layer_schedule == "layerwise":
+    if config.schedule == "layerwise":
         phases = [[pos] for pos in hebb_positions]
     else:
         phases = [hebb_positions]
@@ -231,8 +231,6 @@ def _images_per_forward(stack: Sequence, images: np.ndarray) -> int:
     """``_BLOCK_IMAGES`` when every Hebbian layer is a conv layer with at least
     ``SAME_ROWS_FROM`` patch rows per image, else ``_BATCH_IMAGES``; the
     extents are walked through the conv, relu and max-pool stages."""
-    if images.ndim != 4:
-        return _BATCH_IMAGES
     h, w = images.shape[2:]
     try:
         for stage in stack:

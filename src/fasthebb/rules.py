@@ -224,11 +224,7 @@ def hpca_update_naive(
         del yw
         resid = tc.elementwise("sub", x, partial)  # B x N x S
         del partial
-        per_sample = tc.elementwise("mul", y, resid)
-        del resid
-        summed = tc.reduce_sum(per_sample, 0)
-        del per_sample
-        delta_w = tc.elementwise("mul", summed, params.eta / b)
+        delta_w = tc.elementwise("mul", aggregate(y, resid), params.eta / b)
     return UpdateResult(delta_w, tr.largest)
 
 

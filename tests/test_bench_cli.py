@@ -210,6 +210,8 @@ BAD_INPUTS = {
     ),
     "fhds-images-not-4d": (_flat_fhds, 2, "4-d"),
     "fhds-nan-pixel": (_nan_pixel, 2, "d.fhds: 1 of 6144 image values are NaN or Inf"),
+    # 728 TiB of labels: more than any user address space
+    "num-out-of-memory": (_demo("num = 200", "num = 100000000000000"), 2, "error: out of memory: "),
 }
 
 TWO_HEBB_CONFIG = DEMO_CONFIG.replace("layer2 = relu", "layer2 = relu\nlayer3 = dense n=4 rule=hpca")
@@ -298,6 +300,25 @@ class TestBenchKernels:
     def test_tiny_case_agrees(self):
         report = bench_kernels([(1, 1, 1)], reps=5, seed=1)
         assert all(row.equiv_ok for row in report.rows)
+
+    def test_each_kernel_runs_reps_plus_one_times_per_size(self, monkeypatch):
+        # the equivalence pair is the untimed warm-up, then each kernel runs reps timed times
+        calls = {}
+        lookup = rules.update_fn
+
+        def counted(rule, impl):
+            kernel = lookup(rule, impl)
+
+            def run(w, x, params):
+                key = (rule, impl, x.shape[0])
+                calls[key] = calls.get(key, 0) + 1
+                return kernel(w, x, params)
+
+            return run
+
+        monkeypatch.setattr(rules, "update_fn", counted)
+        bench_kernels([(8, 2, 3), (16, 2, 3)], reps=6, seed=0)
+        assert calls == {(rule, impl, b): 7 for rule in rules.RULES for impl in ("naive", "fast") for b in (8, 16)}
 
     def test_speedup_definition(self):
         report = bench_kernels([(512, 16, 32)], reps=5, seed=0)
@@ -436,11 +457,17 @@ class TestCli:
         assert sorted(tmp_path.iterdir()) == [ckpt]
         assert ckpt.read_bytes() == raw
 
-    @pytest.mark.parametrize("test_file", [None, b"FHDS\x01"], ids=["missing", "truncated"])
-    def test_probe_checks_the_test_split_before_any_feature(self, test_file, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "test_file, needle",
+        [(None, "t.fhds"), (b"FHDS\x01", "t.fhds"), (np.ones((8, 1, 4, 5)), "(1, 4, 5), train images (1, 4, 4)")],
+        ids=["missing", "truncated", "other-shape"],
+    )
+    def test_probe_checks_the_test_split_before_any_feature(self, test_file, needle, tmp_path, capsys, monkeypatch):
         save_dataset(tmp_path / "d.fhds", Dataset(np.ones((8, 1, 4, 4)), np.zeros(8), 1))
-        if test_file is not None:
+        if isinstance(test_file, bytes):
             _write_bytes(tmp_path / "t.fhds", test_file)
+        elif test_file is not None:
+            save_dataset(tmp_path / "t.fhds", Dataset(test_file, np.zeros(len(test_file)), 1))
         text = IMAGE_CONFIG.format(data=tmp_path / "d.fhds", layers="layer1 = dense n=2")
         text = text.replace(f"test_path = {tmp_path / 'd.fhds'}", f"test_path = {tmp_path / 't.fhds'}")
         assert main(_pretrain(tmp_path, text)) == 0
@@ -449,7 +476,7 @@ class TestCli:
         capsys.readouterr()
         assert main(["probe", "--ckpt", str(tmp_path / "m.fhb"), "--regime", "25"]) == 2
         err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and "t.fhds" in err
+        assert len(err.strip().splitlines()) == 1 and "t.fhds" in err and needle in err
         assert calls == []
 
     @pytest.mark.parametrize(

@@ -168,6 +168,21 @@ class TestSplitRegime:
         assert counts.max() - counts.min() <= 1
         assert counts.sum() == round(0.03 * 500)
 
+    @pytest.mark.parametrize(
+        "sizes, fraction, expected",
+        [((27, 23), 100, (27, 23)), ((45, 5), 25, (7, 5)), ((1, 19, 4), 25, (1, 3, 2))],
+        ids=["all-of-27-and-23", "quarter-of-45-and-5", "quarter-of-1-19-4"],
+    )
+    def test_short_class_gives_its_shortfall_to_the_others(self, sizes, fraction, expected):
+        # round(s% * n) is met: a short class's share goes to the classes
+        # that still have samples, one each in class-index order
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        ds = Dataset(np.zeros((len(labels), 1, 1, 2)), labels, len(sizes))
+        labeled, unlabeled = split_regime(ds, Regime(fraction, seed=0))
+        assert len(labeled) == round(fraction / 100 * len(labels))
+        np.testing.assert_array_equal(np.bincount(labeled.labels, minlength=len(sizes)), expected)
+        assert len(labeled) + len(unlabeled) == len(labels)
+
 
 @pytest.fixture(scope="module")
 def big_fhds(tmp_path_factory):

@@ -21,7 +21,7 @@ from fasthebb.layers import (
     relu,
 )
 from fasthebb.pipeline import forward_stack
-from fasthebb.rules import LearningParams, UpdateResult, update_fn
+from fasthebb.rules import LearningParams, UpdateResult, forward_linear, update_fn
 from fasthebb.tensor import Tensor
 
 
@@ -191,6 +191,16 @@ class TestConvForward:
         out = conv_forward(layer, img)
         expected = conv_oracle(img.data, layer.weights.data, geometry)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    def test_dense_layer(self):
+        # a dense layer takes the same path, with each sample flattened as its row
+        x = Tensor(np.random.default_rng(6).standard_normal((5, 2, 3, 3)))
+        layer = HebbLayer(init_weights(4, 18, seed=1), LearningParams(rule="hpca"))
+        expected = layers.layer_output(layer, forward_linear(layer.weights, layers.layer_rows(layer, x)), x)
+        out = conv_forward(layer, x)
+        assert out.shape == (5, 4)
+        np.testing.assert_array_equal(out.data, expected.data)
+        np.testing.assert_array_equal(layer.forward(x).data, expected.data)
 
     def test_holds_two_of_patches_forward_and_output(self, peak_bytes):
         g = ConvGeometry(5, 5, 3, padding=2)

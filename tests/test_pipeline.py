@@ -122,7 +122,7 @@ class TestPretrain:
             HebbLayer(init_weights(2, 3, seed=1), LearningParams(eta=0.01, rule="swta")),
         ]
         trained, metrics = pretrain(
-            stack, ds, TrainConfig(epochs=2, layer_schedule="layerwise", seed=0)
+            stack, ds, TrainConfig(epochs=2, schedule="layerwise", seed=0)
         )
         assert len(metrics.epoch_metrics) == 4  # 2 epochs per trainable layer
 
@@ -135,7 +135,7 @@ class TestPretrain:
                 ReLU(),
                 HebbLayer(init_weights(2, 4, seed=1), LearningParams(eta=0.01, rule="hpca")),
             ]
-            config = TrainConfig(epochs=12, layer_schedule="layerwise", seed=seed)
+            config = TrainConfig(epochs=12, schedule="layerwise", seed=seed)
             _, metrics = pretrain(stack, ds, config)
             assert len(metrics.epoch_metrics) == 24
             assert metrics.converged_epoch is None or metrics.converged_epoch >= 12
@@ -167,7 +167,7 @@ def _loop_pretrain(stack, images, config):
     stack = list(stack)
     rng = np.random.default_rng(config.seed)
     hebb = [i for i, s in enumerate(stack) if isinstance(s, HebbLayer)]
-    phases = [[i] for i in hebb] if config.layer_schedule == "layerwise" else [hebb]
+    phases = [[i] for i in hebb] if config.schedule == "layerwise" else [hebb]
     per_epoch = []
     for trainable in phases:
         for _ in range(config.epochs):
@@ -228,7 +228,7 @@ class TestPretrainMatchesPerStageLoop:
     )
     def test_bitwise(self, make_stack, shape, rule, schedule):
         images = np.random.default_rng(8).standard_normal((37, *shape))
-        config = TrainConfig(epochs=4, batch_size=16, seed=3, layer_schedule=schedule)
+        config = TrainConfig(epochs=4, batch_size=16, seed=3, schedule=schedule)
         want, want_metrics, want_converged = _loop_pretrain(make_stack(rule), images, config)
         got, metrics = pretrain(make_stack(rule), Dataset(images, np.zeros(37, dtype=np.int64), 1), config)
         assert len(got) == len(want)
