@@ -78,6 +78,8 @@ def _parse_grid(spec: str) -> list[tuple[int, int, int]]:
             raise ConfigError(f"grid axis must be B, N or S, got {key!r}")
         if not all(v.strip().isdigit() and int(v) > 0 for v in values.split(",")):
             raise ConfigError(f"grid axis {key} needs integers >= 1, got {values!r}")
+        if key in axes:
+            raise ConfigError(f"grid axis {key} is set twice")
         axes[key] = [int(v) for v in values.split(",")]
     for key in ("B", "N", "S"):
         if key not in axes:
@@ -102,23 +104,23 @@ def _cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
+def _restore(path):
+    """A checkpoint, its config echo and its stack, checked against that config before any image loads."""
+    ckpt = pipeline.load_checkpoint(path)
+    cfg = parse_config(ckpt.config_echo)
+    return ckpt, cfg, restore_stack(cfg, ckpt)
+
+
 def _cmd_probe(args) -> int:
-    ckpt = pipeline.load_checkpoint(args.ckpt)
+    ckpt, cfg, stack = _restore(args.ckpt)
     out = args.out or args.ckpt
     pipeline.writable_path(out)
-    cfg = parse_config(ckpt.config_echo)
     train_cfg = build_train_config(cfg, seed_override=args.seed)
     data = build_dataset(cfg, "train")
-    shape = data.images.shape[1:]
-    stack = restore_stack(cfg, shape, ckpt)
     labeled, _ = split_regime(data, Regime(args.regime, args.seed))
     class_count = data.class_count
     del data  # the labeled subset is a copy; no other train image is read again
     test = build_dataset(cfg, "test")  # a bad test split fails before any feature is computed
-    if test.images.shape[1:] != shape:  # only an FHDS test file can differ
-        raise CorruptFile(
-            f"{cfg['data']['test_path']}: test images are {test.images.shape[1:]}, train images {shape}"
-        )
     features = pipeline.extract_features(stack, labeled)
     probe = pipeline.train_probe(features, labeled.labels, train_cfg, class_count=class_count)
     test_features = pipeline.extract_features(stack, test)
@@ -132,12 +134,10 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    ckpt = pipeline.load_checkpoint(args.ckpt)
+    ckpt, cfg, stack = _restore(args.ckpt)
     if ckpt.probe is None:
         raise CorruptFile(f"{args.ckpt} has no trained probe; run 'probe' first")
-    cfg = parse_config(ckpt.config_echo)
     test = build_dataset(cfg, "test")
-    stack = restore_stack(cfg, test.images.shape[1:], ckpt)
     features = pipeline.extract_features(stack, test)
     acc = pipeline.evaluate(ckpt.probe, features, test.labels, k=args.topk)
     print(f"top-{args.topk} accuracy: {acc:.4f}")

@@ -29,7 +29,7 @@ KNOWN_KEYS = {
 def parse_config(text: str) -> dict[str, dict[str, str]]:
     """Parse config text into {section: {key: value}}; validates keys."""
     sections: dict[str, dict[str, str]] = {}
-    current = None
+    name = None  # the current section
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -39,22 +39,18 @@ def parse_config(text: str) -> dict[str, dict[str, str]]:
             name = match.group(1)
             if name not in KNOWN_KEYS:
                 raise ConfigError(f"line {lineno}: unknown section [{name}]")
-            current = sections.setdefault(name, {})
+            sections.setdefault(name, {})
             continue
-        if current is None:
+        if name is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        section_name = next(n for n, s in sections.items() if s is current)
-        allowed = KNOWN_KEYS[section_name]
-        if key not in allowed and not (
-            section_name == "model" and _LAYER_KEY_RE.match(key)
-        ):
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section_name}]")
-        if key in current:
-            raise ConfigError(f"line {lineno}: key {key!r} is set twice in [{section_name}]")
-        current[key] = value
+        if key not in KNOWN_KEYS[name] and not (name == "model" and _LAYER_KEY_RE.match(key)):
+            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{name}]")
+        if key in sections[name]:
+            raise ConfigError(f"line {lineno}: key {key!r} is set twice in [{name}]")
+        sections[name][key] = value
     return sections
 
 

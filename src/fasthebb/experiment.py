@@ -53,8 +53,12 @@ def build_dataset(cfg: dict, split: str = "train") -> Dataset:
     base_seed = _read(section, "seed", int, 0, floor=0)
     test = split == "test"
     if kind in ("cifar10", "fhds"):
-        load = dio.load_cifar10 if kind == "cifar10" else dio.load_dataset
-        return load(_data_path(section, test))
+        path = _data_path(section, test)
+        if test and kind == "fhds":  # every stack is built for the train shape: compare headers first
+            shape, train_shape = dio.fhds_shape(path), dio.fhds_shape(_data_path(section, False))
+            if shape != train_shape:
+                raise CorruptFile(f"{path}: test images are {shape}, train images {train_shape}")
+        return (dio.load_cifar10 if kind == "cifar10" else dio.load_dataset)(path)
     seed = base_seed + 9999 if test else base_seed
     num = _read(section, "num", int, floor=1)
     if test:
@@ -211,11 +215,12 @@ def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConf
     return TrainConfig(**values)
 
 
-def restore_stack(cfg: dict, input_shape, ckpt: CheckpointData) -> list:
-    """Rebuild a stack from config and put the checkpoint's Hebbian weights in
+def restore_stack(cfg: dict, ckpt: CheckpointData) -> list:
+    """Rebuild from config the stack ``pretrain`` builds, for the train
+    split's :func:`input_shape`, and put the checkpoint's Hebbian weights in
     it, in order; their count, shapes and rules, and a probe's shape, must
-    match the config."""
-    stack, shape = _build(cfg, input_shape, build_train_config(cfg).hebb_lr)
+    match the config.  At most an FHDS header is read, never an image."""
+    stack, shape = _build(cfg, input_shape(cfg), build_train_config(cfg).hebb_lr)
     hebb = [(key, i) for i, (key, _, _) in enumerate(_layer_specs(cfg)) if isinstance(stack[i], HebbLayer)]
     if len(ckpt.weights) != len(hebb):
         names = ", ".join(key for key, _ in hebb) or "model"

@@ -32,7 +32,7 @@ from .errors import (
     NonFiniteWeights,
     VersionMismatch,
 )
-from .layers import Flatten, HebbLayer, MaxPool, ReLU
+from .layers import HebbLayer, MaxPool
 from .tensor import Tensor
 
 __all__ = [
@@ -149,8 +149,6 @@ _PATIENCE = 3  # epochs without a better metric that make a plateau
 
 def _plateau_epoch(per_layer: list[list[float]], improving_down: list[bool]) -> Optional[int]:
     """First epoch after which no layer metric improves for ``_PATIENCE`` epochs."""
-    if not per_layer:
-        return None
     epochs = len(per_layer)
     best = list(per_layer[0])
     stale = 0
@@ -244,8 +242,6 @@ def _images_per_forward(stack: Sequence, images: np.ndarray) -> int:
                 w = ly.out_extent(w, g.kernel_w, g.stride, g.padding)
                 if h * w < tc.SAME_ROWS_FROM:
                     return _BATCH_IMAGES
-            elif not isinstance(stage, (ReLU, Flatten)):
-                return _BATCH_IMAGES
     except GeometryError:  # the forward raises this, or an earlier stage's error
         return _BATCH_IMAGES
     return _BLOCK_IMAGES

@@ -3,11 +3,12 @@ import struct
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fasthebb import cli as cli_mod, pipeline, rules, tensor as tc
+from fasthebb import cli as cli_mod, data as dio, pipeline, rules, tensor as tc
 from fasthebb.bench import CSV_COLUMNS, bench_kernels
 from fasthebb.cli import main
 from fasthebb.config import parse_config
@@ -18,6 +19,8 @@ from fasthebb.layers import HebbLayer
 from fasthebb.pipeline import LinearProbe, load_checkpoint, save_checkpoint
 from fasthebb.rules import LearningParams, UpdateResult
 from fasthebb.tensor import Tensor
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DEMO_CONFIG = """\
 [data]
@@ -89,14 +92,14 @@ def _image(*layers):
     return argv
 
 
-def _demo_ckpt(command, *args, weights=np.zeros((1, 6, 16)), probe=np.zeros((4, 6)), edit=bytes):
-    """``command`` on a checkpoint of DEMO_CONFIG with these layer and probe
+def _demo_ckpt(command, *args, weights=np.zeros((1, 6, 16)), probe=np.zeros((4, 6)), edit=bytes, echo=DEMO_CONFIG):
+    """``command`` on a checkpoint of ``echo`` with these layer and probe
     weights, its bytes passed through ``edit``."""
 
     def argv(tmp_path):
         path = tmp_path / "m.fhb"
         stack = [HebbLayer(Tensor(weights), LearningParams(rule="hpca"))]
-        save_checkpoint(path, stack, LinearProbe(probe, np.zeros(4)), DEMO_CONFIG)
+        save_checkpoint(path, stack, LinearProbe(probe, np.zeros(4)), echo)
         path.write_bytes(edit(path.read_bytes()))
         return [command, "--ckpt", str(path), *args]
 
@@ -212,6 +215,22 @@ BAD_INPUTS = {
     "fhds-nan-pixel": (_nan_pixel, 2, "d.fhds: 1 of 6144 image values are NaN or Inf"),
     # 728 TiB of labels: more than any user address space
     "num-out-of-memory": (_demo("num = 200", "num = 100000000000000"), 2, "error: out of memory: "),
+    "data-without-kind": (_demo("kind = clusters\n", ""), 2, "missing required key 'kind'"),
+    "data-kind-foo": (_demo("kind = clusters", "kind = foo"), 2, "unknown data kind 'foo'"),
+    "dense-without-n": (_demo("dense n=6 ", "dense "), 2, "layer1: missing required key 'n'"),
+    "temperature-0": (_demo("lr=0.01", "lr=0.01 t=0"), 2, "layer1: temperature must be > 0"),
+    "empty-layer-spec": (_demo("layer2 = relu", "layer2 ="), 2, "layer2: empty layer spec"),
+    "layer-option-without-equals": (_demo("rule=hpca", "rule"), 2, "layer1: bad layer option 'rule'"),
+    "conv-after-flatten": (_image("flatten", "conv k=3 n=2"), 2, "layer2: conv needs image-shaped input"),
+    "config-line-without-equals": (_demo("epochs = 4", "epochs 4"), 2, "expected 'key = value'"),
+    "report-empty-file": (lambda tmp_path: ["report", "--in", _write(tmp_path, "r.csv", "")], 2, "r.csv is empty"),
+    # 40 samples at 1% round to no labeled sample
+    "probe-regime-1-of-40": (
+        lambda tmp_path: _demo_ckpt(
+            "probe", "--regime", "1", "--out", str(tmp_path / "p.fhb"), echo=DEMO_CONFIG.replace("num = 200", "num = 40")
+        )(tmp_path),
+        3, "train_probe needs at least one labeled sample",
+    ),
 }
 
 TWO_HEBB_CONFIG = DEMO_CONFIG.replace("layer2 = relu", "layer2 = relu\nlayer3 = dense n=4 rule=hpca")
@@ -234,6 +253,18 @@ CKPT_MISMATCHES = {
         "probe: expected weights of shape (8, 16), got (8, 17)",
     ),
 }
+
+
+def _record_loads(monkeypatch):
+    """The paths ``data.load_dataset`` is called with from now on."""
+    loads = []
+
+    def load(path, _orig=dio.load_dataset):
+        loads.append(str(path))
+        return _orig(path)
+
+    monkeypatch.setattr(dio, "load_dataset", load)
+    return loads
 
 
 def _write_bytes(path, raw):
@@ -399,8 +430,9 @@ class TestCli:
             (["--grid", "B=x;N=2;S=3"], 2),
             (["--grid", "B=0;N=2;S=3"], 2),
             (["--grid", "B=8;N=-1;S=3"], 2),
+            (["--grid", "B=8;B=16;N=2;S=3"], 2),
         ],
-        ids=["reps-floor", "unknown-rule", "empty-rule-list", "empty-rule", "non-integer", "zero", "negative"],
+        ids=["reps-floor", "unknown-rule", "empty-rule-list", "empty-rule", "non-integer", "zero", "negative", "repeated-axis"],
     )
     def test_bench_bad_arguments_one_line(self, args, code, tmp_path, capsys):
         assert main(["bench", *args, "--out", str(tmp_path / "x.csv")]) == code
@@ -458,26 +490,65 @@ class TestCli:
         assert ckpt.read_bytes() == raw
 
     @pytest.mark.parametrize(
-        "test_file, needle",
-        [(None, "t.fhds"), (b"FHDS\x01", "t.fhds"), (np.ones((8, 1, 4, 5)), "(1, 4, 5), train images (1, 4, 4)")],
-        ids=["missing", "truncated", "other-shape"],
+        "command, test_file, needle",
+        [
+            ("probe", None, "t.fhds"),
+            ("probe", b"FHDS\x01", "t.fhds"),
+            ("probe", np.ones((8, 1, 4, 5)), "(1, 4, 5), train images (1, 4, 4)"),
+            ("eval", np.ones((8, 1, 4, 5)), "(1, 4, 5), train images (1, 4, 4)"),
+        ],
+        ids=["missing", "truncated", "other-shape", "eval-other-shape"],
     )
-    def test_probe_checks_the_test_split_before_any_feature(self, test_file, needle, tmp_path, capsys, monkeypatch):
+    def test_probe_checks_the_test_split_before_any_feature(self, command, test_file, needle, tmp_path, capsys, monkeypatch):
+        """``probe``, and ``eval`` on a checkpoint probed before its test file changed."""
         save_dataset(tmp_path / "d.fhds", Dataset(np.ones((8, 1, 4, 4)), np.zeros(8), 1))
+        text = IMAGE_CONFIG.format(data=tmp_path / "d.fhds", layers="layer1 = dense n=2")
+        text = text.replace(f"test_path = {tmp_path / 'd.fhds'}", f"test_path = {tmp_path / 't.fhds'}")
+        assert main(_pretrain(tmp_path, text)) == 0
+        if command == "eval":
+            save_dataset(tmp_path / "t.fhds", Dataset(np.ones((8, 1, 4, 4)), np.zeros(8), 1))
+            assert main(["probe", "--ckpt", str(tmp_path / "m.fhb"), "--regime", "25"]) == 0
         if isinstance(test_file, bytes):
             _write_bytes(tmp_path / "t.fhds", test_file)
         elif test_file is not None:
             save_dataset(tmp_path / "t.fhds", Dataset(test_file, np.zeros(len(test_file)), 1))
-        text = IMAGE_CONFIG.format(data=tmp_path / "d.fhds", layers="layer1 = dense n=2")
-        text = text.replace(f"test_path = {tmp_path / 'd.fhds'}", f"test_path = {tmp_path / 't.fhds'}")
-        assert main(_pretrain(tmp_path, text)) == 0
         calls = []
         monkeypatch.setattr(pipeline, "extract_features", lambda *args: calls.append(args))
         capsys.readouterr()
-        assert main(["probe", "--ckpt", str(tmp_path / "m.fhb"), "--regime", "25"]) == 2
+        loads = _record_loads(monkeypatch)
+        argv = {"probe": ["--regime", "25"], "eval": []}[command]
+        assert main([command, "--ckpt", str(tmp_path / "m.fhb"), *argv]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "t.fhds" in err and needle in err
         assert calls == []
+        assert str(tmp_path / "t.fhds") not in loads  # the headers are compared before the test split loads
+
+    @pytest.mark.parametrize("command", ["probe", "eval"])
+    def test_checkpoint_is_checked_before_any_image(self, command, tmp_path, capsys, monkeypatch):
+        save_dataset(tmp_path / "d.fhds", Dataset(np.ones((8, 1, 4, 4)), np.zeros(8), 1))
+        text = IMAGE_CONFIG.format(data=tmp_path / "d.fhds", layers="layer1 = dense n=2\nlayer2 = dense n=3")
+        stack = [HebbLayer(Tensor(np.zeros((1, 2, 16))), LearningParams())]
+        save_checkpoint(tmp_path / "m.fhb", stack, LinearProbe(np.zeros((1, 3)), np.zeros(1)), text)
+        loads = _record_loads(monkeypatch)
+        argv = {"probe": ["--regime", "25"], "eval": []}[command]
+        assert main([command, "--ckpt", str(tmp_path / "m.fhb"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "layer1, layer2: expected 2 Hebbian weight blocks, got 1" in err
+        assert loads == []
+
+    def test_pretrain_prints_its_converged_epoch(self, tmp_path, capsys):
+        text = (ROOT / "configs" / "demo.cfg").read_text()
+        text = text.replace("lr=0.005", "lr=1e-300").replace("epochs = 20", "epochs = 10")
+        assert main(_pretrain(tmp_path, text)) == 0
+        assert "converged at epoch 5\n" in capsys.readouterr().out
+
+    def test_gaussian_data_with_heavy_ball_probe(self, tmp_path, capsys):
+        text = DEMO_CONFIG.replace("kind = clusters", "kind = gaussian\ncov_diag = 4,3,2,1,1,1,1,1,1,1,1,1,1,1,1,0.5")
+        text = text.replace("clusters = 4\nseparation = 10.0\n", "").replace("epochs = 4", "epochs = 4\nnesterov = false")
+        assert main(_pretrain(tmp_path, text)) == 0
+        assert main(["probe", "--ckpt", str(tmp_path / "m.fhb"), "--regime", "25"]) == 0
+        assert "labeled samples: 50" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "data, layer",

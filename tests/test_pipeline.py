@@ -614,6 +614,28 @@ class TestProbe:
         assert probe.best_epoch == 7
         assert evaluate(probe, feats, labels) == probe.val_accuracy
 
+    def test_without_nesterov_takes_heavy_ball_steps(self):
+        # one epoch of two batches: v1 = g1, w1 = w0 - lr v1; v2 = m v1 + g2, w2 = w1 - lr v2
+        rng = np.random.default_rng(3)
+        feats = rng.standard_normal((20, 4))
+        labels = rng.integers(0, 3, size=20)
+        cfg = TrainConfig(epochs=1, batch_size=10, probe_lr=0.5, momentum=0.9, nesterov=False, early_stopping=False, seed=4)
+        draws = np.random.default_rng(cfg.seed)  # the draws train_probe makes: split order, init, batch order
+        draws.permutation(20)
+        w, b = draws.normal(0.0, 0.01, size=(3, 4)), np.zeros(3)
+        order = draws.permutation(20)
+        vw, vb = np.zeros_like(w), np.zeros_like(b)
+        lr = learning_rate(cfg.probe_lr, 0, cfg.epochs)  # half the base rate in a one-epoch schedule
+        for batch in (order[:10], order[10:]):
+            _, gw, gb = probe_loss_grad(w, b, feats[batch], labels[batch])
+            vw, vb = cfg.momentum * vw + gw, cfg.momentum * vb + gb
+            w, b = w - lr * vw, b - lr * vb
+        probe = train_probe(feats, labels, cfg)
+        np.testing.assert_allclose(probe.weights, w, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(probe.bias, b, rtol=1e-12, atol=1e-15)
+        nesterov = train_probe(feats, labels, TrainConfig(**{**cfg.__dict__, "nesterov": True}))
+        assert not np.allclose(nesterov.weights, w, rtol=1e-6)
+
     def test_empty_labeled_set(self):
         with pytest.raises(EmptyLabeledSet):
             train_probe(np.zeros((0, 3)), np.zeros(0, dtype=int), TrainConfig())
