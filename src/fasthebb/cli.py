@@ -14,7 +14,7 @@ import numpy as np
 from . import bench as bench_mod, pipeline, rules
 from .config import load_config, parse_config
 from .data import REGIME_FRACTIONS, Regime, split_regime
-from .errors import ConfigError, CorruptFile, EquivalenceViolation, FastHebbError, UsageError
+from .errors import ConfigError, CorruptFile, EmptyLabeledSet, EquivalenceViolation, FastHebbError, UsageError
 from .experiment import build_dataset, build_stack, build_train_config, input_shape, restore_stack
 
 EXIT_OK = 0
@@ -118,6 +118,8 @@ def _cmd_probe(args) -> int:
     train_cfg = build_train_config(cfg, seed_override=args.seed)
     data = build_dataset(cfg, "train")
     labeled, _ = split_regime(data, Regime(args.regime, args.seed))
+    if not len(labeled):  # before the test split loads
+        raise EmptyLabeledSet(f"the {args.regime}% regime labels none of the {len(data)} train samples")
     class_count = data.class_count
     del data  # the labeled subset is a copy; no other train image is read again
     test = build_dataset(cfg, "test")  # a bad test split fails before any feature is computed

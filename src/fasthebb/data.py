@@ -42,6 +42,7 @@ REGIME_FRACTIONS = (1, 2, 3, 4, 5, 10, 25, 100)
 
 FHDS_MAGIC = b"FHDS"
 FHDS_VERSION = 1
+FHDS_MAX_CLASSES = 65_536  # above ImageNet-21k's 21,841; a larger count is a damaged header
 
 
 @dataclass(frozen=True)
@@ -279,6 +280,8 @@ def load_dataset(path) -> Dataset:
         _read_exactly(fh, images, path)
         tail = np.empty(1 + shape[0], dtype="<u4")  # class count, then the labels
         _read_exactly(fh, tail, path)
+    if tail[0] > FHDS_MAX_CLASSES:  # split_regime allocates and loops per class
+        raise CorruptFile(f"{path}: class count {tail[0]} exceeds {FHDS_MAX_CLASSES}")
     flat = images.reshape(-1)
     # one buffer for every block: a fresh array per block raised the peak RSS
     # of the benchmark's kernels workload from 189 to 204 MB

@@ -10,7 +10,7 @@ import numpy as np
 from . import data as dio
 from .data import Dataset
 from .errors import ConfigError, CorruptFile, GeometryError
-from .layers import ConvGeometry, Flatten, HebbLayer, MaxPool, ReLU, init_weights, out_extent
+from .layers import ConvGeometry, Flatten, HebbLayer, MaxPool, ReLU, init_weights
 from .pipeline import CheckpointData, TrainConfig
 from .rules import LearningParams, update_fn
 from .tensor import Tensor
@@ -148,48 +148,38 @@ def _layer_specs(cfg: dict) -> list[tuple[str, str, dict[str, str]]]:
 
 
 def build_stack(cfg: dict, input_shape: tuple[int, int, int], hebb_lr: float) -> list:
-    """Build the stage list from the [model] section, inferring each
-    Hebbian layer's input size from the shapes that precede it."""
-    return _build(cfg, input_shape, hebb_lr)[0]
-
-
-def _build(cfg: dict, input_shape: tuple, hebb_lr: float) -> tuple[list, tuple]:
-    """The stage list and the shape of its output."""
+    """Build the stage list from the [model] section, sizing each Hebbian
+    layer's input by the ``out_shape`` of the stages that precede it."""
     init_seed = _read(cfg.get("model", {}), "init_seed", int, 0, floor=0)
-    specs = _layer_specs(cfg)
     stack: list = []
     shape: tuple = input_shape  # (C, H, W) or (F,)
-    for i, (key, kind, opts) in enumerate(specs):
+    for i, (key, kind, opts) in enumerate(_layer_specs(cfg)):
         try:
-            stage, shape = _build_stage(kind, opts, shape, hebb_lr, init_seed + i)
+            stack.append(_build_stage(kind, opts, shape, hebb_lr, init_seed + i))
+            shape = stack[-1].out_shape(shape)
         except (ConfigError, GeometryError) as exc:
             raise ConfigError(f"{key}: {exc}") from None
-        stack.append(stage)
-    return stack, shape
+    return stack
 
 
-def _build_stage(kind: str, opts: dict, shape: tuple, hebb_lr: float, seed: int) -> tuple:
-    """One stage from its layer kind, options and input shape, with its output shape."""
+def _build_stage(kind: str, opts: dict, shape: tuple, hebb_lr: float, seed: int):
+    """One stage from its layer kind, options and input shape."""
     if kind == "relu":
-        return ReLU(), shape
+        return ReLU()
     if kind == "flatten":
-        return Flatten(), (int(np.prod(shape)),)
+        return Flatten()
     if kind != "dense" and len(shape) != 3:
         raise ConfigError(f"{kind} needs image-shaped input")
     if kind == "maxpool":
         window = _read(opts, "window", int, 2)
-        stride = _read(opts, "stride", int, window)
-        c, h, w = shape
-        return MaxPool(window, stride), (c, *(out_extent(e, window, stride, 0) for e in (h, w)))
-    geometry, size, out_hw = None, int(np.prod(shape)), ()
+        return MaxPool(window, _read(opts, "stride", int, window))
+    geometry, size = None, int(np.prod(shape))
     if kind == "conv":
-        c, h, w = shape
         k = _read(opts, "k", int, 3)
         kh, kw = _read(opts, "kh", int, k), _read(opts, "kw", int, k)
-        stride, pad = _read(opts, "stride", int, 1), _read(opts, "pad", int, 0)
-        geometry = ConvGeometry(kh, kw, c, stride, pad)
+        geometry = ConvGeometry(kh, kw, shape[0], _read(opts, "stride", int, 1), _read(opts, "pad", int, 0))
+        geometry.out_hw(*shape[1:])  # a bad geometry fails before any weight is drawn
         size = geometry.patch_size
-        out_hw = (out_extent(h, kh, stride, pad), out_extent(w, kw, stride, pad))
     n = _read(opts, "n", int, floor=1)
     impl = _read(opts, "impl", str, "fast")
     params = LearningParams(
@@ -198,8 +188,7 @@ def _build_stage(kind: str, opts: dict, shape: tuple, hebb_lr: float, seed: int)
         rule=_read(opts, "rule", str, LearningParams.rule),
     )
     update_fn(params.rule, impl)
-    layer = HebbLayer(init_weights(n, size, seed=seed), params, geometry, update_impl=impl)
-    return layer, (n, *out_hw)
+    return HebbLayer(init_weights(n, size, seed=seed), params, geometry, update_impl=impl)
 
 
 def build_train_config(cfg: dict, seed_override: int | None = None) -> TrainConfig:
@@ -220,7 +209,8 @@ def restore_stack(cfg: dict, ckpt: CheckpointData) -> list:
     split's :func:`input_shape`, and put the checkpoint's Hebbian weights in
     it, in order; their count, shapes and rules, and a probe's shape, must
     match the config.  At most an FHDS header is read, never an image."""
-    stack, shape = _build(cfg, input_shape(cfg), build_train_config(cfg).hebb_lr)
+    shape = input_shape(cfg)
+    stack = build_stack(cfg, shape, build_train_config(cfg).hebb_lr)
     hebb = [(key, i) for i, (key, _, _) in enumerate(_layer_specs(cfg)) if isinstance(stack[i], HebbLayer)]
     if len(ckpt.weights) != len(hebb):
         names = ", ".join(key for key, _ in hebb) or "model"
@@ -232,6 +222,8 @@ def restore_stack(cfg: dict, ckpt: CheckpointData) -> list:
         if rule != layer.params.rule:
             raise CorruptFile(f"{key}: expected rule {layer.params.rule!r}, got {rule!r}")
         stack[i] = replace(layer, weights=Tensor(weights))
+    for stage in stack:
+        shape = stage.out_shape(shape)
     probe, features = ckpt.probe, int(np.prod(shape))  # extract_features flattens the last stage
     if probe is not None and probe.weights.shape != (len(probe.bias), features):
         raise CorruptFile(f"probe: expected weights of shape {(len(probe.bias), features)}, got {probe.weights.shape}")

@@ -50,6 +50,11 @@ class ConvGeometry:
     def patch_size(self) -> int:
         return self.kernel_h * self.kernel_w * self.in_channels
 
+    def out_hw(self, h: int, w: int) -> tuple[int, int]:
+        """The out_h x out_w kernel positions on an h x w image."""
+        return (out_extent(h, self.kernel_h, self.stride, self.padding),
+                out_extent(w, self.kernel_w, self.stride, self.padding))
+
 
 @dataclass(frozen=True)
 class PatchBatch:
@@ -83,12 +88,21 @@ class HebbLayer:
     def forward(self, x: Tensor) -> Tensor:
         return conv_forward(self, x)
 
+    def out_shape(self, in_shape: tuple) -> tuple:
+        """(N,) for a dense layer, (N, out_h, out_w) for a conv layer on C x H x W input."""
+        if self.geometry is None:
+            return (self.num_neurons,)
+        return (self.num_neurons, *self.geometry.out_hw(*in_shape[1:]))
+
 
 class ReLU:
     """Fixed-function rectifier stage."""
 
     def forward(self, x: Tensor) -> Tensor:
         return relu(x)
+
+    def out_shape(self, in_shape: tuple) -> tuple:
+        return in_shape
 
 
 @dataclass(frozen=True)
@@ -101,13 +115,19 @@ class MaxPool:
     def forward(self, x: Tensor) -> Tensor:
         return max_pool(x, self.window, self.stride)
 
+    def out_shape(self, in_shape: tuple) -> tuple:
+        c, h, w = in_shape
+        return (c, *(out_extent(e, self.window, self.stride, 0) for e in (h, w)))
+
 
 class Flatten:
     """Collapse everything but the batch dimension."""
 
     def forward(self, x: Tensor) -> Tensor:
-        b = x.shape[0]
-        return tc.reshape(x, (b, x.size // b))
+        return tc.reshape(x, (x.shape[0], *self.out_shape(x.shape[1:])))
+
+    def out_shape(self, in_shape: tuple) -> tuple:
+        return (int(np.prod(in_shape)),)
 
 
 def init_weights(n: int, s: int, seed: int, dtype=np.float64) -> Tensor:
@@ -150,33 +170,30 @@ def _patch_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int) -> np.
 def extract_patches(images: Tensor, geometry: ConvGeometry) -> PatchBatch:
     """Flatten every window of every image into one large batch.  The batch is
     one buffer, gathered in ranges of images by
-    :func:`~fasthebb.tensor.split_rows` through one cached index of the patch
-    offsets of a padded image.  That index holds out_h * out_w * S intp values
-    per conv shape (about 0.6 MB for 3 x 32 x 32 images at k=5, 30 MB for
-    224 x 224 RGB images at k=5), and the cache keeps the last 8 shapes."""
+    :func:`~fasthebb.tensor.split_rows`, each range padding its own images,
+    through one cached index of the patch offsets of a padded image.  That
+    index holds out_h * out_w * S intp values per conv shape (about 0.6 MB
+    for 3 x 32 x 32 images at k=5, 30 MB for 224 x 224 RGB images at k=5),
+    and the cache keeps the last 8 shapes."""
     if images.ndim != 4:
         raise ShapeMismatch(f"expected BxCxHxW images, got {images.shape}")
     b, c, h, w = images.shape
     g = geometry
     if c != g.in_channels:
         raise ShapeMismatch(f"expected {g.in_channels} channels, got {c}")
-    out_h = out_extent(h, g.kernel_h, g.stride, g.padding)
-    out_w = out_extent(w, g.kernel_w, g.stride, g.padding)
-    arr = images.data
-    if g.padding:
-        arr = np.pad(
-            arr,
-            ((0, 0), (0, 0), (g.padding, g.padding), (g.padding, g.padding)),
-        )
-    hp, wp = arr.shape[2], arr.shape[3]
+    out_h, out_w = g.out_hw(h, w)
+    p = g.padding
+    hp, wp = h + 2 * p, w + 2 * p
     idx = _patch_index(c, hp, wp, g.kernel_h, g.kernel_w, g.stride)
-    src = arr.reshape(b, c * hp * wp)
-    flat = np.empty((b, idx.size), dtype=arr.dtype)
+    flat = np.empty((b, idx.size), dtype=images.dtype)
 
     def fill(start: int, stop: int) -> None:
+        src = images.data[start:stop]
+        if p:
+            src = np.pad(src, ((0, 0), (0, 0), (p, p), (p, p)))
         # "clip" lets numpy write straight into ``flat``; under "raise" it
         # gathers into a temporary first.  Every offset is in range.
-        np.take(src[start:stop], idx, axis=1, out=flat[start:stop], mode="clip")
+        np.take(src.reshape(stop - start, c * hp * wp), idx, axis=1, out=flat[start:stop], mode="clip")
 
     tc.split_rows(fill, b)
     return PatchBatch(Tensor(flat.reshape(b * out_h * out_w, 1, g.patch_size)))
@@ -206,13 +223,12 @@ def layer_output(layer: HebbLayer, y: Tensor, x: Tensor) -> Tensor:
     """The b_eff x N x 1 forward ``y`` of ``layer_rows(layer, x)`` as the
     stage output: B x N (dense) or B x N x out_h x out_w (conv), the latter
     copied in ranges of images by :func:`~fasthebb.tensor.split_rows`."""
-    b, n, g = x.shape[0], layer.num_neurons, layer.geometry
-    if g is None:
-        return tc.reshape(y, (b, n))
-    out_h = out_extent(x.shape[2], g.kernel_h, g.stride, g.padding)
-    out_w = out_extent(x.shape[3], g.kernel_w, g.stride, g.padding)
+    shape = (x.shape[0], *layer.out_shape(x.shape[1:]))
+    if layer.geometry is None:
+        return tc.reshape(y, shape)
+    b, n, out_h, out_w = shape
     grid = y.data.reshape(b, out_h, out_w, n)
-    out = np.empty((b, n, out_h, out_w), dtype=y.dtype)
+    out = np.empty(shape, dtype=y.dtype)
 
     def fill(start: int, stop: int) -> None:
         out[start:stop] = np.transpose(grid[start:stop], (0, 3, 1, 2))
@@ -261,8 +277,8 @@ def max_pool(x: Tensor, window: int, stride: int) -> Tensor:
     maxima (``+0.0``, ``-0.0``) the last in row-major window order wins."""
     if x.ndim != 4:
         raise ShapeMismatch(f"expected BxCxHxW input, got {x.shape}")
-    b, c, h, w = x.shape
-    out_w, out_h = out_extent(w, window, stride, 0), out_extent(h, window, stride, 0)
+    b = x.shape[0]
+    c, out_h, out_w = MaxPool(window, stride).out_shape(x.shape[1:])
     span_w, span_h = (out_w - 1) * stride + 1, (out_h - 1) * stride + 1
     out = np.empty((b, c, out_h, out_w), dtype=x.dtype)
 

@@ -4,9 +4,9 @@ constant-then-halving learning-rate schedule, Nesterov momentum, and early
 stopping on validation accuracy.
 
 Both phases use the thread pool of :mod:`~fasthebb.tensor` where that keeps
-every bit: feature extraction forwards blocks of images on it, and a pretrain
-step runs the HPCA metric on it beside the update kernel, while the layers
-split patch rows, forwards and stage outputs over it.  The update's
+every bit: feature extraction splits its blocks of images over it, and a
+pretrain step runs the HPCA metric on it beside the update kernel, while the
+layers split patch rows, forwards and stage outputs over it.  The update's
 contractions over the batch stay on the calling thread."""
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ from .errors import (
     ConfigError,
     CorruptFile,
     EmptyLabeledSet,
-    GeometryError,
     NonFiniteWeights,
     VersionMismatch,
 )
-from .layers import HebbLayer, MaxPool
+from .layers import HebbLayer
 from .tensor import Tensor
 
 __all__ = [
@@ -225,56 +224,33 @@ _BLOCK_IMAGES = 16  # images per forward when every Hebbian layer has that many 
 _BATCH_IMAGES = 256  # images per forward otherwise
 
 
-def _images_per_forward(stack: Sequence, images: np.ndarray) -> int:
-    """``_BLOCK_IMAGES`` when every Hebbian layer is a conv layer with at least
-    ``SAME_ROWS_FROM`` patch rows per image, else ``_BATCH_IMAGES``; the
-    extents are walked through the conv, relu and max-pool stages."""
-    h, w = images.shape[2:]
-    try:
-        for stage in stack:
-            if isinstance(stage, MaxPool):
-                h, w = (ly.out_extent(e, stage.window, stage.stride, 0) for e in (h, w))
-            elif isinstance(stage, HebbLayer):
-                g = stage.geometry
-                if g is None:
-                    return _BATCH_IMAGES
-                h = ly.out_extent(h, g.kernel_h, g.stride, g.padding)
-                w = ly.out_extent(w, g.kernel_w, g.stride, g.padding)
-                if h * w < tc.SAME_ROWS_FROM:
-                    return _BATCH_IMAGES
-    except GeometryError:  # the forward raises this, or an earlier stage's error
-        return _BATCH_IMAGES
-    return _BLOCK_IMAGES
-
-
 def extract_features(stack: Sequence, data: Dataset) -> np.ndarray:
     """Forward all samples through the stack, flattening the final stage.
 
-    The images go through in blocks on the thread pool of
-    :func:`~fasthebb.tensor.parallel_map`, and each block's rows are copied
-    into one feature matrix.  A block of 16 images keeps the stage buffers in
-    cache, but it may only be used where it changes no bit: a GEMM's output
-    rows keep their bits at any row count only from
-    :data:`~fasthebb.tensor.SAME_ROWS_FROM` rows up.  So 16-image blocks apply
-    when every Hebbian layer is a conv layer with at least that many patch
-    rows (out_h * out_w) per image, and any other stack, one with a dense
-    Hebbian layer included, goes through in 256-image batches.  The stages
-    inside a block run inline on its worker."""
-    n = len(data)
-    if n == 0:
-        return np.zeros((0, 0))
-    size = _images_per_forward(stack, data.images)
-    starts = range(0, n, size)
+    The stages' ``out_shape`` give the feature width before any forward, so
+    the images go through in blocks that :func:`~fasthebb.tensor.split_rows`
+    hands out in ranges, each block's rows copied into one preallocated
+    feature matrix; the stages inside a block run inline on its thread.  A
+    block of 16 images keeps the stage buffers in cache, but it may only be
+    used where it changes no bit: a GEMM's output rows keep their bits at any
+    row count only from :data:`~fasthebb.tensor.SAME_ROWS_FROM` rows up.  So
+    16-image blocks apply when every Hebbian layer is a conv layer with at
+    least that many patch rows (out_h * out_w) per image, and any other stack,
+    one with a dense Hebbian layer (one row per image) included, goes through
+    in 256-image batches."""
+    n, shape, size = len(data), data.images.shape[1:], _BLOCK_IMAGES
+    for stage in stack:
+        shape = stage.out_shape(shape)
+        if isinstance(stage, HebbLayer) and int(np.prod(shape[1:])) < tc.SAME_ROWS_FROM:
+            size = _BATCH_IMAGES
+    features = np.empty((n, int(np.prod(shape))), dtype=data.images.dtype)
 
-    def forward(start: int) -> np.ndarray:
-        out = forward_stack(stack, Tensor(data.images[start : start + size]))
-        return out.data.reshape(out.shape[0], -1)
+    def fill(first: int, stop: int) -> None:
+        for start in range(first * size, min(stop * size, n), size):
+            out = forward_stack(stack, Tensor(data.images[start : start + size]))
+            features[start : start + size] = out.data.reshape(out.shape[0], -1)
 
-    features = None
-    for start, rows in zip(starts, tc.parallel_map(forward, starts)):
-        if features is None:
-            features = np.empty((n, rows.shape[1]), dtype=rows.dtype)
-        features[start : start + len(rows)] = rows
+    tc.split_rows(fill, -(-n // size))
     return features
 
 

@@ -21,20 +21,20 @@ the kernel on free; the next step then reuses pages it has already touched
 rather than faulting in and zeroing new ones.  The cost is that the process
 keeps its peak resident size after its largest step.
 
-:func:`parallel_map`, :func:`split_rows` and :func:`overlap` run work on a
-per-process thread pool whose workers fill the CPUs that BLAS leaves idle: the
-CPUs this process may run on, divided by the thread count of the loaded
-OpenBLAS, which import pins to one unless the environment sets it.  So by
-default the batch contractions run on the calling thread and the per-row work
-on every CPU.  ``parallel_map`` runs independent calls; ``split_rows`` fills one
-buffer in row ranges, the calling thread taking one range; ``overlap`` runs a
-second call beside the caller's.  The last two run inline when the pool has
-one worker, when called from a pool worker, so they nest inside
-``parallel_map`` calls, and on the calling thread while an ``overlap`` side
-runs, which then has the second CPU.  Only work whose bits do not depend on
-the split goes to the pool: copies (:func:`transpose` among them), per-row
-arithmetic whose every row depends on that row alone (:func:`softmax`), and
-GEMM rows in ranges of at least :data:`SAME_ROWS_FROM` rows.
+:func:`split_rows` is the one way work reaches the per-process thread pool,
+whose workers fill the CPUs that BLAS leaves idle: the CPUs this process may
+run on, divided by the thread count of the loaded OpenBLAS, which import pins
+to one unless the environment sets it.  So by default the batch contractions
+run on the calling thread and the per-row work on every CPU.  ``split_rows``
+fills one buffer in row ranges: the calling thread fills the first range,
+during which its own splits run inline, while pool workers fill the others.
+:func:`overlap` is a two-range split that runs a second call beside the
+caller's.  A split runs inline when the pool has one worker, on a pool
+worker, and on a caller while it fills its own range.  Only work whose
+bits do not depend on the split goes to the pool: copies (:func:`transpose`
+among them), per-row arithmetic whose every row depends on that row alone
+(:func:`softmax`), and GEMM rows in ranges of at least :data:`SAME_ROWS_FROM`
+rows.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "transpose",
     "reshape",
     "openblas_threads",
-    "parallel_map",
     "SAME_ROWS_FROM",
     "row_ranges",
     "split_rows",
@@ -131,7 +130,7 @@ def _pool_workers() -> int:
 _pool = None  # (ThreadPoolExecutor, its worker count) of process _pool_pid
 _pool_pid = -1
 _pool_lock = threading.Lock()
-_this_thread = threading.local()  # ``inline`` is set on the pool's own threads, and on a caller during overlap
+_this_thread = threading.local()  # ``inline`` is set on the pool's own threads, and on a caller filling its range
 
 
 def _mark_pool_thread() -> None:
@@ -167,20 +166,12 @@ def _in_callers_errstate(fn):
     return call
 
 
-def parallel_map(fn, items):
-    """An iterator over ``fn(item)`` for each item, in order, with the calls
-    run on the process's thread pool under the caller's floating-point error
-    settings.  A call that raises raises at its place in the iteration, and
-    the calls not yet started are then dropped."""
-    return _thread_pool()[0].map(_in_callers_errstate(fn), items)
-
-
 def _pool_to_share():
     """The pool that may take part of a call's work and its worker count, or
     (None, 1) when the call runs inline: on a pool worker, whose wait on the
-    pool could deadlock once every worker waits; on a caller inside
-    :func:`overlap`'s ``main``, whose side already has the second CPU; and
-    with a one-worker pool."""
+    pool could deadlock once every worker waits; on a caller filling its own
+    range of a :func:`split_rows`, whose other ranges already have the other
+    CPUs; and with a one-worker pool."""
     if getattr(_this_thread, "inline", False):
         return None, 1
     pool, workers = _thread_pool()
@@ -204,10 +195,11 @@ def row_ranges(count: int, parts: int, min_rows: int = 1) -> list[tuple[int, int
 def split_rows(fill, count: int, min_rows: int = 1) -> None:
     """Call ``fill(start, stop)`` on the :func:`row_ranges` of ``count``, one
     range per pool worker and each at least ``min_rows`` long.  The calling
-    thread fills the first range while pool workers fill the others under the
-    caller's floating-point error settings; the call returns when every range
-    is filled and then raises the first error in range order.  Inline, it is
-    one ``fill(0, count)`` on the calling thread."""
+    thread fills the first range, its own splits meanwhile running inline,
+    while pool workers fill the others under the caller's floating-point
+    error settings; the call returns when every range is filled and then
+    raises the first error in range order.  Inline, it is one
+    ``fill(0, count)`` on the calling thread."""
     pool, workers = _pool_to_share()
     ranges = row_ranges(count, workers, min_rows)
     if len(ranges) == 1:
@@ -217,34 +209,30 @@ def split_rows(fill, count: int, min_rows: int = 1) -> None:
 
     call = _in_callers_errstate(fill)
     futures = [pool.submit(call, start, stop) for start, stop in ranges[1:]]
+    _this_thread.inline = True
     try:
         fill(*ranges[0])
     finally:
+        _this_thread.inline = False
         wait(futures)
     for future in futures:
         future.result()
 
 
 def overlap(main, side):
-    """``(main(), side())``, with ``side`` run on a pool worker under the
-    caller's floating-point error settings while ``main`` runs on the calling
-    thread.  While ``side`` runs, the splits ``main`` makes on the calling
-    thread run inline.  An error in ``main`` is raised once ``side`` has
-    finished, else an error in ``side``.  Inline, ``main`` runs and then
-    ``side``."""
-    pool, _ = _pool_to_share()
-    if pool is None:
-        return main(), side()
-    from concurrent.futures import wait
+    """``(main(), side())``, as a :func:`split_rows` of two ranges: ``side``
+    runs on a pool worker while ``main`` runs on the calling thread, whose
+    splits meanwhile run inline.  An error in ``main`` is raised once
+    ``side`` has finished, else an error in ``side``.  Inline, ``main`` runs
+    and then ``side``."""
+    calls, out = (main, side), [None, None]
 
-    future = pool.submit(_in_callers_errstate(side))
-    _this_thread.inline = True
-    try:
-        out = main()
-    finally:
-        _this_thread.inline = False
-        wait([future])
-    return out, future.result()
+    def fill(start: int, stop: int) -> None:
+        for i in range(start, stop):
+            out[i] = calls[i]()
+
+    split_rows(fill, 2)
+    return tuple(out)
 
 
 class AllocationTracker:

@@ -184,6 +184,12 @@ BAD_INPUTS = {
     "bench-json-is-directory": (
         _cli("bench", "--grid", "B=8;N=2;S=3", "--out", "{tmp}/x.csv", "--json", "{tmp}"), 2, "directory",
     ),
+    "bench-grid-component-without-equals": (
+        _cli("bench", "--grid", "B=8;N2;S=3", "--out", "{tmp}/x.csv"), 2, "bad grid component 'N2'",
+    ),
+    "bench-grid-axis-k": (
+        _cli("bench", "--grid", "B=8;N=2;K=3", "--out", "{tmp}/x.csv"), 2, "grid axis must be B, N or S, got 'K'",
+    ),
     "report-ragged-csv": (
         lambda tmp_path: ["report", "--in", _write(tmp_path, "r.csv", "a,b,c\n1,2\n")], 2, "column",
     ),
@@ -229,7 +235,7 @@ BAD_INPUTS = {
         lambda tmp_path: _demo_ckpt(
             "probe", "--regime", "1", "--out", str(tmp_path / "p.fhb"), echo=DEMO_CONFIG.replace("num = 200", "num = 40")
         )(tmp_path),
-        3, "train_probe needs at least one labeled sample",
+        3, "the 1% regime labels none of the 40 train samples",
     ),
 }
 
@@ -637,6 +643,44 @@ class TestCli:
         assert main(["eval", "--ckpt", str(ckpt), "--topk", "1"]) == 0
         out = capsys.readouterr().out
         assert "top-1 accuracy" in out
+
+    def test_probe_without_labeled_samples_fails_before_the_test_split(self, tmp_path, capsys, monkeypatch):
+        ckpt = tmp_path / "m.fhb"
+        assert main(_pretrain(tmp_path, DEMO_CONFIG.replace("num = 200", "num = 40"))) == 0
+        raw = ckpt.read_bytes()
+        builds, extracted = [], []
+
+        def build(cfg, split, _orig=cli_mod.build_dataset):
+            builds.append(split)
+            return _orig(cfg, split)
+
+        def extract(stack, data, _orig=pipeline.extract_features):
+            extracted.append(len(data))
+            return _orig(stack, data)
+
+        monkeypatch.setattr(cli_mod, "build_dataset", build)
+        monkeypatch.setattr(pipeline, "extract_features", extract)
+        capsys.readouterr()
+        assert main(["probe", "--ckpt", str(ckpt), "--regime", "1"]) == 3  # 1% of 40 rounds to 0
+        err = capsys.readouterr().err
+        assert err == "error: the 1% regime labels none of the 40 train samples\n"
+        assert builds == ["train"] and extracted == []
+        assert ckpt.read_bytes() == raw
+
+    def test_probe_on_a_class_count_above_the_cap(self, tmp_path, capsys):
+        path = tmp_path / "d.fhds"
+        save_dataset(path, Dataset(np.ones((8, 1, 4, 4)), np.zeros(8), 1))
+        assert main(_pretrain(tmp_path, IMAGE_CONFIG.format(data=path, layers="layer1 = dense n=2"))) == 0
+        raw = (tmp_path / "m.fhb").read_bytes()
+        classes = 65_537  # one above the cap; at 2**31, split_regime without the cap allocates 16 GiB
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 28 + 8 * 8 * 16, classes)
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["probe", "--ckpt", str(tmp_path / "m.fhb"), "--regime", "25"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: class count {classes} exceeds 65536\n"
+        assert (tmp_path / "m.fhb").read_bytes() == raw
 
     def test_probe_drops_the_train_split_before_extraction(self, demo_config, tmp_path, monkeypatch):
         ckpt = tmp_path / "model.fhb"

@@ -253,6 +253,21 @@ class TestFhdsFormat:
         with pytest.raises(CorruptFile, match=re.escape(f"{path}: impossible image shape ({2**31}, ")):
             dio.load_dataset(path)
 
+    @pytest.mark.parametrize("classes", [65_537, 2**31, 2**32 - 1])
+    def test_class_count_above_the_cap(self, tmp_path, classes):
+        path = tmp_path / "c.fhds"
+        dio.save_dataset(path, make_labeled_dataset(4, 2))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 28 + 8 * 16, classes)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptFile, match=re.escape(f"{path}: class count {classes} exceeds 65536")):
+            dio.load_dataset(path)
+
+    def test_class_count_at_the_cap_loads(self, tmp_path):
+        path = tmp_path / "c.fhds"
+        dio.save_dataset(path, Dataset(np.zeros((2, 1, 1, 3)), [0, 65_535], 65_536))
+        assert dio.load_dataset(path).class_count == 65_536
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_image_value(self, tmp_path, value):
         ds = make_labeled_dataset(4, 2)

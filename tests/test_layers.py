@@ -10,7 +10,10 @@ from fasthebb.errors import ConfigError, GeometryError, NonFiniteWeights, ShapeM
 from fasthebb.experiment import build_stack
 from fasthebb.layers import (
     ConvGeometry,
+    Flatten,
     HebbLayer,
+    MaxPool,
+    ReLU,
     apply_update,
     conv_forward,
     extract_patches,
@@ -316,6 +319,24 @@ class TestFixedFunction:
         img = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
         np.testing.assert_array_equal(max_pool(img, 2, 2).data, [[[[4.0]]]])
 
+    def test_flatten_empty_batch(self):
+        assert Flatten().forward(Tensor(np.zeros((0, 3, 4, 5)))).shape == (0, 60)
+
+    def test_out_shape_is_the_shape_of_the_forward(self):
+        x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 9, 7)))
+        stack = [
+            HebbLayer(init_weights(4, 27, seed=0), LearningParams(), ConvGeometry(3, 3, 3, stride=2, padding=1)),
+            ReLU(),
+            MaxPool(2, 1),
+            Flatten(),
+            HebbLayer(init_weights(5, 48, seed=1), LearningParams()),
+        ]
+        for stage in stack:
+            want = (2, *stage.out_shape(x.shape[1:]))
+            x = stage.forward(x)
+            assert x.shape == want
+        assert x.shape == (2, 5)
+
     def test_max_pool_geometry_error(self):
         with pytest.raises(GeometryError):
             max_pool(Tensor(np.zeros((1, 1, 2, 2))), 3, 1)
@@ -388,8 +409,8 @@ class TestMaxPoolProperty:
 
 
 class TestBuildStackShapes:
-    """build_stack infers each Hebbian layer's input size with the same
-    out_extent the stages run; a wrong inference would surface as a
+    """build_stack infers each Hebbian layer's input size from the same
+    out_shape the stages run; a wrong inference would surface as a
     ShapeMismatch when forward_stack reaches the next Hebbian layer.  Values
     come from [-2, 12] (n from [-2, 4]), half the time from their valid low
     end, so that about one stack in ten builds."""

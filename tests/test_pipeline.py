@@ -14,6 +14,7 @@ from fasthebb.errors import (
     BadMagic,
     CorruptFile,
     EmptyLabeledSet,
+    GeometryError,
     NonFiniteWeights,
     ShapeMismatch,
     VersionMismatch,
@@ -425,7 +426,7 @@ class TestExtractFeaturesInBlocks:
 
     def test_workers_keep_the_callers_errstate(self, pool_workers):
         stack = [HebbLayer(Tensor(np.full((1, 2, 4), 1e300)), LearningParams()), ReLU()]
-        ds = Dataset(np.full((40, 1, 1, 4), 1e300), np.zeros(40, dtype=np.int64), 1)
+        ds = Dataset(np.full((300, 1, 1, 4), 1e300), np.zeros(300, dtype=np.int64), 1)  # two blocks: one per thread
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # a warning in any thread raises
             with np.errstate(all="ignore"):
@@ -446,6 +447,16 @@ class TestExtractFeaturesInBlocks:
             proc.kill()
             proc.join()
         assert proc.exitcode == 0
+
+    def test_empty_dataset_gives_no_rows_of_the_feature_width(self, forward_sizes):
+        empty = Dataset(np.zeros((0, 3, 32, 32)), np.zeros(0), 1)
+        assert extract_features(_bench_stack(), empty).shape == (0, 64 * 8 * 8)
+        assert forward_sizes == []
+
+    def test_images_of_another_size_fail_before_any_forward(self, forward_sizes):
+        with pytest.raises(GeometryError, match="kernel 2 exceeds padded extent 1"):
+            extract_features(_bench_stack(), _images(4, shape=(3, 2, 2)))  # pooled to 1 x 1 before the second pool
+        assert forward_sizes == []
 
     def test_an_error_in_a_block_reaches_the_caller(self, pool_workers):
         stack = _bench_stack()

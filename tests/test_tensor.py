@@ -507,11 +507,25 @@ class TestSplitRows:
 
         results = []
         with pool_of(2):
-            runner = threading.Thread(target=lambda: results.extend(tc.parallel_map(nested, range(2))))
+            runner = threading.Thread(target=lambda: results.extend(tc._thread_pool()[0].map(nested, range(2))))
             runner.start()
             runner.join(timeout=60)
             assert not runner.is_alive()
         assert results == [True, True]
+
+    def test_splits_inside_a_range_run_inline(self, pool_of):
+        # the caller's range and the worker's each have one CPU already
+        inner = {}
+
+        def fill(start, stop):
+            inner[start] = self._split(1000)
+
+        with pool_of(2):
+            tc.split_rows(fill, 2)
+            assert len(self._split(1000)) == 2  # and the caller's next split uses the pool
+        assert inner[0] == [(threading.get_ident(), 0, 1000)]
+        ((worker, start, stop),) = inner[1]
+        assert (start, stop) == (0, 1000) and worker != threading.get_ident()
 
     def test_overlap_runs_side_on_a_worker(self, pool_of):
         with pool_of(2):
