@@ -3,6 +3,13 @@
 A convolutional Hebbian update is, by construction, the dense update applied
 to the flattened patch batch: every window of every image becomes one row of
 a single larger mini-batch, and aggregation runs over all of them.
+
+A conv stage's output is B x N x out_h x out_w, stored channels-last (see
+:mod:`~fasthebb.tensor`): it is a view of the forward rows, which come out of
+the product as B x out_h x out_w x N.  ReLU and max pooling keep that layout,
+and the next conv gathers its patches from it; the dataset's images are
+row-major.  :class:`Flatten`, and the rows of a dense layer, copy a
+channels-last input into C x H x W order.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import rules, tensor as tc
-from .errors import GeometryError, NonFiniteWeights, ShapeMismatch
+from .errors import ConfigError, GeometryError, NonFiniteWeights, ShapeMismatch
 from .rules import LearningParams, UpdateResult
 from .tensor import Tensor
 
@@ -131,7 +138,10 @@ class Flatten:
 
 
 def init_weights(n: int, s: int, seed: int, dtype=np.float64) -> Tensor:
-    """Zero-mean Gaussian init with std 1/sqrt(S), seeded."""
+    """Zero-mean Gaussian init with std 1/sqrt(S), seeded; a 1 x N x S block
+    with N and S at least 1."""
+    if n < 1 or s < 1:
+        raise ConfigError(f"weights need n >= 1 and s >= 1, got n={n} and s={s}")
     rng = np.random.default_rng(seed)
     return Tensor(rng.normal(0.0, 1.0 / np.sqrt(s), size=(1, n, s)).astype(dtype))
 
@@ -152,15 +162,17 @@ def out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _patch_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int) -> np.ndarray:
-    """The flat offsets, into one padded C x Hp x Wp image, of every value of
-    every patch in :class:`PatchBatch` row order, read-only."""
+def _patch_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int, channels_last: bool = False) -> np.ndarray:
+    """The flat offsets, into one padded C x Hp x Wp image (Hp x Wp x C when
+    ``channels_last``), of every value of every patch in :class:`PatchBatch`
+    row order, read-only."""
     out_h, out_w = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    corner = (np.arange(out_h) * (stride * wp))[:, None] + np.arange(out_w) * stride
+    step_c, step_h, step_w = (1, wp * c, c) if channels_last else (hp * wp, wp, 1)
+    corner = (np.arange(out_h) * (stride * step_h))[:, None] + np.arange(out_w) * (stride * step_w)
     window = (
-        (np.arange(c) * (hp * wp))[:, None, None]
-        + (np.arange(kh) * wp)[:, None]
-        + np.arange(kw)
+        (np.arange(c) * step_c)[:, None, None]
+        + (np.arange(kh) * step_h)[:, None]
+        + np.arange(kw) * step_w
     )
     idx = (corner[:, :, None, None, None] + window).astype(np.intp).ravel()
     idx.flags.writeable = False
@@ -171,10 +183,13 @@ def extract_patches(images: Tensor, geometry: ConvGeometry) -> PatchBatch:
     """Flatten every window of every image into one large batch.  The batch is
     one buffer, gathered in ranges of images by
     :func:`~fasthebb.tensor.split_rows`, each range padding its own images,
-    through one cached index of the patch offsets of a padded image.  That
-    index holds out_h * out_w * S intp values per conv shape (about 0.6 MB
-    for 3 x 32 x 32 images at k=5, 30 MB for 224 x 224 RGB images at k=5),
-    and the cache keeps the last 8 shapes."""
+    through one cached index of the patch offsets of a padded image.  A
+    channels-last source (a conv stage's output) is gathered from its
+    B x H x W x C buffer, with an index for that layout, so every row holds
+    the same values in the same order as from a row-major source.  An index
+    holds out_h * out_w * S intp values per conv shape and layout (about
+    0.6 MB for 3 x 32 x 32 images at k=5, 30 MB for 224 x 224 RGB images at
+    k=5), and the cache keeps the last 8."""
     if images.ndim != 4:
         raise ShapeMismatch(f"expected BxCxHxW images, got {images.shape}")
     b, c, h, w = images.shape
@@ -184,13 +199,18 @@ def extract_patches(images: Tensor, geometry: ConvGeometry) -> PatchBatch:
     out_h, out_w = g.out_hw(h, w)
     p = g.padding
     hp, wp = h + 2 * p, w + 2 * p
-    idx = _patch_index(c, hp, wp, g.kernel_h, g.kernel_w, g.stride)
+    data = images.data
+    channels_last = not data.flags.c_contiguous
+    if channels_last:
+        data = data.transpose(0, 2, 3, 1)  # B x H x W x C, row-major
+    pad = ((0, 0), (p, p), (p, p), (0, 0)) if channels_last else ((0, 0), (0, 0), (p, p), (p, p))
+    idx = _patch_index(c, hp, wp, g.kernel_h, g.kernel_w, g.stride, channels_last)
     flat = np.empty((b, idx.size), dtype=images.dtype)
 
     def fill(start: int, stop: int) -> None:
-        src = images.data[start:stop]
+        src = data[start:stop]
         if p:
-            src = np.pad(src, ((0, 0), (0, 0), (p, p), (p, p)))
+            src = np.pad(src, pad)
         # "clip" lets numpy write straight into ``flat``; under "raise" it
         # gathers into a temporary first.  Every offset is in range.
         np.take(src.reshape(stop - start, c * hp * wp), idx, axis=1, out=flat[start:stop], mode="clip")
@@ -201,19 +221,16 @@ def extract_patches(images: Tensor, geometry: ConvGeometry) -> PatchBatch:
 
 def conv_forward(layer: HebbLayer, x: Tensor) -> Tensor:
     """The forward of a dense or conv layer: the dense forward pass of its
-    :func:`layer_rows` (a conv layer's patches), copied out as the stage
-    output.  The rows are dropped before the output is copied, so at most two
-    of rows, forward and output are alive at once."""
-    rows = layer_rows(layer, x)
-    y = rules.forward_linear(layer.weights, rows)
-    del rows
-    return layer_output(layer, y, x)
+    :func:`layer_rows` (a conv layer's patches), viewed as the stage output,
+    so only the rows and the forward are ever alive at once."""
+    return layer_output(layer, rules.forward_linear(layer.weights, layer_rows(layer, x)), x)
 
 
 def layer_rows(layer: HebbLayer, x: Tensor) -> Tensor:
     """The layer's input as the b_eff x 1 x S rows its kernels see: each
-    sample flattened (dense) or each of its patches (conv).  Input that is
-    already b_eff x 1 x S rows passes through unchanged."""
+    sample flattened in C x H x W order (dense) or each of its patches
+    (conv).  Input that is already b_eff x 1 x S rows passes through
+    unchanged."""
     if layer.geometry is None or x.ndim == 3:
         return tc.reshape(x, (x.shape[0], 1, layer.input_size))
     return extract_patches(x, layer.geometry).patches
@@ -221,20 +238,14 @@ def layer_rows(layer: HebbLayer, x: Tensor) -> Tensor:
 
 def layer_output(layer: HebbLayer, y: Tensor, x: Tensor) -> Tensor:
     """The b_eff x N x 1 forward ``y`` of ``layer_rows(layer, x)`` as the
-    stage output: B x N (dense) or B x N x out_h x out_w (conv), the latter
-    copied in ranges of images by :func:`~fasthebb.tensor.split_rows`."""
+    stage output, a view of ``y``'s buffer that copies nothing: B x N
+    (dense) or B x N x out_h x out_w (conv), the latter channels-last, since
+    ``y``'s rows are B x out_h x out_w x N."""
     shape = (x.shape[0], *layer.out_shape(x.shape[1:]))
     if layer.geometry is None:
         return tc.reshape(y, shape)
     b, n, out_h, out_w = shape
-    grid = y.data.reshape(b, out_h, out_w, n)
-    out = np.empty(shape, dtype=y.dtype)
-
-    def fill(start: int, stop: int) -> None:
-        out[start:stop] = np.transpose(grid[start:stop], (0, 3, 1, 2))
-
-    tc.split_rows(fill, b)
-    return Tensor(out)
+    return tc._wrap_shared(y.data.reshape(b, out_h, out_w, n).transpose(0, 3, 1, 2))
 
 
 def hebb_update(layer: HebbLayer, x: Tensor, y: Optional[Tensor] = None) -> UpdateResult:
@@ -258,8 +269,8 @@ def apply_update(layer: HebbLayer, result: UpdateResult) -> HebbLayer:
 
 
 def relu(x: Tensor) -> Tensor:
-    """``max(x, 0)`` into one buffer, filled in ranges of images by
-    :func:`~fasthebb.tensor.split_rows`."""
+    """``max(x, 0)`` into one buffer of ``x``'s layout, filled in ranges of
+    images by :func:`~fasthebb.tensor.split_rows`."""
     out = np.empty_like(x.data)
 
     def fill(start: int, stop: int) -> None:
@@ -272,15 +283,16 @@ def relu(x: Tensor) -> Tensor:
 def max_pool(x: Tensor, window: int, stride: int) -> Tensor:
     """Max pooling over the last two dims of a BxCxHxW tensor, as an
     ``np.maximum`` fold over the ``window`` strided column slices, then over
-    the ``window`` strided row slices, into one buffer filled in ranges of
-    images by :func:`~fasthebb.tensor.split_rows`.  NaN propagates; of tied
-    maxima (``+0.0``, ``-0.0``) the last in row-major window order wins."""
+    the ``window`` strided row slices, into one buffer of ``x``'s layout
+    (row-major or channels-last) filled in ranges of images by
+    :func:`~fasthebb.tensor.split_rows`.  NaN propagates; of tied maxima
+    (``+0.0``, ``-0.0``) the last in row-major window order wins."""
     if x.ndim != 4:
         raise ShapeMismatch(f"expected BxCxHxW input, got {x.shape}")
     b = x.shape[0]
     c, out_h, out_w = MaxPool(window, stride).out_shape(x.shape[1:])
     span_w, span_h = (out_w - 1) * stride + 1, (out_h - 1) * stride + 1
-    out = np.empty((b, c, out_h, out_w), dtype=x.dtype)
+    out = np.empty_like(x.data, shape=(b, c, out_h, out_w))
 
     def fill(start: int, stop: int) -> None:
         cols = reduce(np.maximum, [x.data[start:stop, ..., k : k + span_w : stride] for k in range(window)])

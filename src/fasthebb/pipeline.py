@@ -6,8 +6,8 @@ stopping on validation accuracy.
 Both phases use the thread pool of :mod:`~fasthebb.tensor` where that keeps
 every bit: feature extraction splits its blocks of images over it, and a
 pretrain step runs the HPCA metric on it beside the update kernel, while the
-layers split patch rows, forwards and stage outputs over it.  The update's
-contractions over the batch stay on the calling thread."""
+layers split patch rows, forwards, ReLU and max-pool outputs over it.  The
+update's contractions over the batch stay on the calling thread."""
 
 from __future__ import annotations
 
@@ -120,10 +120,10 @@ def _hebb_stage(
     forward itself and drops it once its scores exist; otherwise (HPCA) the
     stage runs it once for both, and the metric runs on a pool worker beside
     the kernel (:func:`~fasthebb.tensor.overlap`).  When ``output`` is set the
-    stage output is the forward under the updated weights (else None), copied
-    out after the rows are dropped.  So a training stage holds its rows and at
-    most two b_eff x N buffers at once, and all die before the next layer
-    builds its rows."""
+    stage output is a view of the forward under the updated weights (else
+    None).  So a training stage holds its rows and at most two b_eff x N
+    buffers at once, and all but the output die before the next layer builds
+    its rows."""
     rows = ly.layer_rows(layer, x)
     if train and rules.KERNEL_METRIC[layer.params.rule]:
         update = ly.hebb_update(layer, rows)
@@ -138,9 +138,7 @@ def _hebb_stage(
     layer = ly.apply_update(layer, update)
     if not output:
         return layer, value, None
-    y = rules.forward_linear(layer.weights, rows)
-    del rows  # the stage output allocates without the rows alive
-    return layer, value, ly.layer_output(layer, y, x)
+    return layer, value, ly.layer_output(layer, rules.forward_linear(layer.weights, rows), x)
 
 
 _PATIENCE = 3  # epochs without a better metric that make a plateau

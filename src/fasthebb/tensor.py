@@ -1,15 +1,22 @@
 """Minimal dense tensor core.
 
-Tensors are immutable wrappers around row-major numpy arrays with explicit
+Tensors are immutable wrappers around numpy arrays with explicit
 broadcasting rules: only extent-1 (singleton) dimensions broadcast, any other
 mismatch raises :class:`ShapeMismatch`.  All operations are pure functions
-returning new tensors.  :class:`Tensor` is the one constructor: it keeps the
-dtype of a native float32 or float64 array and makes anything else float64,
-and every operation keeps its operands' float dtype, so a float32 batch stays
-float32 through every stage.
+returning new tensors.  A tensor's shape is its logical shape (B x C x H x W
+for images); its buffer is row-major, or, for a 4-d tensor, channels-last:
+row-major in B x H x W x C order, as a conv layer's forward rows come out of
+their product.  numpy's strides carry that layout, so every operation reads
+either one by its logical indices, and :func:`reshape` of a channels-last
+tensor copies its values into row-major order of those indices.
+:class:`Tensor` is the one constructor: it keeps the dtype of a native float32
+or float64 array and makes anything else float64, and every operation keeps
+its operands' float dtype, so a float32 batch stays float32 through every
+stage.
 
 :func:`reduce_sum` adds strictly left to right, bit for bit like a sequential
-loop; which numpy routine does that is chosen from the input's shape alone.
+loop; which numpy routine does that is chosen from the input's shape alone,
+on a row-major copy of a channels-last input.
 :class:`AllocationTracker` is a context manager that counts elements of every
 tensor allocated through this module, so kernels can report the largest
 temporary they built.
@@ -240,8 +247,9 @@ class AllocationTracker:
 
     ``largest`` is the element count of the single biggest tensor seen,
     ``total`` the cumulative count.  Only allocations that go through the
-    tensor core are counted (not numpy scratch space), which is exactly the
-    accounting the space-complexity checks need.
+    tensor core are counted (not numpy scratch space, nor views of an
+    existing buffer), which is exactly the accounting the space-complexity
+    checks need.
     """
 
     def __init__(self):
@@ -270,15 +278,20 @@ _FLOATS = frozenset((np.dtype(np.float32), np.dtype(np.float64)))  # native byte
 
 
 class Tensor:
-    """Dense row-major tensor of floats.  A native float32 or float64 array
-    keeps its dtype; any other data becomes float64.  ``data`` is read-only;
-    a contiguous float array is wrapped without a copy, through a read-only
-    view, so the caller's own array stays writable."""
+    """Dense tensor of floats, row-major or (4-d) channels-last.  A native
+    float32 or float64 array keeps its dtype; any other data becomes float64.
+    ``data`` is read-only; a row-major or channels-last float array is
+    wrapped without a copy, through a read-only view, so the caller's own
+    array stays writable, and any other array is copied to row-major order.
+    So a 4-d ``data`` that is not row-major is channels-last."""
 
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.ascontiguousarray(data)  # at least 1-d
+        arr = np.asarray(data)
+        row_major = arr.ndim and arr.flags.c_contiguous
+        if not (row_major or arr.ndim == 4 and arr.transpose(0, 2, 3, 1).flags.c_contiguous):
+            arr = np.ascontiguousarray(arr)  # at least 1-d
         arr = arr.view() if arr.dtype in _FLOATS else arr.astype(np.float64)
         arr.flags.writeable = False
         self.data = arr
@@ -370,14 +383,15 @@ def reduce_sum(a: Tensor, dim_index: int) -> Tensor:
     """
     if not 0 <= dim_index < a.ndim:
         raise IndexError(f"dim {dim_index} out of range for shape {a.shape}")
+    src = np.ascontiguousarray(a.data)
     if int(np.prod(a.shape[dim_index + 1 :])) > 1:
         # on a row-major array numpy then adds whole trailing slices in order
-        return Tensor(np.sum(a.data, axis=dim_index, keepdims=True))
+        return Tensor(np.sum(src, axis=dim_index, keepdims=True))
     # the reduced dim is innermost, where np.sum would add in pairs; cumsum
     # adds sequentially, and + 0.0 starts the sum from +0.0 as np.sum does
     idx = [slice(None)] * a.ndim
     idx[dim_index] = slice(-1, None)
-    return Tensor(np.cumsum(a.data, axis=dim_index)[tuple(idx)] + 0.0)
+    return Tensor(np.cumsum(src, axis=dim_index)[tuple(idx)] + 0.0)
 
 
 # fewest rows in a range of :func:`softmax`: below that, handing a range to a
@@ -448,7 +462,10 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    """Reinterpret the row-major buffer under a new shape; never copies."""
+    """The values of ``a`` in row-major order of its logical indices, under a
+    new shape: a view of a row-major buffer; a channels-last one is copied
+    into a new row-major buffer, counted as an allocation."""
     if int(np.prod(shape)) != a.size:
         raise ShapeMismatch(f"cannot reshape {a.shape} to {tuple(shape)}")
-    return _wrap_shared(a.data.reshape(shape))
+    out = a.data.reshape(shape)
+    return _wrap_shared(out) if np.may_share_memory(out, a.data) else Tensor(out)

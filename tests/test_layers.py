@@ -23,9 +23,10 @@ from fasthebb.layers import (
     out_extent,
     relu,
 )
-from fasthebb.pipeline import forward_stack
+from fasthebb.data import Dataset
+from fasthebb.pipeline import extract_features, forward_stack
 from fasthebb.rules import LearningParams, UpdateResult, forward_linear, update_fn
-from fasthebb.tensor import Tensor
+from fasthebb.tensor import AllocationTracker, Tensor
 
 
 def window_copy(images, geometry):
@@ -162,6 +163,137 @@ class TestPatchGather:
         assert not idx.flags.writeable
         with pytest.raises(ValueError):
             idx[0] = 1
+
+
+def channels_last(images):
+    """The values of B x C x H x W ``images`` in a B x H x W x C buffer, as a
+    conv stage stores its output."""
+    return np.ascontiguousarray(np.transpose(images, (0, 2, 3, 1))).transpose(0, 3, 1, 2)
+
+
+class TestChannelsLast:
+    """A conv stage's output is a channels-last view of its forward rows;
+    every stage after it reads the same values by their logical indices."""
+
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)], ids=["f32", "f64"])
+    @pytest.mark.parametrize("kernel", [(3, 2), (2, 4)], ids=["3x2", "2x4"])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("b", [1, 17])
+    def test_gather_is_the_window_copy_bit_for_bit(self, b, padding, stride, kernel, dtype, bits, pool_workers):
+        rng = np.random.default_rng([b, padding, stride, *kernel])
+        info = np.iinfo(bits)
+        images = rng.integers(0, info.max, size=(b, 2, 7, 6), dtype=bits, endpoint=True).view(dtype)
+        g = ConvGeometry(*kernel, 2, stride=stride, padding=padding)
+        source = Tensor(channels_last(images))
+        assert not source.data.flags.c_contiguous
+        want = window_copy(images, g)
+        got = extract_patches(source, g).patches.data
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.array_equal(got.view(bits), want.view(bits))
+
+    def test_index_stays_inside_one_padded_image(self):
+        c, hp, wp = 32, 18, 18
+        idx = layers._patch_index(c, hp, wp, 3, 3, 1, True)
+        assert idx.min() == 0 and idx.max() == c * hp * wp - 1 and not idx.flags.writeable
+
+    def test_wraps_channels_last_without_a_copy(self):
+        a = channels_last(np.random.default_rng(0).standard_normal((2, 3, 4, 5)))
+        t = Tensor(a)
+        assert np.shares_memory(t.data, a) and t.data.strides == a.strides
+        assert not t.data.flags.writeable and a.flags.writeable
+
+    @pytest.mark.parametrize(
+        "view",
+        [lambda x: x[..., ::2], lambda x: x.transpose(0, 1, 3, 2), lambda x: x.transpose(0, 2, 1, 3), lambda x: x[0].T],
+        ids=["strided", "hw-swapped", "other-permutation", "transposed-3d"],
+    )
+    def test_copies_any_other_view_to_row_major(self, view):
+        x = view(np.arange(2.0 * 3 * 4 * 6).reshape(2, 3, 4, 6))
+        t = Tensor(x)
+        assert t.data.flags.c_contiguous and not np.shares_memory(t.data, x)
+        assert np.array_equal(t.data, x)
+
+    @pytest.mark.parametrize("stage", [relu, lambda x: max_pool(x, 2, 2), lambda x: max_pool(x, 3, 2)],
+                             ids=["relu", "pool-2-2", "pool-3-2"])
+    def test_relu_and_max_pool_keep_the_layout(self, stage, pool_workers):
+        images = np.random.default_rng(1).standard_normal((5, 4, 9, 8))
+        got = stage(Tensor(channels_last(images))).data
+        assert not got.flags.c_contiguous and got.transpose(0, 2, 3, 1).flags.c_contiguous
+        want = stage(Tensor(images)).data
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_conv_stage_output_is_a_view_of_its_forward(self):
+        g = ConvGeometry(3, 3, 2, stride=2, padding=1)
+        layer = HebbLayer(init_weights(4, g.patch_size, seed=0), LearningParams(rule="hpca"), g)
+        x = Tensor(np.random.default_rng(2).standard_normal((3, 2, 7, 6)))
+        y = forward_linear(layer.weights, layers.layer_rows(layer, x))
+        out = layers.layer_output(layer, y, x)
+        assert out.shape == (3, 4, 4, 3) and np.shares_memory(out.data, y.data)
+        assert out.data.transpose(0, 2, 3, 1).flags.c_contiguous
+        np.testing.assert_allclose(out.data, conv_oracle(x.data, layer.weights.data, g), atol=1e-12)
+
+    def test_conv_forward_allocates_patches_and_forward_only(self):
+        g = ConvGeometry(3, 3, 2, padding=1)
+        layer = HebbLayer(init_weights(4, g.patch_size, seed=0), LearningParams(rule="hpca"), g)
+        x = Tensor(np.random.default_rng(3).standard_normal((2, 2, 5, 6)))
+        b_eff, n, s = 2 * 5 * 6, layer.num_neurons, g.patch_size
+        with AllocationTracker() as tracker:
+            conv_forward(layer, x)
+        # the patches, the transposed weights of the product, its rows y; no output copy
+        assert tracker.total == b_eff * s + n * s + b_eff * n
+
+    def test_flatten_copies_channels_last_in_chw_order(self):
+        images = np.random.default_rng(4).standard_normal((3, 4, 5, 6))
+        x = Tensor(channels_last(images))
+        with AllocationTracker() as tracker:
+            flat = Flatten().forward(x)
+        assert tracker.total == images.size
+        assert flat.data.flags.c_contiguous and np.array_equal(flat.data, images.reshape(3, -1))
+
+    def _conv(self, rule="hpca", n=4):
+        g = ConvGeometry(3, 3, 3, padding=1)
+        return HebbLayer(init_weights(n, g.patch_size, seed=5), LearningParams(rule=rule), g)
+
+    def _chw_forward(self, layer, images):
+        """The conv forward's values as a row-major B x N x H x W copy, from
+        the window copy's rows, independent of the stage-output layout."""
+        b, _, h, w = images.shape
+        rows = window_copy(images, layer.geometry)
+        y = forward_linear(layer.weights, Tensor(rows)).data
+        return np.ascontiguousarray(y.reshape(b, h, w, -1).transpose(0, 3, 1, 2))
+
+    @pytest.mark.parametrize("rule", ["hpca", "swta"])
+    def test_dense_layer_after_conv_sees_chw_order(self, rule):
+        conv = self._conv()
+        images = np.random.default_rng(6).standard_normal((4, 3, 6, 5))
+        out = conv_forward(conv, Tensor(images))
+        chw = self._chw_forward(conv, images)
+        assert np.array_equal(out.data, chw)
+        dense = HebbLayer(init_weights(3, chw[0].size, seed=7), LearningParams(rule=rule))
+        assert np.array_equal(conv_forward(dense, out).data, conv_forward(dense, Tensor(chw)).data)
+        got, want = hebb_update(dense, out), hebb_update(dense, Tensor(chw))
+        assert np.array_equal(got.delta_w.data, want.delta_w.data)
+
+    def test_features_of_a_stack_ending_in_a_conv_stage_are_in_chw_order(self, pool_workers):
+        conv = self._conv()
+        images = np.random.default_rng(8).standard_normal((20, 3, 6, 5))
+        features = extract_features([conv, ReLU()], Dataset(images, np.zeros(20, dtype=np.int64), 1))
+        want = np.maximum(self._chw_forward(conv, images), 0.0).reshape(20, -1)
+        assert np.array_equal(features, want)
+
+
+class TestInitWeights:
+    @pytest.mark.parametrize("n, s", [(0, 4), (3, 0), (-1, 4), (3, -2)])
+    def test_empty_block_is_config_error(self, n, s):
+        with pytest.raises(ConfigError, match=f"n={n} and s={s}") as caught:
+            init_weights(n, s, seed=0)
+        assert caught.value.exit_code == 2
+
+    def test_bad_conv_geometry_keeps_its_message(self):
+        model = "[model]\nlayer1 = conv kh=3 kw=-1 n=2\n"
+        with pytest.raises(ConfigError, match="^layer1: need kernel >= 1"):
+            build_stack(parse_config(model), (3, 8, 8), 0.01)
 
 
 class TestConvForward:

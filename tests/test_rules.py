@@ -73,6 +73,19 @@ class TestForwardLinear:
         assert np.array_equal(forward_linear(w, x).data, want.reshape(b, n, 1))
 
 
+    @pytest.mark.parametrize("n, s", [(96, 1152), (96, 2304), (256, 1152), (256, 2304)])
+    def test_row_ranges_equal_one_product_at_wide_layers(self, n, s, pool_of):
+        # the premise of SAME_ROWS_FROM at the widths of a deeper stack: any
+        # range of at least that many rows has the bits of one product
+        b = 2 * tc.SAME_ROWS_FROM + 77
+        w, x = rand_case(b, n, s, seed=n + s)
+        rows, wt = x.data.reshape(1, b, s), np.swapaxes(w.data, 1, 2).copy()
+        want = np.matmul(rows, wt)
+        for start, stop in [(0, 256), (1, 257), (255, 511), (300, b)]:
+            assert np.array_equal(np.matmul(rows[:, start:stop], wt), want[:, start:stop])
+        with pool_of(2):
+            assert np.array_equal(forward_linear(w, x).data, want.reshape(b, n, 1))
+
 class TestAggregate:
     def test_uniform_coefficients_give_mean(self):
         rng = np.random.default_rng(0)

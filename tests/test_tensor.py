@@ -176,6 +176,13 @@ class TestReduceSum:
             expected = _sequential_sum(expected, dim)
         np.testing.assert_array_equal(got.data, expected)
 
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3])
+    def test_channels_last_input_matches_sequential_loop(self, dim):
+        values = np.random.default_rng(12).standard_normal((3, 40, 5, 6)) * 1e3
+        a = Tensor(np.ascontiguousarray(values.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2))
+        assert not a.data.flags.c_contiguous
+        np.testing.assert_array_equal(tc.reduce_sum(a, dim).data, _sequential_sum(values, dim))
+
     @pytest.mark.parametrize("dim", [0, 1])
     def test_sum_starts_from_positive_zero(self, dim):
         # dim 0 takes the np.sum branch, dim 1 the cumsum branch
