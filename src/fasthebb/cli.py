@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -17,19 +18,13 @@ from .data import REGIME_FRACTIONS, Regime, split_regime
 from .errors import ConfigError, CorruptFile, EmptyLabeledSet, EquivalenceViolation, FastHebbError, UsageError
 from .experiment import build_dataset, build_stack, build_train_config, input_shape, restore_stack
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_NUMERIC = 3
-
 _FLAG_FLOORS = {"seed": 0, "topk": 1}  # integer flags and their least value
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
+    def error(self, message):  # argparse would exit with code 2
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError(message)
 
 
 def _build_parser() -> _Parser:
@@ -87,7 +82,7 @@ def _parse_grid(spec: str) -> list[tuple[int, int, int]]:
     return [(b, n, s) for b in axes["B"] for n in axes["N"] for s in axes["S"]]
 
 
-def _cmd_pretrain(args) -> int:
+def _cmd_pretrain(args) -> None:
     text, cfg = load_config(args.config)
     train_cfg = build_train_config(cfg)
     stack = build_stack(cfg, input_shape(cfg), train_cfg.hebb_lr)  # before any image is loaded
@@ -101,7 +96,6 @@ def _cmd_pretrain(args) -> int:
     if metrics.converged_epoch is not None:
         print(f"converged at epoch {metrics.converged_epoch}")
     print(f"checkpoint written to {args.out}")
-    return EXIT_OK
 
 
 def _restore(path):
@@ -111,7 +105,7 @@ def _restore(path):
     return ckpt, cfg, restore_stack(cfg, ckpt)
 
 
-def _cmd_probe(args) -> int:
+def _cmd_probe(args) -> None:
     ckpt, cfg, stack = _restore(args.ckpt)
     out = args.out or args.ckpt
     pipeline.writable_path(out)
@@ -132,10 +126,9 @@ def _cmd_probe(args) -> int:
     print(f"validation accuracy: {probe.val_accuracy:.4f} (epoch {probe.best_epoch})")
     print(f"test top-1 accuracy: {test_acc:.4f}")
     print(f"checkpoint written to {out}")
-    return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> None:
     ckpt, cfg, stack = _restore(args.ckpt)
     if ckpt.probe is None:
         raise CorruptFile(f"{args.ckpt} has no trained probe; run 'probe' first")
@@ -143,10 +136,9 @@ def _cmd_eval(args) -> int:
     features = pipeline.extract_features(stack, test)
     acc = pipeline.evaluate(ckpt.probe, features, test.labels, k=args.topk)
     print(f"top-{args.topk} accuracy: {acc:.4f}")
-    return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> None:
     grid = _parse_grid(args.grid)
     rule_names = [r.strip() for r in args.rule.split(",") if r.strip()]
     dtype = np.float32 if args.float32 else np.float64
@@ -159,15 +151,14 @@ def _cmd_bench(args) -> int:
     if not report.all_equivalent():
         raise EquivalenceViolation(f"fast and naive kernels disagree beyond tolerance (equiv_ok 0 in {args.out})")
     print(f"bench report written to {args.out}")
-    return EXIT_OK
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> None:
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
+        text = Path(args.input).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise CorruptFile(f"{args.input} is not UTF-8 text (byte {exc.start})") from None
+    lines = [line for line in text.split("\n") if line.strip()]
     if not lines:
         raise CorruptFile(f"{args.input} is empty")
     table = [line.split(",") for line in lines]
@@ -176,11 +167,9 @@ def _cmd_report(args) -> int:
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     for row in table:
         print("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
-    failed = [row for row in table[1:] if row[-1] == "0"]
+    failed = sum(row[-1] == "0" for row in table[1:])
     if failed:
-        print(f"{len(failed)} rows failed equivalence", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+        raise EquivalenceViolation(f"{args.input}: {failed} rows failed equivalence")
 
 
 _COMMANDS = {
@@ -193,23 +182,25 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place an error becomes an ``error:`` line and an exit code."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return UsageError.exit_code
         for flag, floor in _FLAG_FLOORS.items():
             if getattr(args, flag, floor) < floor:
                 raise UsageError(f"--{flag} must be >= {floor}, got {getattr(args, flag)}")
         with np.errstate(all="ignore"):  # no float warnings on stderr; a non-finite update still ends the run
-            return _COMMANDS[args.command](args)
+            _COMMANDS[args.command](args)
+        return 0
     except (FastHebbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_code", EXIT_DATA)  # an OSError is a data error
+        return getattr(exc, "exit_code", CorruptFile.exit_code)  # an OSError is a data error
     except MemoryError as exc:  # the inputs ask for more than the machine has: a data error
         print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return CorruptFile.exit_code
 
 
 if __name__ == "__main__":

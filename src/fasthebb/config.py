@@ -55,5 +55,8 @@ def parse_config(text: str) -> dict[str, dict[str, str]]:
 
 
 def load_config(path) -> tuple[str, dict[str, dict[str, str]]]:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text (byte {exc.start})") from None
     return text, parse_config(text)

@@ -12,15 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BadCovariance,
-    BadLabel,
-    BadMagic,
-    ConfigError,
-    CorruptFile,
-    TruncatedFile,
-    VersionMismatch,
-)
+from .errors import ConfigError, CorruptFile, UsageError
 
 __all__ = [
     "Dataset",
@@ -61,13 +53,13 @@ class Dataset:
         object.__setattr__(self, "images", np.ascontiguousarray(self.images, dtype=np.float64))
         object.__setattr__(self, "labels", np.ascontiguousarray(self.labels, dtype=np.int64))
         if self.images.ndim != 4:
-            raise ValueError(f"images must be BxCxHxW, got {self.images.shape}")
+            raise CorruptFile(f"images must be BxCxHxW, got {self.images.shape}")
         if len(self.labels) != len(self.images):
-            raise ValueError("label count does not match image count")
+            raise CorruptFile("label count does not match image count")
         if len(self.labels) and (
             self.labels.min() < 0 or self.labels.max() >= self.class_count
         ):
-            raise BadLabel("labels outside [0, class_count)")
+            raise CorruptFile("labels outside [0, class_count)")
 
     def __len__(self) -> int:
         return len(self.images)
@@ -85,7 +77,7 @@ class Regime:
 
     def __post_init__(self):
         if self.labeled_fraction not in REGIME_FRACTIONS:
-            raise ValueError(
+            raise UsageError(
                 f"labeled_fraction must be one of {REGIME_FRACTIONS}, "
                 f"got {self.labeled_fraction}"
             )
@@ -99,13 +91,13 @@ def load_cifar10(path) -> Dataset:
     """
     raw = Path(path).read_bytes()
     if len(raw) == 0 or len(raw) % CIFAR_RECORD != 0:
-        raise TruncatedFile(
+        raise CorruptFile(
             f"{path}: size {len(raw)} is not a positive multiple of {CIFAR_RECORD}"
         )
     records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
     labels = records[:, 0].astype(np.int64)
     if labels.max(initial=0) >= CIFAR_CLASSES:
-        raise BadLabel(f"{path}: label byte {labels.max()} exceeds 9")
+        raise CorruptFile(f"{path}: label byte {labels.max()} exceeds 9")
     images = records[:, 1:].reshape(-1, *CIFAR_SHAPE).astype(np.float64)
     images /= 255.0  # in place: one float64 copy of the pixels, not two
     return Dataset(images, labels, CIFAR_CLASSES)
@@ -115,7 +107,7 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
-        raise BadCovariance(f"covariance is not positive definite: {exc}") from exc
+        raise ConfigError(f"covariance is not positive definite: {exc}") from exc
 
 
 def synth_gaussian(num: int, dims: int, covariance_spec, seed: int) -> Dataset:
@@ -126,10 +118,10 @@ def synth_gaussian(num: int, dims: int, covariance_spec, seed: int) -> Dataset:
         cov = np.eye(dims) * float(cov)
     elif cov.ndim == 1:
         if len(cov) != dims:
-            raise BadCovariance(f"diagonal has {len(cov)} entries, expected {dims}")
+            raise ConfigError(f"diagonal has {len(cov)} entries, expected {dims}")
         cov = np.diag(cov)
     elif cov.shape != (dims, dims):
-        raise BadCovariance(f"covariance shape {cov.shape} != ({dims},{dims})")
+        raise ConfigError(f"covariance shape {cov.shape} != ({dims},{dims})")
     chol = _cholesky(cov)
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((num, dims)) @ chol.T
@@ -224,11 +216,11 @@ def _fhds_header(raw: bytes, path, size: int) -> tuple[int, ...]:
     """The B x C x H x W image shape from the header at the start of ``raw``,
     checked against the ``size`` in bytes of the whole file."""
     if raw[:4] != FHDS_MAGIC:
-        raise BadMagic(f"{path}: expected FHDS magic, got {raw[:4]!r}")
+        raise CorruptFile(f"{path}: expected FHDS magic, got {raw[:4]!r}")
     try:
         version = struct.unpack_from("<I", raw, 4)[0]
         if version != FHDS_VERSION:
-            raise VersionMismatch(f"{path}: unsupported FHDS version {version}")
+            raise CorruptFile(f"{path}: unsupported FHDS version {version}")
         ndim = struct.unpack_from("<I", raw, 8)[0]
         if ndim != 4:
             raise CorruptFile(f"{path}: images must be 4-d (B x C x H x W), got {ndim}-d")

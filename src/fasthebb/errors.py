@@ -1,7 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the only place that sets
+exit codes.
 
-Each class carries the CLI exit status it ends a command with: 1 usage,
-2 data/config, 3 numeric.
+Each class carries the CLI exit status it ends a command with:
+
+- ``UsageError`` 1: a command-line or function argument out of range;
+- ``ConfigError`` 2: a config value, layer spec or bench grid that is
+  malformed, unknown or out of range;
+- ``CorruptFile`` 2: a dataset, checkpoint or CSV that cannot be read as
+  what it claims to be;
+- ``ShapeMismatch``, ``NonFiniteWeights``, ``EmptyLabeledSet`` and
+  ``EquivalenceViolation`` 3: numeric failures, with ``FastHebbError``,
+  their base, as the default.
 """
 
 
@@ -15,51 +24,22 @@ class UsageError(FastHebbError, ValueError):
     exit_code = 1
 
 
-class ShapeMismatch(FastHebbError):
-    """Operand shapes are incompatible for the requested operation."""
-
-
-class InvalidTemperature(FastHebbError):
-    """Softmax temperature must be strictly positive."""
-
-
-class GeometryError(FastHebbError):
-    """Kernel, stride or padding is invalid, or the kernel exceeds the padded input."""
-    exit_code = 2
-
-
-class NonFiniteWeights(FastHebbError):
-    """A weight update produced NaN or Inf entries."""
-
-
-class TruncatedFile(FastHebbError):
-    """Binary dataset file is not a whole number of records."""
-    exit_code = 2
-
-
-class BadLabel(FastHebbError):
-    """Label byte outside the valid class range."""
-    exit_code = 2
-
-
-class BadCovariance(FastHebbError):
-    """Covariance specification is not positive definite."""
-    exit_code = 2
-
-
-class BadMagic(FastHebbError):
-    """File does not start with the expected magic bytes."""
-    exit_code = 2
-
-
-class VersionMismatch(FastHebbError):
-    """File version is not supported by this reader."""
+class ConfigError(FastHebbError, ValueError):
+    """Experiment configuration is malformed, has unknown keys or out-of-range values."""
     exit_code = 2
 
 
 class CorruptFile(FastHebbError):
-    """File ended early or failed structural validation."""
+    """File is truncated, has a bad magic, version or label, or failed structural validation."""
     exit_code = 2
+
+
+class ShapeMismatch(FastHebbError):
+    """Operand shapes are incompatible for the requested operation."""
+
+
+class NonFiniteWeights(FastHebbError):
+    """A weight update produced NaN or Inf entries."""
 
 
 class EmptyLabeledSet(FastHebbError):
@@ -68,8 +48,3 @@ class EmptyLabeledSet(FastHebbError):
 
 class EquivalenceViolation(FastHebbError):
     """Fast and naive kernels disagreed beyond tolerance."""
-
-
-class ConfigError(FastHebbError, ValueError):
-    """Experiment configuration is malformed, has unknown keys or out-of-range values."""
-    exit_code = 2

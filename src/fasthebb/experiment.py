@@ -9,7 +9,7 @@ import numpy as np
 
 from . import data as dio
 from .data import Dataset
-from .errors import ConfigError, CorruptFile, GeometryError
+from .errors import ConfigError, CorruptFile
 from .layers import ConvGeometry, Flatten, HebbLayer, MaxPool, ReLU, init_weights
 from .pipeline import CheckpointData, TrainConfig
 from .rules import LearningParams, update_fn
@@ -38,8 +38,16 @@ def _read(section: dict, key: str, cast, default=None, floor=None):
     return value
 
 
+def _finite(text: str) -> float:
+    """``text`` as a float that is neither NaN nor infinite (:func:`_read` names the key)."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigError(f"{text!r} is not finite")
+    return value
+
+
 def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
+    return [_finite(v) for v in text.split(",")]
 
 
 def build_dataset(cfg: dict, split: str = "train") -> Dataset:
@@ -69,9 +77,9 @@ def build_dataset(cfg: dict, split: str = "train") -> Dataset:
             k=_read(section, "clusters", int, floor=1),
             num=num,
             dims=dims,
-            separation=_read(section, "separation", float),
+            separation=_read(section, "separation", _finite),
             seed=seed,
-            noise_std=_read(section, "noise_std", float, 1.0),
+            noise_std=_read(section, "noise_std", _finite, 1.0),
             centroid_seed=base_seed,
         )
         return ds
@@ -157,7 +165,7 @@ def build_stack(cfg: dict, input_shape: tuple[int, int, int], hebb_lr: float) ->
         try:
             stack.append(_build_stage(kind, opts, shape, hebb_lr, init_seed + i))
             shape = stack[-1].out_shape(shape)
-        except (ConfigError, GeometryError) as exc:
+        except ConfigError as exc:
             raise ConfigError(f"{key}: {exc}") from None
     return stack
 

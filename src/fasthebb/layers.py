@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import rules, tensor as tc
-from .errors import ConfigError, GeometryError, NonFiniteWeights, ShapeMismatch
+from .errors import ConfigError, NonFiniteWeights, ShapeMismatch
 from .rules import LearningParams, UpdateResult
 from .tensor import Tensor
 
@@ -150,12 +150,12 @@ def out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
     """Number of kernel positions along one axis: the only place an output
     extent is computed, and where its kernel, stride and padding are checked."""
     if kernel < 1 or stride < 1 or padding < 0:
-        raise GeometryError(
+        raise ConfigError(
             f"need kernel >= 1, stride >= 1 and padding >= 0, got {kernel}, {stride} and {padding}"
         )
     span = extent + 2 * padding - kernel
     if span < 0:
-        raise GeometryError(
+        raise ConfigError(
             f"kernel {kernel} exceeds padded extent {extent + 2 * padding}"
         )
     return span // stride + 1

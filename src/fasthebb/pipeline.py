@@ -23,14 +23,7 @@ import numpy as np
 
 from . import layers as ly, rules, tensor as tc
 from .data import Dataset
-from .errors import (
-    BadMagic,
-    ConfigError,
-    CorruptFile,
-    EmptyLabeledSet,
-    NonFiniteWeights,
-    VersionMismatch,
-)
+from .errors import ConfigError, CorruptFile, EmptyLabeledSet, NonFiniteWeights, UsageError
 from .layers import HebbLayer
 from .tensor import Tensor
 
@@ -352,7 +345,7 @@ def evaluate(
 ) -> float:
     """Top-k accuracy with deterministic tie-break by lower class index."""
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise UsageError(f"k must be >= 1, got {k}")
     if len(labels) == 0:
         return 0.0
     scores = probe.scores(features)
@@ -452,11 +445,11 @@ class CheckpointData:
 def load_checkpoint(path) -> CheckpointData:
     raw = Path(path).read_bytes()
     if raw[:4] != CKPT_MAGIC:
-        raise BadMagic(f"{path}: expected FHB1 magic, got {raw[:4]!r}")
+        raise CorruptFile(f"{path}: expected FHB1 magic, got {raw[:4]!r}")
     try:
         version = struct.unpack_from("<I", raw, 4)[0]
         if version != CKPT_VERSION:
-            raise VersionMismatch(f"{path}: unsupported checkpoint version {version}")
+            raise CorruptFile(f"{path}: unsupported checkpoint version {version}")
         count = struct.unpack_from("<I", raw, 8)[0]
         offset = 12
         rule_names, weights = [], []

@@ -141,9 +141,6 @@ def _swta_scores(w: Tensor, x: Tensor, y: Optional[Tensor], params: LearningPara
     return r, safe, float(np.mean(1.0 / row_sums.data))
 
 
-_CR_ROWS = 1024  # fewest rows in a range of the fast SWTA kernel's C*R: fewer cost more to hand over than to compute
-
-
 def swta_update_naive(
     w: Tensor, x: Tensor, params: LearningParams, y: Optional[Tensor] = None
 ) -> UpdateResult:
@@ -191,7 +188,7 @@ def swta_update_fast(
             np.divide(rd[start:stop], sd, out=rows)
             rows *= rd[start:stop]
 
-        tc.split_rows(fill, b, _CR_ROWS)
+        tc.split_rows(fill, b, tc.SPLIT_ROWS_FROM)
         del r, rd  # two B x N buffers at once, three while a caller holds the y it passed
         cr = Tensor(buf)  # B x N x 1
         q = tc.reduce_sum(cr, 0)  # 1 x N x 1

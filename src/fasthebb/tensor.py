@@ -52,7 +52,7 @@ import threading
 
 import numpy as np
 
-from .errors import InvalidTemperature, ShapeMismatch
+from .errors import ShapeMismatch, UsageError
 
 __all__ = [
     "Tensor",
@@ -66,6 +66,7 @@ __all__ = [
     "reshape",
     "openblas_threads",
     "SAME_ROWS_FROM",
+    "SPLIT_ROWS_FROM",
     "row_ranges",
     "split_rows",
     "overlap",
@@ -188,6 +189,11 @@ def _pool_to_share():
 # GEMM rows from which each output row's bits no longer depend on the row
 # count (OpenBLAS 0.3.31, S <= 3072, N <= 100; 16 rows at S=784 already differ)
 SAME_ROWS_FROM = 256
+
+# fewest rows in a range of a row-wise split of cheap per-row arithmetic
+# (:func:`softmax`, the fast SWTA kernel's C*R): below that, handing a range
+# to a worker costs more than its arithmetic
+SPLIT_ROWS_FROM = 1024
 
 
 def row_ranges(count: int, parts: int, min_rows: int = 1) -> list[tuple[int, int]]:
@@ -356,7 +362,7 @@ def elementwise(op: str, a: Tensor, b) -> Tensor:
     """Componentwise op with singleton-only broadcasting; ``b`` may be a
     scalar."""
     if op not in _ELEMENTWISE_OPS:
-        raise ValueError(f"unknown elementwise op {op!r}")
+        raise UsageError(f"unknown elementwise op {op!r}")
     if isinstance(b, Tensor):
         if a.ndim != b.ndim:
             raise ShapeMismatch(f"rank mismatch: {a.shape} vs {b.shape}")
@@ -382,7 +388,7 @@ def reduce_sum(a: Tensor, dim_index: int) -> Tensor:
     every result is bit for bit ``acc = 0.0; for v in values: acc += v``.
     """
     if not 0 <= dim_index < a.ndim:
-        raise IndexError(f"dim {dim_index} out of range for shape {a.shape}")
+        raise UsageError(f"dim {dim_index} out of range for shape {a.shape}")
     src = np.ascontiguousarray(a.data)
     if int(np.prod(a.shape[dim_index + 1 :])) > 1:
         # on a row-major array numpy then adds whole trailing slices in order
@@ -394,23 +400,18 @@ def reduce_sum(a: Tensor, dim_index: int) -> Tensor:
     return Tensor(np.cumsum(src, axis=dim_index)[tuple(idx)] + 0.0)
 
 
-# fewest rows in a range of :func:`softmax`: below that, handing a range to a
-# worker costs more than its arithmetic
-_SOFTMAX_ROWS = 1024
-
-
 def softmax(y: Tensor, temperature: float) -> tuple[Tensor, Tensor]:
     """Temperature softmax along axis 1 with max-subtraction for stability,
     and the sums of the shifted exponentials that it divided by (axis 1 kept
     as a singleton).
 
     One score buffer and one row-sum buffer are filled by :func:`split_rows`
-    in ranges of at least ``_SOFTMAX_ROWS`` rows; each range scales its rows,
+    in ranges of at least :data:`SPLIT_ROWS_FROM` rows; each range scales its rows,
     then shifts, exponentiates, sums and normalises them in place.  A row's
     max, sum and division read that row alone, so every row has the bits of
     one pass over all rows."""
     if not temperature > 0:
-        raise InvalidTemperature(f"temperature must be > 0, got {temperature}")
+        raise UsageError(f"temperature must be > 0, got {temperature}")
     src = y.data
     z = np.empty(src.shape, dtype=np.result_type(src, temperature))
     sums = np.empty(src.shape[:1] + (1,) + src.shape[2:], dtype=z.dtype)
@@ -423,7 +424,7 @@ def softmax(y: Tensor, temperature: float) -> tuple[Tensor, Tensor]:
         np.sum(rows, axis=1, keepdims=True, out=sums[start:stop])
         rows /= sums[start:stop]
 
-    split_rows(fill, src.shape[0], _SOFTMAX_ROWS)
+    split_rows(fill, src.shape[0], SPLIT_ROWS_FROM)
     return Tensor(z), Tensor(sums)
 
 

@@ -1,8 +1,11 @@
 """Every name a module lists in ``__all__`` exists in that module, and has a
 caller outside its own tests: a reference in the package source, other than
-its own definition and ``__all__`` entry, or in the benchmark."""
+its own definition and ``__all__`` entry, or in the benchmark.  Every error
+the package raises is one the CLI maps to an exit code, and every error class
+is raised."""
 
 import ast
+import builtins
 import importlib
 import pkgutil
 from pathlib import Path
@@ -70,3 +73,37 @@ def test_every_public_name_has_a_caller(name):
         ):
             unused.append(public)
     assert unused == []
+
+
+def _raises():
+    """``(file name, line, raised name)`` for each ``raise`` in the package;
+    the name is None for a bare re-raise."""
+    for path in sorted((ROOT / "src" / "fasthebb").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = None if exc is None else getattr(exc, "id", getattr(exc, "attr", ast.unparse(exc)))
+                yield path.name, node.lineno, name
+
+
+def _error_classes():
+    tree = ast.parse((ROOT / "src" / "fasthebb" / "errors.py").read_text())
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def test_every_raise_is_an_error_the_cli_maps():
+    """A raise names a class from ``errors`` (the CLI prints its message and
+    exits with its code), an ``OSError`` (a data error), or re-raises."""
+    classes = _error_classes()
+
+    def mapped(name):
+        builtin = getattr(builtins, name or "", None)
+        return name is None or name in classes or (isinstance(builtin, type) and issubclass(builtin, OSError))
+
+    assert [raise_ for raise_ in _raises() if not mapped(raise_[2])] == []
+
+
+def test_every_error_class_is_raised():
+    """No error class goes unused; ``FastHebbError`` is the base the CLI catches."""
+    raised = {name for _, _, name in _raises()}
+    assert sorted(_error_classes() - raised) == ["FastHebbError"]

@@ -207,6 +207,11 @@ BAD_INPUTS = {
         lambda tmp_path: ["report", "--in", str(_write_bytes(tmp_path / "m.fhb", b"FHB1\x01\x00\xff\xfe"))],
         2, "UTF-8",
     ),
+    # the offset counts from the start of the file, not of the block it was read in
+    "report-not-utf8-past-8-kib": (
+        lambda tmp_path: ["report", "--in", str(_write_bytes(tmp_path / "r.csv", b"a,b\n" * 5000 + b"\xff\n"))],
+        2, "r.csv is not UTF-8 text (byte 20000)",
+    ),
     "eval-echo-not-utf8": (_demo_ckpt("eval", edit=_echo_not_utf8), 2, "config echo is not UTF-8"),
     "probe-echo-not-utf8": (_demo_ckpt("probe", "--regime", "25", edit=_echo_not_utf8), 2, "config echo is not UTF-8"),
     "eval-nan-probe": (
@@ -230,6 +235,23 @@ BAD_INPUTS = {
     "conv-after-flatten": (_image("flatten", "conv k=3 n=2"), 2, "layer2: conv needs image-shaped input"),
     "config-line-without-equals": (_demo("epochs = 4", "epochs 4"), 2, "expected 'key = value'"),
     "report-empty-file": (lambda tmp_path: ["report", "--in", _write(tmp_path, "r.csv", "")], 2, "r.csv is empty"),
+    "report-rows-failed-equivalence": (
+        lambda tmp_path: ["report", "--in", _write(tmp_path, "r.csv", "rule,equiv_ok\nswta,0\nhpca,1\nswta,0\n")],
+        3, "r.csv: 2 rows failed equivalence",
+    ),
+    "config-not-utf8": (
+        lambda tmp_path: ["pretrain", "--config", str(_write_bytes(tmp_path / "c.cfg", b"[data]\nkind = clusters\xff\xfe\n")),
+                          "--out", str(tmp_path / "m.fhb")],
+        2, "c.cfg is not UTF-8 text (byte 22)",
+    ),
+    # a NaN or Inf [data] value is a config error before any sample is drawn
+    "separation-nan": (_demo("separation = 10.0", "separation = nan"), 2, "bad value for 'separation': 'nan'"),
+    "separation-inf": (_demo("separation = 10.0", "separation = inf"), 2, "bad value for 'separation': 'inf'"),
+    "noise-std-nan": (_demo("seed = 3", "seed = 3\nnoise_std = nan"), 2, "bad value for 'noise_std': 'nan'"),
+    "cov-diag-nan": (
+        _demo("kind = clusters", "kind = gaussian\ncov_diag = " + ",".join(["1"] * 15 + ["nan"])),
+        2, "bad value for 'cov_diag'",
+    ),
     # 40 samples at 1% round to no labeled sample
     "probe-regime-1-of-40": (
         lambda tmp_path: _demo_ckpt(
@@ -409,10 +431,10 @@ class TestCli:
     def test_no_args_usage(self, capsys):
         assert main([]) == 1
 
-    def test_unknown_flag_usage(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--nope"])
-        assert exc.value.code == 1
+    def test_unknown_flag_usage(self, tmp_path, capsys):
+        assert main(["bench", "--grid", "B=8;N=2;S=3", "--out", str(tmp_path / "x.csv"), "--nope"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fasthebb ") and err.endswith("\nerror: unrecognized arguments: --nope\n")
 
     def test_bench_subcommand(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -447,9 +469,7 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
 
     def test_probe_regime_outside_choices_is_usage(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["probe", "--ckpt", str(tmp_path / "m.fhb"), "--regime", "7"])
-        assert exc.value.code == 1
+        assert main(["probe", "--ckpt", str(tmp_path / "m.fhb"), "--regime", "7"]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "invalid choice: 7" in err

@@ -6,14 +6,7 @@ import pytest
 
 from fasthebb import data as dio
 from fasthebb.data import Dataset, Regime, load_cifar10, split_regime
-from fasthebb.errors import (
-    BadCovariance,
-    BadLabel,
-    BadMagic,
-    CorruptFile,
-    TruncatedFile,
-    VersionMismatch,
-)
+from fasthebb.errors import ConfigError, CorruptFile
 
 
 def make_cifar_file(tmp_path, records):
@@ -22,6 +15,17 @@ def make_cifar_file(tmp_path, records):
     blob = b"".join(bytes([label]) + bytes(pixels) for label, pixels in records)
     path.write_bytes(blob)
     return path
+
+
+@pytest.mark.parametrize(
+    "images, labels, message",
+    [(np.zeros((2, 4)), np.zeros(2), "images must be BxCxHxW"), (np.zeros((2, 1, 1, 4)), np.zeros(3), "label count"),
+     (np.zeros((2, 1, 1, 4)), [0, 2], "labels outside")],
+    ids=["2d-images", "label-count", "label-range"],
+)
+def test_inconsistent_dataset_is_corrupt(images, labels, message):
+    with pytest.raises(CorruptFile, match=message):
+        Dataset(images, labels, 2)
 
 
 class TestCifarReader:
@@ -47,18 +51,18 @@ class TestCifarReader:
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(bytes(3072))
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(CorruptFile, match="size 3072 is not a positive multiple of 3073"):
             load_cifar10(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.bin"
         path.write_bytes(b"")
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(CorruptFile, match="size 0 is not a positive multiple of 3073"):
             load_cifar10(path)
 
     def test_bad_label(self, tmp_path):
         path = make_cifar_file(tmp_path, [(11, [0] * 3072)])
-        with pytest.raises(BadLabel):
+        with pytest.raises(CorruptFile, match="label byte 11 exceeds 9"):
             load_cifar10(path)
 
     def test_load_holds_the_raw_bytes_and_one_float_copy(self, tmp_path, peak_bytes):
@@ -78,9 +82,9 @@ class TestSynthetic:
         np.testing.assert_array_equal(a.images, b.images)
 
     def test_gaussian_bad_covariance(self):
-        with pytest.raises(BadCovariance):
+        with pytest.raises(ConfigError, match="covariance is not positive definite"):
             dio.synth_gaussian(10, 2, [[1.0, 2.0], [2.0, 1.0]], seed=0)
-        with pytest.raises(BadCovariance):
+        with pytest.raises(ConfigError, match="diagonal has 2 entries, expected 3"):
             dio.synth_gaussian(10, 3, [1.0, 2.0], seed=0)
 
     def test_gaussian_top_eigenvector(self):
@@ -220,7 +224,7 @@ class TestFhdsFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fhds"
         path.write_bytes(b"NOPE" + bytes(64))
-        with pytest.raises(BadMagic):
+        with pytest.raises(CorruptFile, match="expected FHDS magic, got b'NOPE'"):
             dio.load_dataset(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -230,7 +234,7 @@ class TestFhdsFormat:
         raw = bytearray(path.read_bytes())
         raw[4] = 9
         path.write_bytes(bytes(raw))
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(CorruptFile, match="unsupported FHDS version 9"):
             dio.load_dataset(path)
 
     def test_truncated(self, tmp_path):

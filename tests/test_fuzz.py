@@ -1,7 +1,7 @@
 """Damaged input files end every CLI path with a documented exit code and at
-most one stderr line: a small checkpoint and a small FHDS dataset are
-truncated or byte-flipped, then ``eval``, ``probe`` and ``pretrain`` run on
-them in-process."""
+most one stderr line: a small checkpoint, a small FHDS dataset and the config
+file ``pretrain`` reads are truncated or byte-flipped, then ``eval``,
+``probe`` and ``pretrain`` run on them in-process."""
 
 import contextlib
 import io
@@ -34,20 +34,21 @@ layer5 = dense n=4 rule=hpca
 [train]
 epochs = 2
 batch_size = 8
+# ends in a two-byte UTF-8 character: é
 """
 
 # which commands read each file
-READERS = {"m.fhb": ["eval", "probe"], "d.fhds": ["eval", "probe", "pretrain"]}
+READERS = {"m.fhb": ["eval", "probe"], "d.fhds": ["eval", "probe", "pretrain"], "c.cfg": ["pretrain"]}
 
 
 @pytest.fixture(scope="module")
 def root(tmp_path_factory):
-    """The directory the commands run in, with intact copies of both files in ``intact/``."""
+    """The directory the commands run in, with intact copies of the files in ``intact/``."""
     root = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(0)
     save_dataset(root / "d.fhds", Dataset(rng.random((16, 2, 4, 4)), rng.integers(0, 2, 16), 2))
     text = CONFIG.format(data=root / "d.fhds")
-    (root / "c.cfg").write_text(text)
+    (root / "c.cfg").write_text(text, encoding="utf-8")
     stack = build_stack(parse_config(text), (2, 4, 4), 1e-3)
     save_checkpoint(root / "m.fhb", stack, LinearProbe(np.zeros((2, 4)), np.zeros(2)), text)
     (root / "intact").mkdir()
@@ -71,7 +72,7 @@ def _damage(raw: bytes, cut, flips) -> bytes:
 # rank at 569, their values follow from 578, and its config echo starts at 667;
 # the FHDS header holds the rank at 8 and the extents (16, 2, 4, 4) at 12-27,
 # images follow from 28, the class count from 4124 and the labels from 4128.
-ECHO_TEST_PATH_END = -len(CONFIG.split("test_path = {data}")[1]) - 1  # last byte of the echo's test_path
+ECHO_TEST_PATH_END = -len(CONFIG.split("test_path = {data}")[1].encode()) - 1  # last byte of the echo's test_path
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
@@ -90,8 +91,10 @@ ECHO_TEST_PATH_END = -len(CONFIG.split("test_path = {data}")[1]) - 1  # last byt
 @example("d.fhds", "pretrain", None, [(16, 2), (18, 16), (20, 4), (22, 16), (24, 4), (26, 16)])  # 16 x 2^60: int64 product 0
 @example("d.fhds", "pretrain", 4150, [(0, 1)])  # cut inside the label block
 @example("d.fhds", "pretrain", None, [(275, 64)])  # an image value near 1e300: the update overflows
+@example("c.cfg", "pretrain", None, [(0, 128)])  # config not UTF-8: its first byte starts a two-byte character
+@example("c.cfg", "pretrain", -2, [(0, 1)])  # config cut inside its last character
 def test_damaged_file_exits_with_a_code_and_one_line(root, target, command, cut, flips):
-    if command not in READERS[target]:  # pretrain reads no checkpoint
+    if command not in READERS[target]:  # pretrain reads no checkpoint, eval and probe no config file
         command = READERS[target][0]
     for name in READERS:
         raw = (root / "intact" / name).read_bytes()

@@ -6,7 +6,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from fasthebb import layers
 from fasthebb.config import parse_config
-from fasthebb.errors import ConfigError, GeometryError, NonFiniteWeights, ShapeMismatch
+from fasthebb.errors import ConfigError, NonFiniteWeights, ShapeMismatch
 from fasthebb.experiment import build_stack
 from fasthebb.layers import (
     ConvGeometry,
@@ -90,7 +90,7 @@ class TestExtractPatches:
             assert batch.patches.shape[0] == b * out_extent(h, k, stride, pad) * out_extent(w, k, stride, pad)
 
     def test_geometry_underflow(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigError, match="kernel 4 exceeds padded extent 2"):
             extract_patches(Tensor(np.zeros((1, 1, 2, 2))), ConvGeometry(4, 4, 1))
 
     def test_channel_mismatch(self):
@@ -103,7 +103,7 @@ class TestExtractPatches:
         ids=["kernel-0", "stride-0", "pad-negative"],
     )
     def test_bad_geometry(self, geometry):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigError, match="need kernel >= 1, stride >= 1 and padding >= 0"):
             extract_patches(Tensor(np.zeros((1, 1, 4, 4))), geometry)
 
     @pytest.mark.parametrize("geometry", [ConvGeometry(5, 5, 3, padding=2), ConvGeometry(3, 2, 3, stride=2)])
@@ -470,7 +470,7 @@ class TestFixedFunction:
         assert x.shape == (2, 5)
 
     def test_max_pool_geometry_error(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigError, match="kernel 3 exceeds padded extent 2"):
             max_pool(Tensor(np.zeros((1, 1, 2, 2))), 3, 1)
 
     def test_relu_keeps_nan_and_the_sign_of_zero(self, pool_workers):
@@ -503,7 +503,7 @@ class TestMaxPoolProperty:
         x[rng.random(x.shape) < 0.3] = -0.0
         x[rng.random(x.shape) < 0.05] = np.nan
         if window > min(h, w):
-            with pytest.raises(GeometryError):
+            with pytest.raises(ConfigError, match=f"kernel {window} exceeds padded extent"):
                 max_pool(Tensor(x), window, stride)
             return
         runs = []
@@ -536,7 +536,7 @@ class TestMaxPoolProperty:
 
     @pytest.mark.parametrize("window, stride", [(0, 1), (2, 0)])
     def test_window_and_stride_must_be_positive(self, window, stride):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigError, match="need kernel >= 1, stride >= 1 and padding >= 0"):
             max_pool(Tensor(np.zeros((1, 1, 4, 4))), window, stride)
 
 

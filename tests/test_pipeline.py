@@ -10,15 +10,7 @@ import pytest
 
 from fasthebb import data as dio, layers, pipeline, rules, tensor as tc
 from fasthebb.data import Dataset
-from fasthebb.errors import (
-    BadMagic,
-    CorruptFile,
-    EmptyLabeledSet,
-    GeometryError,
-    NonFiniteWeights,
-    ShapeMismatch,
-    VersionMismatch,
-)
+from fasthebb.errors import ConfigError, CorruptFile, EmptyLabeledSet, NonFiniteWeights, ShapeMismatch
 from fasthebb.layers import (
     ConvGeometry,
     Flatten,
@@ -454,7 +446,7 @@ class TestExtractFeaturesInBlocks:
         assert forward_sizes == []
 
     def test_images_of_another_size_fail_before_any_forward(self, forward_sizes):
-        with pytest.raises(GeometryError, match="kernel 2 exceeds padded extent 1"):
+        with pytest.raises(ConfigError, match="kernel 2 exceeds padded extent 1"):
             extract_features(_bench_stack(), _images(4, shape=(3, 2, 2)))  # pooled to 1 x 1 before the second pool
         assert forward_sizes == []
 
@@ -779,7 +771,7 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fhb"
         path.write_bytes(b"XXXX" + bytes(32))
-        with pytest.raises(BadMagic):
+        with pytest.raises(CorruptFile, match="expected FHB1 magic, got b'XXXX'"):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -788,7 +780,7 @@ class TestCheckpoint:
         raw = bytearray(path.read_bytes())
         raw[4] = 99
         path.write_bytes(bytes(raw))
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(CorruptFile, match="unsupported checkpoint version 99"):
             load_checkpoint(path)
 
     def test_truncated(self, tmp_path):

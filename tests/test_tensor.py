@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fasthebb import tensor as tc
-from fasthebb.errors import InvalidTemperature, ShapeMismatch
+from fasthebb.errors import ShapeMismatch, UsageError
 from fasthebb.tensor import AllocationTracker, Tensor
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")  # OpenBLAS reads its thread count from these
@@ -103,6 +103,10 @@ class TestMatmul:
 
 
 class TestElementwise:
+    def test_unknown_op_is_usage_error(self):
+        with pytest.raises(UsageError, match="unknown elementwise op 'pow'"):
+            tc.elementwise("pow", T([1.0]), 2.0)
+
     def test_broadcast_sub_shapes(self):
         x = T(np.arange(6.0).reshape(2, 1, 3))
         w = T(np.ones((1, 4, 3)))
@@ -189,6 +193,11 @@ class TestReduceSum:
         out = tc.reduce_sum(T(np.full((3, 4), -0.0)), dim)
         assert not np.signbit(out.data).any()
 
+    @pytest.mark.parametrize("dim", [-1, 2])
+    def test_dim_out_of_range_is_usage_error(self, dim):
+        with pytest.raises(UsageError, match=f"dim {dim} out of range for shape \\(3, 4\\)"):
+            tc.reduce_sum(T(np.zeros((3, 4))), dim)
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -220,9 +229,9 @@ class TestSoftmax:
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_invalid_temperature(self):
-        with pytest.raises(InvalidTemperature):
+        with pytest.raises(UsageError, match="temperature must be > 0, got 0.0"):
             tc.softmax(T([[1.0]]), 0.0)
-        with pytest.raises(InvalidTemperature):
+        with pytest.raises(UsageError, match="temperature must be > 0, got -1.0"):
             tc.softmax(T([[1.0]]), -1.0)
 
     @pytest.mark.parametrize(
@@ -247,7 +256,7 @@ class TestSoftmax:
         if temperature == 0.02:
             assert np.all(got[:, 0] == 0.0)
 
-    ROWS = tc._SOFTMAX_ROWS
+    ROWS = tc.SPLIT_ROWS_FROM
 
     @pytest.mark.parametrize("temperature", [1.0, 0.02])
     @pytest.mark.parametrize(
