@@ -23,7 +23,8 @@ _BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "
 
 def _read(section: dict, key: str, cast, default=None, floor=None):
     """``section[key]`` as ``cast`` (``default`` when absent; required when
-    that is None).  A bool must be a boolean word; a number must be >= ``floor``."""
+    that is None).  A bool must be a boolean word; a float, or each float of
+    a list, must be finite; a number must be >= ``floor``."""
     if key not in section:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
@@ -32,22 +33,16 @@ def _read(section: dict, key: str, cast, default=None, floor=None):
     try:
         value = _BOOLS[raw.lower()] if cast is bool else cast(raw)
     except (KeyError, ValueError):
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
+        value = None
+    if value is None or cast in (float, _floats) and not np.isfinite(value).all():
+        raise ConfigError(f"bad value for {key!r}: {raw!r}")
     if floor is not None and value < floor:
         raise ConfigError(f"{key!r} must be >= {floor}, got {raw}")
     return value
 
 
-def _finite(text: str) -> float:
-    """``text`` as a float that is neither NaN nor infinite (:func:`_read` names the key)."""
-    value = float(text)
-    if not np.isfinite(value):
-        raise ConfigError(f"{text!r} is not finite")
-    return value
-
-
 def _floats(text: str) -> list[float]:
-    return [_finite(v) for v in text.split(",")]
+    return [float(v) for v in text.split(",")]
 
 
 def build_dataset(cfg: dict, split: str = "train") -> Dataset:
@@ -69,17 +64,17 @@ def build_dataset(cfg: dict, split: str = "train") -> Dataset:
         return (dio.load_cifar10 if kind == "cifar10" else dio.load_dataset)(path)
     seed = base_seed + 9999 if test else base_seed
     num = _read(section, "num", int, floor=1)
-    if test:
-        num = _read(section, "test_num", int, num, floor=1)
+    test_num = _read(section, "test_num", int, num, floor=1)  # checked for either split
+    num = test_num if test else num
     dims = _read(section, "dims", int, floor=1)
     if kind == "clusters":
         ds, _ = dio.synth_clusters(
             k=_read(section, "clusters", int, floor=1),
             num=num,
             dims=dims,
-            separation=_read(section, "separation", _finite),
+            separation=_read(section, "separation", float),
             seed=seed,
-            noise_std=_read(section, "noise_std", _finite, 1.0),
+            noise_std=_read(section, "noise_std", float, 1.0),
             centroid_seed=base_seed,
         )
         return ds

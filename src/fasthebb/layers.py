@@ -262,7 +262,7 @@ def apply_update(layer: HebbLayer, result: UpdateResult) -> HebbLayer:
         raise ShapeMismatch(
             f"update shape {result.delta_w.shape} != weights {layer.weights.shape}"
         )
-    new_w = tc.elementwise("add", layer.weights, result.delta_w)
+    new_w = tc.elementwise(np.add, layer.weights, result.delta_w)
     if not np.all(np.isfinite(new_w.data)):
         raise NonFiniteWeights("weight update produced NaN or Inf entries")
     return replace(layer, weights=new_w)

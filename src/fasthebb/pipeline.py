@@ -220,26 +220,28 @@ def extract_features(stack: Sequence, data: Dataset) -> np.ndarray:
 
     The stages' ``out_shape`` give the feature width before any forward, so
     the images go through in blocks that :func:`~fasthebb.tensor.split_rows`
-    hands out in ranges, each block's rows copied into one preallocated
-    feature matrix; the stages inside a block run inline on its thread.  A
-    block of 16 images keeps the stage buffers in cache, but it may only be
-    used where it changes no bit: a GEMM's output rows keep their bits at any
-    row count only from :data:`~fasthebb.tensor.SAME_ROWS_FROM` rows up.  So
-    16-image blocks apply when every Hebbian layer is a conv layer with at
-    least that many patch rows (out_h * out_w) per image, and any other stack,
-    one with a dense Hebbian layer (one row per image) included, goes through
-    in 256-image batches."""
+    hands out in ranges, each block's output copied once into its rows of one
+    preallocated feature matrix viewed at that output's shape (so a final
+    ``Flatten`` is not run); the stages inside a block run inline on its
+    thread.  A block of 16 images keeps the stage buffers in cache, but it
+    may only be used where it changes no bit: a GEMM's output rows keep their
+    bits at any row count only from :data:`~fasthebb.tensor.SAME_ROWS_FROM`
+    rows up.  So 16-image blocks apply when every Hebbian layer is a conv
+    layer with at least that many patch rows (out_h * out_w) per image, and
+    any other stack, one with a dense Hebbian layer (one row per image)
+    included, goes through in 256-image batches."""
     n, shape, size = len(data), data.images.shape[1:], _BLOCK_IMAGES
     for stage in stack:
         shape = stage.out_shape(shape)
         if isinstance(stage, HebbLayer) and int(np.prod(shape[1:])) < tc.SAME_ROWS_FROM:
             size = _BATCH_IMAGES
     features = np.empty((n, int(np.prod(shape))), dtype=data.images.dtype)
+    stages = stack[:-1] if stack and isinstance(stack[-1], ly.Flatten) else stack
 
     def fill(first: int, stop: int) -> None:
         for start in range(first * size, min(stop * size, n), size):
-            out = forward_stack(stack, Tensor(data.images[start : start + size]))
-            features[start : start + size] = out.data.reshape(out.shape[0], -1)
+            out = forward_stack(stages, Tensor(data.images[start : start + size]))
+            features[start : start + size].reshape(out.shape)[...] = out.data
 
     tc.split_rows(fill, -(-n // size))
     return features
@@ -281,7 +283,7 @@ def train_probe(
     features: np.ndarray,
     labels: np.ndarray,
     config: TrainConfig,
-    class_count: Optional[int] = None,
+    class_count: int,
 ) -> LinearProbe:
     """Mini-batch SGD with Nesterov momentum on softmax cross-entropy.
 
@@ -294,8 +296,6 @@ def train_probe(
     if len(features) == 0:
         raise EmptyLabeledSet("train_probe needs at least one labeled sample")
     labels = np.asarray(labels, dtype=np.int64)
-    if class_count is None:
-        class_count = int(labels.max()) + 1
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(features))
     n_val = int(round(0.2 * len(features)))

@@ -123,7 +123,7 @@ def aggregate(coeffs: Tensor, per_sample: Tensor) -> Tensor:
         raise ShapeMismatch(
             f"coefficients {coeffs.shape} do not match updates {per_sample.shape}"
         )
-    return tc.reduce_sum(tc.elementwise("mul", coeffs, per_sample), 0)
+    return tc.reduce_sum(tc.elementwise(np.multiply, coeffs, per_sample))
 
 
 def _swta_scores(w: Tensor, x: Tensor, y: Optional[Tensor], params: LearningParams):
@@ -133,7 +133,7 @@ def _swta_scores(w: Tensor, x: Tensor, y: Optional[Tensor], params: LearningPara
     if y is None:
         y = forward_linear(w, x)
     r, row_sums = tc.softmax(y, params.temperature)  # B x N x 1, B x 1 x 1
-    col_sums = tc.reduce_sum(r, 0)  # 1 x N x 1
+    col_sums = tc.reduce_sum(r)  # 1 x N x 1
     # sum_b R[b,n] > 0 holds in exact arithmetic; at low temperature the
     # scores of a losing neuron can underflow to 0.0, in which case the
     # whole column is zero and C can be anything (its contribution vanishes)
@@ -153,11 +153,11 @@ def swta_update_naive(
     _check_update_shapes(w, x)
     with AllocationTracker() as tr:
         r, safe, metric = _swta_scores(w, x, y, params)
-        c = tc.elementwise("div", r, safe)
-        diff = tc.elementwise("sub", x, w)  # B x N x S
-        scored = tc.elementwise("mul", r, diff)  # B x N x S
+        c = tc.elementwise(np.divide, r, safe)
+        diff = tc.elementwise(np.subtract, x, w)  # B x N x S
+        scored = tc.elementwise(np.multiply, r, diff)  # B x N x S
         del diff
-        per_sample = tc.elementwise("mul", scored, params.eta)
+        per_sample = tc.elementwise(np.multiply, scored, params.eta)
         del scored
         delta_w = aggregate(c, per_sample)
     return UpdateResult(delta_w, tr.largest, metric)
@@ -191,11 +191,11 @@ def swta_update_fast(
         tc.split_rows(fill, b, tc.SPLIT_ROWS_FROM)
         del r, rd  # two B x N buffers at once, three while a caller holds the y it passed
         cr = Tensor(buf)  # B x N x 1
-        q = tc.reduce_sum(cr, 0)  # 1 x N x 1
+        q = tc.reduce_sum(cr)  # 1 x N x 1
         cr_t = tc.transpose(tc.reshape(cr, (1, b, n)))  # 1 x N x B
         pull = tc.matmul(cr_t, tc.reshape(x, (1, b, s)))  # 1 x N x S
-        decay = tc.elementwise("mul", q, w)  # 1 x N x S
-        delta_w = tc.elementwise("mul", tc.elementwise("sub", pull, decay), params.eta)
+        decay = tc.elementwise(np.multiply, q, w)  # 1 x N x S
+        delta_w = tc.elementwise(np.multiply, tc.elementwise(np.subtract, pull, decay), params.eta)
     return UpdateResult(delta_w, tr.largest, metric)
 
 
@@ -215,13 +215,13 @@ def hpca_update_naive(
     with AllocationTracker() as tr:
         if y is None:
             y = forward_linear(w, x)  # B x N x 1
-        mask = tc.reshape(tc.tril_mask(n, dtype=w.dtype), (1, n, n))
-        yw = tc.elementwise("mul", y, w)  # B x N x S
+        mask = tc.tril_mask(n, w.dtype)
+        yw = tc.elementwise(np.multiply, y, w)  # B x N x S
         partial = tc.matmul(mask, yw)  # B x N x S, cumulative reconstructions
         del yw
-        resid = tc.elementwise("sub", x, partial)  # B x N x S
+        resid = tc.elementwise(np.subtract, x, partial)  # B x N x S
         del partial
-        delta_w = tc.elementwise("mul", aggregate(y, resid), params.eta / b)
+        delta_w = tc.elementwise(np.multiply, aggregate(y, resid), params.eta / b)
     return UpdateResult(delta_w, tr.largest)
 
 
@@ -240,11 +240,11 @@ def hpca_update_fast(
             y = forward_linear(w, x)  # B x N x 1
         y_t = tc.transpose(tc.reshape(y, (1, b, n)))  # 1 x N x B
         gram = tc.matmul(y_t, tc.reshape(y, (1, b, n)))  # 1 x N x N
-        mask = tc.reshape(tc.tril_mask(n, dtype=w.dtype), (1, n, n))
-        p = tc.elementwise("mul", gram, mask)
+        mask = tc.tril_mask(n, w.dtype)
+        p = tc.elementwise(np.multiply, gram, mask)
         pull = tc.matmul(y_t, tc.reshape(x, (1, b, s)))  # 1 x N x S
         decay = tc.matmul(p, w)  # 1 x N x S
-        delta_w = tc.elementwise("mul", tc.elementwise("sub", pull, decay), params.eta / b)
+        delta_w = tc.elementwise(np.multiply, tc.elementwise(np.subtract, pull, decay), params.eta / b)
     return UpdateResult(delta_w, tr.largest)
 
 

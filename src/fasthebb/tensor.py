@@ -355,14 +355,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(np.matmul(a.data, b.data))
 
 
-_ELEMENTWISE_OPS = ("add", "sub", "mul", "div")
-
-
-def elementwise(op: str, a: Tensor, b) -> Tensor:
-    """Componentwise op with singleton-only broadcasting; ``b`` may be a
-    scalar."""
-    if op not in _ELEMENTWISE_OPS:
-        raise UsageError(f"unknown elementwise op {op!r}")
+def elementwise(op: np.ufunc, a: Tensor, b) -> Tensor:
+    """``op(a, b)`` for a numpy ufunc ``op`` (``np.add``, ``np.subtract``,
+    ``np.multiply``, ``np.divide``) with singleton-only broadcasting; ``b``
+    may be a scalar."""
     if isinstance(b, Tensor):
         if a.ndim != b.ndim:
             raise ShapeMismatch(f"rank mismatch: {a.shape} vs {b.shape}")
@@ -370,34 +366,23 @@ def elementwise(op: str, a: Tensor, b) -> Tensor:
         rhs = b.data
     else:
         rhs = float(b)
-    if op == "add":
-        out = a.data + rhs
-    elif op == "sub":
-        out = a.data - rhs
-    elif op == "div":
-        out = a.data / rhs
-    else:
-        out = a.data * rhs
-    return Tensor(out)
+    return Tensor(op(a.data, rhs))
 
 
-def reduce_sum(a: Tensor, dim_index: int) -> Tensor:
-    """Sum along one dimension, keeping it as a singleton.
+def reduce_sum(a: Tensor) -> Tensor:
+    """Sum over the batch (axis 0), keeping it as a singleton.
 
-    The accumulation is strictly left to right along the reduced dimension:
-    every result is bit for bit ``acc = 0.0; for v in values: acc += v``.
+    The accumulation is strictly left to right over the batch: every result
+    is bit for bit ``acc = 0.0; for v in values: acc += v``.
     """
-    if not 0 <= dim_index < a.ndim:
-        raise UsageError(f"dim {dim_index} out of range for shape {a.shape}")
     src = np.ascontiguousarray(a.data)
-    if int(np.prod(a.shape[dim_index + 1 :])) > 1:
+    if int(np.prod(a.shape[1:])) > 1:
         # on a row-major array numpy then adds whole trailing slices in order
-        return Tensor(np.sum(src, axis=dim_index, keepdims=True))
-    # the reduced dim is innermost, where np.sum would add in pairs; cumsum
-    # adds sequentially, and + 0.0 starts the sum from +0.0 as np.sum does
-    idx = [slice(None)] * a.ndim
-    idx[dim_index] = slice(-1, None)
-    return Tensor(np.cumsum(src, axis=dim_index)[tuple(idx)] + 0.0)
+        return Tensor(np.sum(src, axis=0, keepdims=True))
+    # one value per sample (a one-neuron layer), where np.sum would add in
+    # pairs; cumsum adds sequentially, and + 0.0 starts the sum from +0.0 as
+    # np.sum does
+    return Tensor(np.cumsum(src, axis=0)[-1:] + 0.0)
 
 
 def softmax(y: Tensor, temperature: float) -> tuple[Tensor, Tensor]:
@@ -428,11 +413,12 @@ def softmax(y: Tensor, temperature: float) -> tuple[Tensor, Tensor]:
     return Tensor(z), Tensor(sums)
 
 
-def tril_mask(n: int, dtype=np.float64) -> Tensor:
-    """n x n lower-triangular matrix of ones (diagonal inclusive)."""
+def tril_mask(n: int, dtype) -> Tensor:
+    """1 x n x n lower-triangular matrix of ones (diagonal inclusive): the
+    mask of the HPCA kernels, shaped like their 1 x N x N Gram tensor."""
     if n < 1:
         raise ShapeMismatch(f"tril_mask needs n >= 1, got {n}")
-    return Tensor(np.tril(np.ones((n, n), dtype=dtype)))
+    return Tensor(np.tril(np.ones((1, n, n), dtype=dtype)))
 
 
 # source rows copied per block by :func:`transpose`: a block of source rows

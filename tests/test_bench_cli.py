@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from fasthebb.data import Dataset, save_dataset
 from fasthebb.errors import ConfigError
 from fasthebb.experiment import build_stack
 from fasthebb.layers import HebbLayer
-from fasthebb.pipeline import LinearProbe, load_checkpoint, save_checkpoint
+from fasthebb.pipeline import LinearProbe, TrainConfig, load_checkpoint, save_checkpoint
 from fasthebb.rules import LearningParams, UpdateResult
 from fasthebb.tensor import Tensor
 
@@ -252,6 +253,8 @@ BAD_INPUTS = {
         _demo("kind = clusters", "kind = gaussian\ncov_diag = " + ",".join(["1"] * 15 + ["nan"])),
         2, "bad value for 'cov_diag'",
     ),
+    # test_num is checked whenever [data] is built, not first by probe
+    "test-num-0": (_demo("test_num = 120", "test_num = 0"), 2, "'test_num' must be >= 1, got 0"),
     # 40 samples at 1% round to no labeled sample
     "probe-regime-1-of-40": (
         lambda tmp_path: _demo_ckpt(
@@ -305,6 +308,24 @@ def demo_config(tmp_path):
     path = tmp_path / "demo.cfg"
     path.write_text(DEMO_CONFIG)
     return path
+
+
+def _set_train_key(key, value):
+    """The demo config with [train] ``key`` set to ``value``, in place of any line that sets it."""
+    lines = [line for line in DEMO_CONFIG.splitlines(keepends=True) if not line.startswith(f"{key} = ")]
+    return "".join(lines).replace("[train]\n", f"[train]\n{key} = {value}\n")
+
+
+# key: (demo config with that float key set to {value}, prefix of its error line); every
+# float field of TrainConfig is a [train] key, so a new one is covered here unedited
+FLOAT_KEYS = {
+    **{f.name: (_set_train_key(f.name, "{value}"), "") for f in fields(TrainConfig) if type(f.default) is float},
+    "lr": (DEMO_CONFIG.replace("lr=0.01", "lr={value}"), "layer1: "),
+    "t": (DEMO_CONFIG.replace("lr=0.01", "lr=0.01 t={value}"), "layer1: "),
+    "separation": (DEMO_CONFIG.replace("separation = 10.0", "separation = {value}"), ""),
+    "noise_std": (DEMO_CONFIG.replace("seed = 3", "seed = 3\nnoise_std = {value}"), ""),
+    "cov_diag": (DEMO_CONFIG.replace("kind = clusters", "kind = gaussian\ncov_diag = " + "1," * 15 + "{value}"), ""),
+}
 
 
 class TestConfigParser:
@@ -499,6 +520,15 @@ class TestCli:
         assert needle in err
         assert sorted(tmp_path.iterdir()) == before  # no checkpoint or report written
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", list(FLOAT_KEYS))
+    def test_non_finite_float_key_is_config_error(self, key, value, tmp_path, capsys):
+        text, prefix = FLOAT_KEYS[key]
+        raw = value if key != "cov_diag" else "1," * 15 + value
+        assert main(_pretrain(tmp_path, text.format(value=value))) == 2
+        assert capsys.readouterr().err == f"error: {prefix}bad value for {key!r}: {raw!r}\n"
+        assert not (tmp_path / "m.fhb").exists()
+
     @pytest.mark.parametrize("case", list(CKPT_MISMATCHES))
     def test_checkpoint_that_does_not_fit_its_config(self, case, tmp_path, capsys):
         echo, blocks, probe_shape, command, needle = CKPT_MISMATCHES[case]
@@ -625,7 +655,7 @@ class TestCli:
     def test_bench_with_a_wrong_fast_kernel_writes_its_reports_and_exits_3(self, tmp_path, capsys, monkeypatch):
         def wrong(w, x, params, y=None):
             result = rules.swta_update_fast(w, x, params, y)
-            return UpdateResult(tc.elementwise("mul", result.delta_w, 2.0), result.peak_temp_elements)
+            return UpdateResult(tc.elementwise(np.multiply, result.delta_w, 2.0), result.peak_temp_elements)
 
         monkeypatch.setitem(rules._KERNELS, ("swta", "fast"), wrong)
         out, json_out = tmp_path / "x.csv", tmp_path / "x.json"
@@ -724,7 +754,7 @@ class TestCli:
 
     def test_probe_with_non_finite_weights_is_numeric_error(self, tmp_path, capsys):
         ckpt = tmp_path / "m.fhb"
-        assert main(_pretrain(tmp_path, DEMO_CONFIG.replace("probe_lr = 0.05", "probe_lr = inf"))) == 0
+        assert main(_pretrain(tmp_path, DEMO_CONFIG.replace("probe_lr = 0.05", "probe_lr = 1e308"))) == 0
         raw = ckpt.read_bytes()
         capsys.readouterr()
         assert main(["probe", "--ckpt", str(ckpt), "--regime", "25"]) == 3

@@ -403,6 +403,13 @@ class TestExtractFeaturesInBlocks:
         assert got.shape == want.shape and np.array_equal(got, want)
         assert sorted(forward_sizes) == sorted([16] * (n // 16) + ([n % 16] if n % 16 else []))
 
+    def test_final_flatten_is_not_run(self, pool_workers, monkeypatch):
+        # the copy into the feature matrix flattens the last conv block itself
+        stack, ds = _bench_stack(), _images(20)
+        want = _flat_forward(stack, ds.images)
+        monkeypatch.setattr(Flatten, "forward", lambda self, x: pytest.fail("Flatten.forward ran"))
+        assert np.array_equal(extract_features(stack, ds), want)
+
     def test_dense_stack_keeps_256_image_batches(self, pool_workers, forward_sizes):
         stack = [HebbLayer(init_weights(16, 784, seed=0), LearningParams(rule="swta")), ReLU()]
         ds = _images(300, shape=(1, 28, 28))
@@ -596,7 +603,7 @@ class TestProbe:
         )
         labels = np.array([0] * 50 + [1] * 50)
         cfg = TrainConfig(epochs=20, batch_size=16, probe_lr=0.1, seed=0)
-        probe = train_probe(feats, labels, cfg)
+        probe = train_probe(feats, labels, cfg, class_count=2)
         acc = evaluate(probe, feats, labels, 1)
         assert acc >= 0.99
 
@@ -613,7 +620,7 @@ class TestProbe:
         feats = rng.standard_normal((60, 4))
         labels = rng.integers(0, 3, size=60)
         cfg = TrainConfig(epochs=8, probe_lr=0.5, seed=0, early_stopping=False)
-        probe = train_probe(feats, labels, cfg)
+        probe = train_probe(feats, labels, cfg, class_count=3)
         assert probe.best_epoch == 7
         assert evaluate(probe, feats, labels) == probe.val_accuracy
 
@@ -633,23 +640,23 @@ class TestProbe:
             _, gw, gb = probe_loss_grad(w, b, feats[batch], labels[batch])
             vw, vb = cfg.momentum * vw + gw, cfg.momentum * vb + gb
             w, b = w - lr * vw, b - lr * vb
-        probe = train_probe(feats, labels, cfg)
+        probe = train_probe(feats, labels, cfg, class_count=3)
         np.testing.assert_allclose(probe.weights, w, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(probe.bias, b, rtol=1e-12, atol=1e-15)
-        nesterov = train_probe(feats, labels, TrainConfig(**{**cfg.__dict__, "nesterov": True}))
+        nesterov = train_probe(feats, labels, TrainConfig(**{**cfg.__dict__, "nesterov": True}), class_count=3)
         assert not np.allclose(nesterov.weights, w, rtol=1e-6)
 
     def test_empty_labeled_set(self):
         with pytest.raises(EmptyLabeledSet):
-            train_probe(np.zeros((0, 3)), np.zeros(0, dtype=int), TrainConfig())
+            train_probe(np.zeros((0, 3)), np.zeros(0, dtype=int), TrainConfig(), class_count=2)
 
     def test_early_stopping_deterministic(self):
         rng = np.random.default_rng(2)
         feats = rng.standard_normal((60, 4))
         labels = rng.integers(0, 3, size=60)
         cfg = TrainConfig(epochs=8, probe_lr=0.05, seed=9)
-        a = train_probe(feats, labels, cfg)
-        b = train_probe(feats, labels, cfg)
+        a = train_probe(feats, labels, cfg, class_count=3)
+        b = train_probe(feats, labels, cfg, class_count=3)
         assert a.best_epoch == b.best_epoch
         np.testing.assert_array_equal(a.weights, b.weights)
 

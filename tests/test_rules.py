@@ -35,9 +35,9 @@ def swta_terms(w, x, temperature):
     z = z - np.max(z, axis=1, keepdims=True)
     e = np.exp(z)
     r = e / np.sum(e, axis=1, keepdims=True)
-    col_sums = tc.reduce_sum(Tensor(r), 0).data
+    col_sums = tc.reduce_sum(Tensor(r)).data
     c = r / np.where(col_sums > 0, col_sums, 1.0)
-    q = tc.reduce_sum(Tensor(c * r), 0).data
+    q = tc.reduce_sum(Tensor(c * r)).data
     return r, c, q
 
 
