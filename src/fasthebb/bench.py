@@ -5,7 +5,9 @@ Memory is reported as tensor elements allocated through the tensor core
 (the largest temporary of each kernel invocation), not OS RSS, so the
 numbers line up exactly with the kernels' space-complexity bounds.  The
 kernels run on the BLAS thread count :mod:`~fasthebb.tensor` leaves in
-place: one unless the environment sets it.
+place, one unless the environment sets it, and on the pool's workers, which
+fill their per-row work and the rows of their products; the environment
+block reports both counts, as ``threads`` and ``pool_workers``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import rules
 from .errors import UsageError
 from .layers import init_weights
 from .rules import LearningParams
-from .tensor import Tensor, openblas_threads
+from .tensor import Tensor, openblas_threads, pool_workers
 
 __all__ = [
     "BenchRow",
@@ -127,6 +129,7 @@ def bench_kernels(
         "python": platform.python_version(),
         "precision": np.dtype(dtype).name,
         "threads": threads[0]() if threads else None,  # read back from BLAS
+        "pool_workers": pool_workers(),  # the fast kernels' products split over these
     })
     for rule in rule_names:
         for b, n, s in grid:

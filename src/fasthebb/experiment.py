@@ -20,6 +20,11 @@ __all__ = ["build_dataset", "input_shape", "build_stack", "build_train_config", 
 
 _BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
+# largest synthetic sample scale, as separation * noise_std or a variance:
+# above it the squares of the samples alone come near the float64 limit, so
+# training could only end in the numeric error (below it, it still may)
+_SAMPLE_SCALE_MAX = 1e150
+
 
 def _read(section: dict, key: str, cast, default=None, floor=None):
     """``section[key]`` as ``cast`` (``default`` when absent; required when
@@ -68,17 +73,24 @@ def build_dataset(cfg: dict, split: str = "train") -> Dataset:
     num = test_num if test else num
     dims = _read(section, "dims", int, floor=1)
     if kind == "clusters":
+        separation, noise_std = _read(section, "separation", float), _read(section, "noise_std", float, 1.0)
+        scale = separation * noise_std
+        if not abs(scale) <= _SAMPLE_SCALE_MAX:
+            raise ConfigError(f"'separation' * 'noise_std' must be <= {_SAMPLE_SCALE_MAX:g}, got {scale:g}")
         ds, _ = dio.synth_clusters(
             k=_read(section, "clusters", int, floor=1),
             num=num,
             dims=dims,
-            separation=_read(section, "separation", float),
+            separation=separation,
             seed=seed,
-            noise_std=_read(section, "noise_std", float, 1.0),
+            noise_std=noise_std,
             centroid_seed=base_seed,
         )
         return ds
-    return dio.synth_gaussian(num, dims, _read(section, "cov_diag", _floats, 1.0), seed)
+    cov_diag = _read(section, "cov_diag", _floats, 1.0)
+    if np.max(cov_diag) > _SAMPLE_SCALE_MAX:
+        raise ConfigError(f"'cov_diag' entries must be <= {_SAMPLE_SCALE_MAX:g}, got {np.max(cov_diag):g}")
+    return dio.synth_gaussian(num, dims, cov_diag, seed)
 
 
 def _data_kind(section: dict) -> str:

@@ -6,8 +6,11 @@ stopping on validation accuracy.
 Both phases use the thread pool of :mod:`~fasthebb.tensor` where that keeps
 every bit: feature extraction splits its blocks of images over it, and a
 pretrain step runs the HPCA metric on it beside the update kernel, while the
-layers split patch rows, forwards, ReLU and max-pool outputs over it.  The
-update's contractions over the batch stay on the calling thread."""
+layers split patch rows, forwards, ReLU and max-pool outputs over it.  An
+update kernel on the calling thread splits the neuron rows of its batch
+contractions over it too (:func:`~fasthebb.tensor.matmul`), each row still
+contracted over the whole batch; the HPCA kernel runs inline beside its
+metric, so its contractions stay whole."""
 
 from __future__ import annotations
 

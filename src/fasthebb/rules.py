@@ -100,19 +100,11 @@ def _check_update_shapes(w: Tensor, x: Tensor) -> tuple[int, int, int]:
 def forward_linear(w: Tensor, x: Tensor) -> Tensor:
     """Y[b,n] = sum_s W[n,s] * X[b,s] (dot product, no bias).
 
-    Y is one buffer, filled by :func:`~fasthebb.tensor.split_rows` in row
-    ranges of at least ``SAME_ROWS_FROM`` rows, where every row has the bits
-    of one product over all rows."""
+    Y is one product, whose rows :func:`~fasthebb.tensor.matmul` splits over
+    the pool where every row keeps the bits of one product over all rows."""
     b, n, s = _check_update_shapes(w, x)
-    wt = tc.transpose(w).data  # 1 x S x N
-    rows = x.data.reshape(1, b, s)
-    y = np.empty((1, b, n), dtype=np.result_type(rows, wt))
-
-    def fill(start: int, stop: int) -> None:
-        np.matmul(rows[:, start:stop], wt, out=y[:, start:stop])
-
-    tc.split_rows(fill, b, tc.SAME_ROWS_FROM)
-    return Tensor(y.reshape(b, n, 1))
+    y = tc.matmul(tc.reshape(x, (1, b, s)), tc.transpose(w))  # 1 x B x N
+    return tc.reshape(y, (b, n, 1))
 
 
 def aggregate(coeffs: Tensor, per_sample: Tensor) -> Tensor:
@@ -174,8 +166,9 @@ def swta_update_fast(
 
     The per-row work (the softmax, C*R and its transposed copy) is split over
     the pool by :func:`~fasthebb.tensor.split_rows`, each row computed from
-    that row alone; the column sums and the product with X stay on one thread,
-    so every bit is that of one pass.
+    that row alone, and so are the neuron rows of the product with X
+    (:func:`~fasthebb.tensor.matmul`), each contracted over the whole batch;
+    the column sums stay on one thread, so every bit is that of one pass.
     """
     b, n, s = _check_update_shapes(w, x)
     with AllocationTracker() as tr:
@@ -233,6 +226,9 @@ def hpca_update_fast(
     P = (Y^T Y) * L;  delta_w = (eta/B) * (matmul(Y^T, X) - matmul(P, W))
 
     ``y`` is the forward of ``x`` under ``w`` when the caller has it.
+    :func:`~fasthebb.tensor.matmul` splits the neuron rows of Y^T Y and
+    Y^T X over the pool, each row contracted over the whole batch, so every
+    bit is that of one product.
     """
     b, n, s = _check_update_shapes(w, x)
     with AllocationTracker() as tr:

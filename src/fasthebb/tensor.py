@@ -31,8 +31,9 @@ keeps its peak resident size after its largest step.
 :func:`split_rows` is the one way work reaches the per-process thread pool,
 whose workers fill the CPUs that BLAS leaves idle: the CPUs this process may
 run on, divided by the thread count of the loaded OpenBLAS, which import pins
-to one unless the environment sets it.  So by default the batch contractions
-run on the calling thread and the per-row work on every CPU.  ``split_rows``
+to one unless the environment sets it.  So by default the per-row work and
+the output rows of the batch contractions run on every CPU, while no
+contraction over the batch is split.  ``split_rows``
 fills one buffer in row ranges: the calling thread fills the first range,
 during which its own splits run inline, while pool workers fill the others.
 :func:`overlap` is a two-range split that runs a second call beside the
@@ -40,8 +41,8 @@ caller's.  A split runs inline when the pool has one worker, on a pool
 worker, and on a caller while it fills its own range.  Only work whose
 bits do not depend on the split goes to the pool: copies (:func:`transpose`
 among them), per-row arithmetic whose every row depends on that row alone
-(:func:`softmax`), and GEMM rows in ranges of at least :data:`SAME_ROWS_FROM`
-rows.
+(:func:`softmax`), and the rows of a :func:`matmul` in ranges of whole
+:data:`GEMM_ROW_BLOCK` blocks above :data:`SPLIT_GEMM_ABOVE` multiply-adds.
 """
 
 from __future__ import annotations
@@ -66,8 +67,11 @@ __all__ = [
     "reshape",
     "openblas_threads",
     "SAME_ROWS_FROM",
+    "SPLIT_GEMM_ABOVE",
+    "GEMM_ROW_BLOCK",
     "SPLIT_ROWS_FROM",
     "row_ranges",
+    "pool_workers",
     "split_rows",
     "overlap",
 ]
@@ -190,6 +194,21 @@ def _pool_to_share():
 # count (OpenBLAS 0.3.31, S <= 3072, N <= 100; 16 rows at S=784 already differ)
 SAME_ROWS_FROM = 256
 
+# rows*N*K that each range of a :func:`matmul` row split must exceed: on
+# OpenBLAS 0.3.31, in float32 and float64 at N 2-2400 and K 8-131072, every
+# range of at least 2 rows above this that starts at a multiple of
+# GEMM_ROW_BLOCK had the bits of one product over all rows; at or below it
+# OpenBLAS takes its small-matrix path (16x75x1024 in 8-row halves already
+# differs), and a 1-row range or a 1-column output takes the GEMV path
+SPLIT_GEMM_ABOVE = 100**3
+
+# rows of the float64 GEMM kernel's row blocks (OpenBLAS 0.3.31, its
+# SkylakeX kernels): a row computed in a full block can round differently in its
+# last N % 8 columns from the same row in a shorter block, so a split keeps
+# every bit only where its ranges start at multiples of this (34x230x3027
+# in 17-row halves differs; starts at multiples of 4, 8 or 16 differed too)
+GEMM_ROW_BLOCK = 12
+
 # fewest rows in a range of a row-wise split of cheap per-row arithmetic
 # (:func:`softmax`, the fast SWTA kernel's C*R): below that, handing a range
 # to a worker costs more than its arithmetic
@@ -203,6 +222,12 @@ def row_ranges(count: int, parts: int, min_rows: int = 1) -> list[tuple[int, int
     parts = max(1, min(parts, count // min_rows))
     bounds = [count * i // parts for i in range(parts + 1)]
     return list(zip(bounds, bounds[1:]))
+
+
+def pool_workers() -> int:
+    """The worker count of the process's pool: the most ranges a
+    :func:`split_rows` fills at once."""
+    return _thread_pool()[1]
 
 
 def split_rows(fill, count: int, min_rows: int = 1) -> None:
@@ -342,7 +367,13 @@ def _check_batch_dims(a_shape, b_shape) -> None:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix multiplication contracting the last dim of ``a`` with
-    the second-to-last dim of ``b``; leading dims broadcast on singletons."""
+    the second-to-last dim of ``b``; leading dims broadcast on singletons.
+
+    A 1 x M x K by 1 x K x N product with N >= 2 fills its output in row
+    ranges through :func:`split_rows`, each range starting at a multiple of
+    :data:`GEMM_ROW_BLOCK` rows, at least 2 rows long and above
+    :data:`SPLIT_GEMM_ABOVE` multiply-adds, where every row has the bits of
+    one product over all rows; any other product is one ``np.matmul``."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatch("matmul operands need at least 2 dimensions")
     if a.ndim != b.ndim:
@@ -352,7 +383,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"contracted dims differ: {a.shape[-1]} vs {b.shape[-2]}"
         )
     _check_batch_dims(a.shape[:-2], b.shape[:-2])
-    return Tensor(np.matmul(a.data, b.data))
+    (*lead, m, k), n = a.shape, b.shape[-1]
+    if lead != [1] or b.shape[0] != 1 or n < 2:
+        return Tensor(np.matmul(a.data, b.data))
+    out = np.empty((1, m, n), dtype=np.result_type(a.data, b.data))
+    # ranges of whole blocks; the last block has ``tail`` rows, so every
+    # range takes enough blocks that the last range too has min_rows rows
+    min_rows = max(2, SPLIT_GEMM_ABOVE // (n * k or 1) + 1)
+    tail = (m - 1) % GEMM_ROW_BLOCK + 1
+
+    def fill(first: int, stop: int) -> None:
+        rows = slice(first * GEMM_ROW_BLOCK, stop * GEMM_ROW_BLOCK)
+        np.matmul(a.data[:, rows], b.data, out=out[:, rows])
+
+    split_rows(fill, -(-m // GEMM_ROW_BLOCK), -(-(min_rows - tail) // GEMM_ROW_BLOCK) + 1)
+    return Tensor(out)
 
 
 def elementwise(op: np.ufunc, a: Tensor, b) -> Tensor:

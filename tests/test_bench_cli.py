@@ -253,6 +253,17 @@ BAD_INPUTS = {
         _demo("kind = clusters", "kind = gaussian\ncov_diag = " + ",".join(["1"] * 15 + ["nan"])),
         2, "bad value for 'cov_diag'",
     ),
+    # a finite sample scale whose squares overflow is a config error too
+    "separation-huge": (
+        _demo("separation = 10.0", "separation = 1e308"), 2, "'separation' * 'noise_std' must be <= 1e+150, got 1e+308",
+    ),
+    "noise-std-huge": (
+        _demo("seed = 3", "seed = 3\nnoise_std = 1e150"), 2, "'separation' * 'noise_std' must be <= 1e+150, got 1e+151",
+    ),
+    "cov-diag-huge": (
+        _demo("kind = clusters", "kind = gaussian\ncov_diag = " + ",".join(["1"] * 15 + ["1e151"])),
+        2, "'cov_diag' entries must be <= 1e+150, got 1e+151",
+    ),
     # test_num is checked whenever [data] is built, not first by probe
     "test-num-0": (_demo("test_num = 120", "test_num = 0"), 2, "'test_num' must be >= 1, got 0"),
     # 40 samples at 1% round to no labeled sample
@@ -429,6 +440,11 @@ class TestBenchKernels:
     def test_reps_floor(self):
         with pytest.raises(ValueError):
             bench_kernels([(4, 2, 2)], reps=3)
+
+    def test_environment_reports_the_pool_workers(self, pool_workers):
+        report = bench_kernels([(16, 3, 5)], ["hpca"], reps=5, seed=0)
+        assert report.environment["pool_workers"] == pool_workers
+        assert json.loads(report.to_json())["environment"]["pool_workers"] == pool_workers
 
     def test_float32_mode(self):
         report = bench_kernels([(32, 4, 8)], reps=5, seed=0, dtype=np.float32)
@@ -789,10 +805,12 @@ class TestCli:
     def test_same_bits_and_output_with_blas_pinned_by_import_or_environment(self, tmp_path, fresh_env):
         """pretrain, probe and eval in fresh processes: the pin the import
         makes gives the checkpoints and output of OPENBLAS_NUM_THREADS=1, and
-        OpenBLAS on two threads with a one-worker pool gives them too."""
+        OpenBLAS on two threads with a one-worker pool gives them too.  The
+        SWTA layer's pull product, 40 x 800 by 800 x 72 per batch, splits its
+        rows over a two-worker pool; on two BLAS threads OpenBLAS splits it."""
         rng = np.random.default_rng(5)
         save_dataset(tmp_path / "d.fhds", Dataset(rng.random((64, 3, 16, 16)), rng.integers(0, 4, 64), 4))
-        layers = "layer1 = conv k=3 n=8 rule=hpca\nlayer2 = relu\nlayer3 = maxpool window=2\nlayer4 = conv k=3 n=6 rule=swta"
+        layers = "layer1 = conv k=3 n=8 rule=hpca\nlayer2 = relu\nlayer3 = maxpool window=2\nlayer4 = conv k=3 n=40 rule=swta"
         text = IMAGE_CONFIG.format(data=tmp_path / "d.fhds", layers=layers).replace("epochs = 1", "epochs = 2\nbatch_size = 32")
         _write(tmp_path, "c.cfg", text)
         runs = {}

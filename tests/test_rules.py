@@ -66,8 +66,9 @@ class TestForwardLinear:
     @pytest.mark.parametrize("n, s", [(32, 75), (64, 288), (16, 784)])
     @pytest.mark.parametrize("b", [100, 511, 512, 513])
     def test_row_ranges_equal_one_product(self, b, n, s, pool_workers):
-        # from 512 rows a 2-worker pool fills two ranges of at least 256 rows;
-        # at S=784 a product of 50 rows has other bits than the same rows of 100
+        # a 2-worker pool splits the rows where each range is above
+        # SPLIT_GEMM_ABOVE; at S=784 a product of 50 rows has other bits than
+        # the same rows of 100
         w, x = rand_case(b, n, s, seed=b)
         want = np.matmul(x.data.reshape(1, b, s), np.swapaxes(w.data, 1, 2).copy())
         assert np.array_equal(forward_linear(w, x).data, want.reshape(b, n, 1))
@@ -85,6 +86,19 @@ class TestForwardLinear:
             assert np.array_equal(np.matmul(rows[:, start:stop], wt), want[:, start:stop])
         with pool_of(2):
             assert np.array_equal(forward_linear(w, x).data, want.reshape(b, n, 1))
+
+    @pytest.mark.parametrize("b, n, s", [(2050, 10, 27), (515, 6, 531)])
+    def test_two_workers_give_the_bits_of_one_at_narrow_layers(self, b, n, s, pool_of):
+        # halves of these rows are over 256 rows long but at most
+        # SPLIT_GEMM_ABOVE multiply-adds, where OpenBLAS's small-matrix path
+        # rounds differently from one product
+        w, x = rand_case(b, n, s, seed=b + n)
+        runs = []
+        for workers in (1, 2):
+            with pool_of(workers):
+                runs.append(forward_linear(w, x).data)
+        assert np.array_equal(*runs)
+
 
 class TestAggregate:
     def test_uniform_coefficients_give_mean(self):
@@ -275,6 +289,35 @@ def test_swta_two_workers_give_the_bits_of_one(kernel, b, n, s, temperature, dty
     assert np.array_equal(one.delta_w.data, two.delta_w.data)
     assert one.metric == two.metric
     assert one.peak_temp_elements == two.peak_temp_elements
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("b, n, s", [(65536, 32, 75), (16384, 64, 288), (1024, 16, 75)], ids=["conv1", "conv2", "small"])
+def test_hpca_two_workers_give_the_bits_of_one(b, n, s, dtype, pool_of):
+    # Y^T Y and Y^T X split their neuron rows on two workers at the
+    # benchmark's conv-layer shapes; at 1024 x 16 x 75 every product is one
+    w, x = rand_case(b, n, s, seed=b)
+    w, x = Tensor(w.data.astype(dtype)), Tensor(x.data.astype(dtype))
+    params = LearningParams(eta=0.1, rule="hpca")
+    runs = []
+    for workers in (1, 2):
+        with pool_of(workers):
+            runs.append(hpca_update_fast(w, x, params))
+    one, two = runs
+    assert two.delta_w.dtype == dtype
+    assert np.array_equal(one.delta_w.data, two.delta_w.data)
+    assert one.peak_temp_elements == two.peak_temp_elements
+
+
+@pytest.mark.parametrize("rule", rules.RULES)
+def test_fast_with_split_products_matches_naive(rule, pool_of):
+    # at 4096 x 16 x 75 the pull product splits its neuron rows on two workers
+    w, x = rand_case(4096, 16, 75, seed=7)
+    params = LearningParams(eta=0.1, rule=rule)
+    with pool_of(2):
+        naive = rules.update_fn(rule, "naive")(w, x, params).delta_w.data
+        fast = rules.update_fn(rule, "fast")(w, x, params).delta_w.data
+    assert rel_err(naive, fast) <= 1e-10
 
 
 def _losing_neuron_case():

@@ -7,6 +7,7 @@ import threading
 import time
 import types
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -100,6 +101,97 @@ class TestMatmul:
         np.testing.assert_array_equal(
             tc.matmul(lhs, rhs).data, tc.matmul(lhs_t, rhs_t).data
         )
+
+
+@contextmanager
+def _matmul_calls():
+    """A list of ``(thread, rows of the left operand)``, one per
+    ``np.matmul`` call in the block."""
+    calls, original = [], np.matmul
+
+    def spy(lhs, rhs, **kw):
+        calls.append((threading.get_ident(), lhs.shape[-2]))
+        return original(lhs, rhs, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "matmul", spy)
+        yield calls
+
+
+def _split_and_one_product(m, n, k, dtype):
+    """``tc.matmul`` of a seeded 1 x M x K by 1 x K x N pair, one
+    ``np.matmul`` of the same pair, and the rows of each ``np.matmul`` call
+    that ``tc.matmul`` made, in ascending order."""
+    rng = np.random.default_rng(m * n + k)
+    a = rng.standard_normal((1, m, k)).astype(dtype)
+    b = rng.standard_normal((1, k, n)).astype(dtype)
+    with _matmul_calls() as calls:
+        split = tc.matmul(Tensor(a), Tensor(b)).data
+    return split, np.matmul(a, b), sorted(rows for _, rows in calls)
+
+
+# M x N x K of the premise sweep, without products above 2**26 multiply-adds
+# or a K x N operand above 2**21 elements
+_PREMISE_SHAPES = [
+    (m, n, k)
+    for m in (4, 5, 16, 33, 34, 64, 256)
+    for n in (2, 7, 75, 230, 288, 784)
+    for k in (256, 1024, 3027, 4096, 16384, 65536)
+    if m * n * k <= 2**26 and n * k <= 2**21
+]
+
+
+class TestMatmulRowSplit:
+    """A 1 x M x K by 1 x K x N product fills its rows on the pool only where
+    every range has the bits of one product: ranges that start at a multiple
+    of ``GEMM_ROW_BLOCK`` rows, have at least 2 rows and more than
+    ``SPLIT_GEMM_ABOVE`` multiply-adds, and N >= 2."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_workers_give_the_bits_of_one_product(self, dtype, pool_of):
+        with pool_of(2):
+            for m, n, k in _PREMISE_SHAPES:
+                split, one, _ = _split_and_one_product(m, n, k, dtype)
+                assert np.array_equal(split, one), (m, n, k)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "m, n, k",
+        [
+            (24, 1, 131072),  # 12-row halves above the bound, but one column: GEMV
+            (13, 288, 4096),  # above the bound, but the last range would hold 1 row: GEMV
+            (16, 75, 1024),  # the 4-row range below the bound
+            (24, 75, 1109),  # 12-row halves of 998,100 multiply-adds
+            (20, 125, 1000),  # the 8-row range at exactly the bound
+        ],
+        ids=["one-column", "one-row-range", "below-bound", "just-below-bound", "at-bound"],
+    )
+    def test_refused_splits_run_as_one_product(self, m, n, k, dtype, pool_of):
+        # split after the first 12 rows, each of these but the one-column
+        # product has other bits than one product on OpenBLAS 0.3.31
+        with pool_of(2):
+            split, one, calls = _split_and_one_product(m, n, k, dtype)
+        assert calls == [m]
+        assert np.array_equal(split, one)
+
+    @pytest.mark.parametrize("m", [32, 34, 64])
+    def test_ranges_start_at_row_blocks(self, m, pool_of):
+        # in halves of 16, 17 or 32 rows these have other bits than one
+        # product in their last 230 % 8 columns on OpenBLAS 0.3.31
+        with pool_of(2):
+            split, one, calls = _split_and_one_product(m, 230, 3027, np.float64)
+        assert len(calls) == 2
+        assert np.array_equal(split, one)
+
+    def test_rows_fill_on_the_pool_and_inline_in_one_call(self, pool_of):
+        a, b = Tensor(np.ones((1, 64, 1024))), Tensor(np.ones((1, 1024, 75)))
+        with pool_of(2), _matmul_calls() as calls:
+            tc.matmul(a, b)
+            assert sorted(rows for _, rows in calls) == [28, 36]  # 3 blocks of 12 rows, then 28
+            assert len({thread for thread, _ in calls}) == 2
+            calls.clear()
+            tc.overlap(lambda: tc.matmul(a, b), lambda: None)
+            assert calls == [(threading.get_ident(), 64)]
 
 
 class TestElementwise:
