@@ -248,12 +248,12 @@ def layer_output(layer: HebbLayer, y: Tensor, x: Tensor) -> Tensor:
     return tc._wrap_shared(y.data.reshape(b, out_h, out_w, n).transpose(0, 3, 1, 2))
 
 
-def hebb_update(layer: HebbLayer, x: Tensor, y: Optional[Tensor] = None) -> UpdateResult:
-    """Compute (but do not apply) the layer's weight update from its input;
-    ``y``, when given, is the forward of the input's rows under the layer's
-    weights, which the kernel then does not recompute."""
+def hebb_update(layer: HebbLayer, x: Tensor, metric: bool = False) -> UpdateResult:
+    """Compute (but do not apply) the layer's weight update from its input,
+    with the layer metric of the batch when ``metric`` is set (see
+    :func:`~fasthebb.rules.layer_metric`)."""
     kernel = rules.update_fn(layer.params.rule, layer.update_impl)
-    return kernel(layer.weights, layer_rows(layer, x), layer.params, y)
+    return kernel(layer.weights, layer_rows(layer, x), layer.params, metric)
 
 
 def apply_update(layer: HebbLayer, result: UpdateResult) -> HebbLayer:

@@ -4,13 +4,13 @@ constant-then-halving learning-rate schedule, Nesterov momentum, and early
 stopping on validation accuracy.
 
 Both phases use the thread pool of :mod:`~fasthebb.tensor` where that keeps
-every bit: feature extraction splits its blocks of images over it, and a
-pretrain step runs the HPCA metric on it beside the update kernel, while the
-layers split patch rows, forwards, ReLU and max-pool outputs over it.  An
-update kernel on the calling thread splits the neuron rows of its batch
-contractions over it too (:func:`~fasthebb.tensor.matmul`), each row still
-contracted over the whole batch; the HPCA kernel runs inline beside its
-metric, so its contractions stay whole."""
+every bit: feature extraction splits its blocks of images over it, and the
+layers split patch rows, forwards, ReLU and max-pool outputs over it.  In a
+pretrain step the SWTA kernel splits the neuron rows of its batch
+contraction over it (:func:`~fasthebb.tensor.matmul`), each row still
+contracted over the whole batch, and the HPCA kernel runs its two whole
+batch contractions and its layer metric's row blocks as one task list on
+it (:func:`~fasthebb.tensor.run_tasks`)."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ import errno
 import os
 import struct
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -112,29 +111,23 @@ def _hebb_stage(
 ) -> tuple[HebbLayer, float, Optional[Tensor]]:
     """One batch through one Hebbian layer.  Its rows and their forward y under
     the weights the update starts from feed the update and the metric, as an SGD
-    loop logs its loss.  A kernel that returns the metric (SWTA) runs that
-    forward itself and drops it once its scores exist; otherwise (HPCA) the
-    stage runs it once for both, and the metric runs on a pool worker beside
-    the kernel (:func:`~fasthebb.tensor.overlap`).  When ``output`` is set the
-    stage output is a view of the forward under the updated weights (else
-    None).  So a training stage holds its rows and at most two b_eff x N
-    buffers at once, and all but the output die before the next layer builds
-    its rows."""
+    loop logs its loss: a training stage has the kernel run that forward and
+    return the metric (``hebb_update(..., metric=True)``), so the forward dies
+    with the kernel, and a frozen stage runs it once for the metric and the
+    output.  When ``output`` is set the stage output is a view of the
+    forward under the updated weights (else None).  So a training stage holds
+    its rows and at most two b_eff x N buffers at once, and all but the
+    output die before the next layer builds its rows."""
     rows = ly.layer_rows(layer, x)
-    if train and rules.KERNEL_METRIC[layer.params.rule]:
-        update = ly.hebb_update(layer, rows)
-        value = update.metric
-    else:
+    if not train:
         y = rules.forward_linear(layer.weights, rows)
-        metric = partial(rules.layer_metric, layer.weights, rows, y, layer.params)
-        if not train:
-            return layer, metric(), ly.layer_output(layer, y, x) if output else None
-        update, value = tc.overlap(partial(ly.hebb_update, layer, rows, y), metric)
-        del metric, y  # the forward under the new weights allocates without the old one alive
+        value = rules.layer_metric(layer.weights, rows, y, layer.params)
+        return layer, value, ly.layer_output(layer, y, x) if output else None
+    update = ly.hebb_update(layer, rows, metric=True)
     layer = ly.apply_update(layer, update)
     if not output:
-        return layer, value, None
-    return layer, value, ly.layer_output(layer, rules.forward_linear(layer.weights, rows), x)
+        return layer, update.metric, None
+    return layer, update.metric, ly.layer_output(layer, rules.forward_linear(layer.weights, rows), x)
 
 
 _PATIENCE = 3  # epochs without a better metric that make a plateau

@@ -15,17 +15,20 @@ max(N*B, N*S, N*N) elements, as counted by
 ``peak_temp_elements``.  Both forms of a rule are algebraically identical;
 tests hold them to 1e-10 relative Frobenius error in double precision.
 
-Every kernel takes the forward Y of X under W as an optional fourth argument
-and computes it only when that is omitted, so a caller that needs Y anyway
-(pretraining an HPCA layer, for its layer metric) runs one forward per update.
-The SWTA kernels return the metric themselves, so pretraining passes them no
-Y and the forward they run dies once the scores exist: the fast SWTA kernel
-then holds at most two B x N buffers at once.
+Every kernel runs the forward Y of X under W itself, and returns the rule's
+layer metric of the batch (:func:`layer_metric`), taken from that same Y,
+when the caller asks with ``metric``, as pretraining does; the SWTA kernels
+return it always, since their softmax gives it for free.  So the forward
+dies with the kernel: the fast SWTA kernel drops it once the scores exist
+and then holds at most two B x N buffers at once, and the fast HPCA kernel
+runs the metric's row blocks on the pool beside its two batch contractions,
+in one :func:`~fasthebb.tensor.run_tasks` list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -39,7 +42,6 @@ __all__ = [
     "RULE_HPCA",
     "RULES",
     "METRIC_FALLS",
-    "KERNEL_METRIC",
     "LearningParams",
     "UpdateResult",
     "forward_linear",
@@ -56,7 +58,6 @@ RULE_SWTA = "swta"
 RULE_HPCA = "hpca"
 RULES = (RULE_SWTA, RULE_HPCA)  # the order of bench rows and of the ``--rule`` default
 METRIC_FALLS = {RULE_SWTA: False, RULE_HPCA: True}  # as a layer learns, HPCA's residual falls and SWTA's score rises
-KERNEL_METRIC = {RULE_SWTA: True, RULE_HPCA: False}  # whether a rule's kernels return its layer metric
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class LearningParams:
 class UpdateResult:
     delta_w: Tensor  # 1 x N x S, learning rate already applied
     peak_temp_elements: int = 0
-    metric: Optional[float] = None  # layer_metric of the rows where KERNEL_METRIC is set, else None
+    metric: Optional[float] = None  # layer_metric of the batch: SWTA always, HPCA when asked, else None
 
 
 def _check_update_shapes(w: Tensor, x: Tensor) -> tuple[int, int, int]:
@@ -118,13 +119,11 @@ def aggregate(coeffs: Tensor, per_sample: Tensor) -> Tensor:
     return tc.reduce_sum(tc.elementwise(np.multiply, coeffs, per_sample))
 
 
-def _swta_scores(w: Tensor, x: Tensor, y: Optional[Tensor], params: LearningParams):
+def _swta_scores(w: Tensor, x: Tensor, params: LearningParams):
     """The scores R, the guarded column sums that C = R / sum_b R divides by,
     and the layer metric ``mean(1/Σ)`` over the softmax row sums Σ (see
     :func:`layer_metric`)."""
-    if y is None:
-        y = forward_linear(w, x)
-    r, row_sums = tc.softmax(y, params.temperature)  # B x N x 1, B x 1 x 1
+    r, row_sums = tc.softmax(forward_linear(w, x), params.temperature)  # B x N x 1, B x 1 x 1
     col_sums = tc.reduce_sum(r)  # 1 x N x 1
     # sum_b R[b,n] > 0 holds in exact arithmetic; at low temperature the
     # scores of a losing neuron can underflow to 0.0, in which case the
@@ -134,17 +133,17 @@ def _swta_scores(w: Tensor, x: Tensor, y: Optional[Tensor], params: LearningPara
 
 
 def swta_update_naive(
-    w: Tensor, x: Tensor, params: LearningParams, y: Optional[Tensor] = None
+    w: Tensor, x: Tensor, params: LearningParams, metric: bool = False
 ) -> UpdateResult:
     """Reference SWTA path: builds the B x N x S per-sample update, then
-    aggregates with score-weighted coefficients C = R / sum_b R.  ``y`` is
-    the forward of ``x`` under ``w`` when the caller has it.
+    aggregates with score-weighted coefficients C = R / sum_b R.  The layer
+    metric comes back whatever ``metric`` says.
 
     Each B x N x S tensor is dropped once the next exists, so at most two
     are alive at once."""
     _check_update_shapes(w, x)
     with AllocationTracker() as tr:
-        r, safe, metric = _swta_scores(w, x, y, params)
+        r, safe, value = _swta_scores(w, x, params)
         c = tc.elementwise(np.divide, r, safe)
         diff = tc.elementwise(np.subtract, x, w)  # B x N x S
         scored = tc.elementwise(np.multiply, r, diff)  # B x N x S
@@ -152,17 +151,17 @@ def swta_update_naive(
         per_sample = tc.elementwise(np.multiply, scored, params.eta)
         del scored
         delta_w = aggregate(c, per_sample)
-    return UpdateResult(delta_w, tr.largest, metric)
+    return UpdateResult(delta_w, tr.largest, value)
 
 
 def swta_update_fast(
-    w: Tensor, x: Tensor, params: LearningParams, y: Optional[Tensor] = None
+    w: Tensor, x: Tensor, params: LearningParams, metric: bool = False
 ) -> UpdateResult:
     """Fused SWTA path: contracts b before any B x N x S object exists.
 
     delta_w = eta * matmul((C*R)_{1,n,b}, X_{1,b,s}) - eta * Q * W
-    with Q = sum_b (C*R).  ``y`` is the forward of ``x`` under ``w`` when
-    the caller has it.
+    with Q = sum_b (C*R).  The layer metric comes back whatever ``metric``
+    says.
 
     The per-row work (the softmax, C*R and its transposed copy) is split over
     the pool by :func:`~fasthebb.tensor.split_rows`, each row computed from
@@ -172,7 +171,7 @@ def swta_update_fast(
     """
     b, n, s = _check_update_shapes(w, x)
     with AllocationTracker() as tr:
-        r, safe, metric = _swta_scores(w, x, y, params)
+        r, safe, value = _swta_scores(w, x, params)
         rd, sd = r.data, safe.data
         buf = np.empty(rd.shape, dtype=np.result_type(rd, sd))
 
@@ -182,66 +181,67 @@ def swta_update_fast(
             rows *= rd[start:stop]
 
         tc.split_rows(fill, b, tc.SPLIT_ROWS_FROM)
-        del r, rd  # two B x N buffers at once, three while a caller holds the y it passed
+        del r, rd  # two B x N buffers at once
         cr = Tensor(buf)  # B x N x 1
         q = tc.reduce_sum(cr)  # 1 x N x 1
         cr_t = tc.transpose(tc.reshape(cr, (1, b, n)))  # 1 x N x B
         pull = tc.matmul(cr_t, tc.reshape(x, (1, b, s)))  # 1 x N x S
         decay = tc.elementwise(np.multiply, q, w)  # 1 x N x S
         delta_w = tc.elementwise(np.multiply, tc.elementwise(np.subtract, pull, decay), params.eta)
-    return UpdateResult(delta_w, tr.largest, metric)
+    return UpdateResult(delta_w, tr.largest, value)
 
 
 def hpca_update_naive(
-    w: Tensor, x: Tensor, params: LearningParams, y: Optional[Tensor] = None
+    w: Tensor, x: Tensor, params: LearningParams, metric: bool = False
 ) -> UpdateResult:
     """Reference HPCA path via the full residual tensor.
 
     E[b,n,s] = X[b,s] - sum_{n'<=n} Y[b,n'] * W[n',s]
     delta_w  = (eta/B) * sum_b Y[b,n] * E[b,n,s]
 
-    ``y`` is the forward of ``x`` under ``w`` when the caller has it.
+    With ``metric`` the layer metric of the batch comes back too.
     Each B x N x S tensor is dropped once the next exists, so at most two
     are alive at once.
     """
     b, n, s = _check_update_shapes(w, x)
     with AllocationTracker() as tr:
-        if y is None:
-            y = forward_linear(w, x)  # B x N x 1
+        y = forward_linear(w, x)  # B x N x 1
         mask = tc.tril_mask(n, w.dtype)
         yw = tc.elementwise(np.multiply, y, w)  # B x N x S
-        partial = tc.matmul(mask, yw)  # B x N x S, cumulative reconstructions
+        cumulative = tc.matmul(mask, yw)  # B x N x S, cumulative reconstructions
         del yw
-        resid = tc.elementwise(np.subtract, x, partial)  # B x N x S
-        del partial
+        resid = tc.elementwise(np.subtract, x, cumulative)  # B x N x S
+        del cumulative
         delta_w = tc.elementwise(np.multiply, aggregate(y, resid), params.eta / b)
-    return UpdateResult(delta_w, tr.largest)
+        value = layer_metric(w, x, y, params) if metric else None
+    return UpdateResult(delta_w, tr.largest, value)
 
 
 def hpca_update_fast(
-    w: Tensor, x: Tensor, params: LearningParams, y: Optional[Tensor] = None
+    w: Tensor, x: Tensor, params: LearningParams, metric: bool = False
 ) -> UpdateResult:
     """Fused HPCA path via the masked Gram tensor.
 
     P = (Y^T Y) * L;  delta_w = (eta/B) * (matmul(Y^T, X) - matmul(P, W))
 
-    ``y`` is the forward of ``x`` under ``w`` when the caller has it.
-    :func:`~fasthebb.tensor.matmul` splits the neuron rows of Y^T Y and
-    Y^T X over the pool, each row contracted over the whole batch, so every
-    bit is that of one product.
+    Y^T Y and Y^T X, each one whole product contracted over the batch, run
+    side by side in one :func:`~fasthebb.tensor.run_tasks` list; with
+    ``metric`` the list also holds the row blocks of the layer metric, which
+    comes back too.  Which thread runs a call changes none of its bits.
     """
     b, n, s = _check_update_shapes(w, x)
     with AllocationTracker() as tr:
-        if y is None:
-            y = forward_linear(w, x)  # B x N x 1
-        y_t = tc.transpose(tc.reshape(y, (1, b, n)))  # 1 x N x B
-        gram = tc.matmul(y_t, tc.reshape(y, (1, b, n)))  # 1 x N x N
-        mask = tc.tril_mask(n, w.dtype)
-        p = tc.elementwise(np.multiply, gram, mask)
-        pull = tc.matmul(y_t, tc.reshape(x, (1, b, s)))  # 1 x N x S
+        y = forward_linear(w, x)  # B x N x 1
+        y_rows = tc.reshape(y, (1, b, n))
+        y_t = tc.transpose(y_rows)  # 1 x N x B
+        blocks, residual = _residual_blocks(w, x, y) if metric else ([], lambda: None)
+        pull, gram = tc.run_tasks(
+            [partial(tc.matmul, y_t, tc.reshape(x, (1, b, s))), partial(tc.matmul, y_t, y_rows), *blocks]
+        )[:2]  # 1 x N x S, 1 x N x N
+        p = tc.elementwise(np.multiply, gram, tc.tril_mask(n, w.dtype))
         decay = tc.matmul(p, w)  # 1 x N x S
         delta_w = tc.elementwise(np.multiply, tc.elementwise(np.subtract, pull, decay), params.eta / b)
-    return UpdateResult(delta_w, tr.largest)
+    return UpdateResult(delta_w, tr.largest, residual())
 
 
 _KERNELS = {
@@ -263,18 +263,42 @@ def update_fn(rule: str, impl: str):
 _METRIC_ROWS = 1024  # fewest rows in a block of the HPCA metric: a block's x, y and yWWᵀ stay in cache
 
 
+def _residual_blocks(w: Tensor, x: Tensor, y: Tensor):
+    """The HPCA layer metric (see :func:`layer_metric`) as the calls that
+    each fill one row block of the squared residual norms, and the call
+    that reduces those norms to the metric once every block has run."""
+    b, n, _ = y.shape
+    gram = tc.matmul(w, tc.transpose(w)).data  # 1 x N x N
+    x, y = x.data.reshape(b, x.shape[2]), y.data.reshape(1, b, n)
+    sq = np.empty(b, dtype=np.result_type(x, y, gram))
+
+    def block(start: int, stop: int) -> None:
+        xb, yb = x[start:stop], y[0, start:stop]
+        yg = np.matmul(y[:, start:stop], gram)[0]
+        sq[start:stop] = (
+            np.einsum("ij,ij->i", xb, xb)
+            - 2.0 * np.einsum("ij,ij->i", yb, yb)
+            + np.einsum("ij,ij->i", yg, yb)
+        )
+
+    blocks = [partial(block, start, stop) for start, stop in tc.row_ranges(b, b // _METRIC_ROWS)]
+    return blocks, lambda: float(np.mean(np.sqrt(np.maximum(sq, 0.0))))
+
+
 def layer_metric(w: Tensor, x: Tensor, y: Tensor, params: LearningParams) -> float:
     """Cheap per-batch training metric from a layer's rows x and their forward
     y = W·x.  Pretraining takes it under the weights the batch's update starts
-    from, from the same y the update uses, as an SGD loop logs its loss; the
-    SWTA kernels return this same value as :attr:`UpdateResult.metric`.
+    from, from the same y the update uses, as an SGD loop logs its loss; a
+    kernel returns this same value as :attr:`UpdateResult.metric`.
 
     HPCA's residual norm ``‖x − Wᵀy‖`` comes from the identity
     ``‖x − Wᵀy‖² = ‖x‖² − 2‖y‖² + yᵀ(WWᵀ)y``, which holds because ``y = W·x``
     with the same weights.  It runs in blocks of ``_METRIC_ROWS`` to
     2·``_METRIC_ROWS`` rows (one block when there are fewer), more than
     ``SAME_ROWS_FROM``, so each row has the bits of one product over all rows;
-    no temporary but the b_eff squared norms exceeds
+    :func:`~fasthebb.tensor.run_tasks` hands the blocks to the pool, each
+    filling its own rows of the b_eff squared norms, so one block per pool
+    worker is alive at once, and no temporary but those norms exceeds
     max(2·_METRIC_ROWS·N, N·S, N·N).  A squared residual that rounds below
     zero is clamped to 0 before the root.
 
@@ -284,16 +308,6 @@ def layer_metric(w: Tensor, x: Tensor, y: Tensor, params: LearningParams) -> flo
     for bit ``mean(max(softmax(y/T)))``."""
     if params.rule == RULE_SWTA:
         return float(np.mean(1.0 / tc.softmax(y, params.temperature)[1].data))
-    b, n, _ = y.shape
-    gram = tc.matmul(w, tc.transpose(w)).data  # 1 x N x N
-    x, y = x.data.reshape(b, x.shape[2]), y.data.reshape(1, b, n)
-    sq = np.empty(b, dtype=np.result_type(x, y, gram))
-    for start, stop in tc.row_ranges(b, b // _METRIC_ROWS):
-        xb, yb = x[start:stop], y[0, start:stop]
-        yg = np.matmul(y[:, start:stop], gram)[0]
-        sq[start:stop] = (
-            np.einsum("ij,ij->i", xb, xb)
-            - 2.0 * np.einsum("ij,ij->i", yb, yb)
-            + np.einsum("ij,ij->i", yg, yb)
-        )
-    return float(np.mean(np.sqrt(np.maximum(sq, 0.0))))
+    blocks, residual = _residual_blocks(w, x, y)
+    tc.run_tasks(blocks)
+    return residual()

@@ -28,21 +28,25 @@ the kernel on free; the next step then reuses pages it has already touched
 rather than faulting in and zeroing new ones.  The cost is that the process
 keeps its peak resident size after its largest step.
 
-:func:`split_rows` is the one way work reaches the per-process thread pool,
+:func:`run_tasks` is the one way work reaches the per-process thread pool,
 whose workers fill the CPUs that BLAS leaves idle: the CPUs this process may
 run on, divided by the thread count of the loaded OpenBLAS, which import pins
-to one unless the environment sets it.  So by default the per-row work and
-the output rows of the batch contractions run on every CPU, while no
-contraction over the batch is split.  ``split_rows``
-fills one buffer in row ranges: the calling thread fills the first range,
-during which its own splits run inline, while pool workers fill the others.
-:func:`overlap` is a two-range split that runs a second call beside the
-caller's.  A split runs inline when the pool has one worker, on a pool
-worker, and on a caller while it fills its own range.  Only work whose
-bits do not depend on the split goes to the pool: copies (:func:`transpose`
-among them), per-row arithmetic whose every row depends on that row alone
-(:func:`softmax`), and the rows of a :func:`matmul` in ranges of whole
-:data:`GEMM_ROW_BLOCK` blocks above :data:`SPLIT_GEMM_ABOVE` multiply-adds.
+to one unless the environment sets it.  So by default the per-row work, the
+output rows of the batch contractions and independent calls such as the
+HPCA kernel's two products and its metric's row blocks run on every CPU,
+while no contraction over the batch is split.  ``run_tasks`` takes a list
+of calls: the calling thread runs the first, and it and the pool workers
+then take the next call in list order until none is left, each call
+running inline.  :func:`split_rows` fills one buffer as the
+:func:`row_ranges` of its rows handed to ``run_tasks``.  The calls run
+inline in order on the calling thread when the pool has one worker, on a
+pool worker, and on a caller while it runs a call of its own list.  Only
+work whose bits do not depend on the thread that runs it goes to the pool:
+copies (:func:`transpose` among them), per-row arithmetic whose every row
+depends on that row alone (:func:`softmax`), the rows of a :func:`matmul`
+in ranges of whole :data:`GEMM_ROW_BLOCK` blocks above
+:data:`SPLIT_GEMM_ABOVE` multiply-adds, and whole calls that each fill
+their own output.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
+from functools import partial
 
 import numpy as np
 
@@ -72,8 +77,8 @@ __all__ = [
     "SPLIT_ROWS_FROM",
     "row_ranges",
     "pool_workers",
+    "run_tasks",
     "split_rows",
-    "overlap",
 ]
 
 _TRACKERS: list["AllocationTracker"] = []
@@ -142,7 +147,7 @@ def _pool_workers() -> int:
 _pool = None  # (ThreadPoolExecutor, its worker count) of process _pool_pid
 _pool_pid = -1
 _pool_lock = threading.Lock()
-_this_thread = threading.local()  # ``inline`` is set on the pool's own threads, and on a caller filling its range
+_this_thread = threading.local()  # ``inline`` is set on the pool's own threads, and on a caller running its run_tasks list
 
 
 def _mark_pool_thread() -> None:
@@ -166,24 +171,12 @@ def _thread_pool():
         return _pool
 
 
-def _in_callers_errstate(fn):
-    """``fn`` to be called on another thread under the calling thread's
-    floating-point error settings, which numpy does not carry across."""
-    err = np.geterr()
-
-    def call(*args):
-        with np.errstate(**err):
-            return fn(*args)
-
-    return call
-
-
 def _pool_to_share():
     """The pool that may take part of a call's work and its worker count, or
     (None, 1) when the call runs inline: on a pool worker, whose wait on the
-    pool could deadlock once every worker waits; on a caller filling its own
-    range of a :func:`split_rows`, whose other ranges already have the other
-    CPUs; and with a one-worker pool."""
+    pool could deadlock once every worker waits; on a caller running a call
+    of its own :func:`run_tasks` list, whose other calls already have the
+    other CPUs; and with a one-worker pool."""
     if getattr(_this_thread, "inline", False):
         return None, 1
     pool, workers = _thread_pool()
@@ -225,52 +218,70 @@ def row_ranges(count: int, parts: int, min_rows: int = 1) -> list[tuple[int, int
 
 
 def pool_workers() -> int:
-    """The worker count of the process's pool: the most ranges a
-    :func:`split_rows` fills at once."""
+    """The worker count of the process's pool: the most calls of a
+    :func:`run_tasks` list that run at once."""
     return _thread_pool()[1]
+
+
+def run_tasks(calls) -> list:
+    """The results of ``calls``, each called with no arguments, in list order.
+
+    The calling thread runs the first call; then it and up to one pool worker
+    per further call keep taking the next call in list order until none is
+    left.  Every call runs inline, so its own splits do not wait on the pool,
+    and under the caller's floating-point error settings.  The first error
+    in list order is raised once every call has ended.  Inline (with a
+    one-worker pool, on a pool worker, or inside a call of an enclosing
+    list) the calls run in order on the calling thread, and so does a list
+    of one call, whose own splits may then use the pool."""
+    pool, workers = _pool_to_share()
+    if workers == 1 or len(calls) < 2:
+        return [call() for call in calls]
+    from concurrent.futures import Future, wait
+
+    results, err = [Future() for _ in calls], np.geterr()
+    pending, lock = iter(range(1, len(calls))), threading.Lock()
+
+    def run(i: int) -> None:
+        try:
+            results[i].set_result(calls[i]())
+        except Exception as exc:  # raised in list order once every call has ended
+            results[i].set_exception(exc)
+
+    def drain() -> None:
+        while True:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            run(i)
+
+    def work() -> None:
+        with np.errstate(**err):  # numpy does not carry the caller's settings to other threads
+            drain()
+
+    drains = [pool.submit(work) for _ in range(min(workers, len(calls)) - 1)]
+    _this_thread.inline = True
+    try:
+        run(0)
+        drain()
+    finally:
+        _this_thread.inline = False
+        wait(drains)
+    for done in drains:
+        done.result()
+    return [result.result() for result in results]
 
 
 def split_rows(fill, count: int, min_rows: int = 1) -> None:
     """Call ``fill(start, stop)`` on the :func:`row_ranges` of ``count``, one
-    range per pool worker and each at least ``min_rows`` long.  The calling
-    thread fills the first range, its own splits meanwhile running inline,
-    while pool workers fill the others under the caller's floating-point
-    error settings; the call returns when every range is filled and then
-    raises the first error in range order.  Inline, it is one
-    ``fill(0, count)`` on the calling thread."""
-    pool, workers = _pool_to_share()
-    ranges = row_ranges(count, workers, min_rows)
-    if len(ranges) == 1:
-        fill(0, count)
-        return
-    from concurrent.futures import wait
-
-    call = _in_callers_errstate(fill)
-    futures = [pool.submit(call, start, stop) for start, stop in ranges[1:]]
-    _this_thread.inline = True
-    try:
-        fill(*ranges[0])
-    finally:
-        _this_thread.inline = False
-        wait(futures)
-    for future in futures:
-        future.result()
-
-
-def overlap(main, side):
-    """``(main(), side())``, as a :func:`split_rows` of two ranges: ``side``
-    runs on a pool worker while ``main`` runs on the calling thread, whose
-    splits meanwhile run inline.  An error in ``main`` is raised once
-    ``side`` has finished, else an error in ``side``.  Inline, ``main`` runs
-    and then ``side``."""
-    calls, out = (main, side), [None, None]
-
-    def fill(start: int, stop: int) -> None:
-        for i in range(start, stop):
-            out[i] = calls[i]()
-
-    split_rows(fill, 2)
-    return tuple(out)
+    range per pool worker and each at least ``min_rows`` long, through
+    :func:`run_tasks`: the calling thread fills the first range, and the
+    call returns when every range is filled, raising the first error in
+    range order.  Inline, it is one ``fill(0, count)`` on the calling
+    thread."""
+    ranges = row_ranges(count, _pool_to_share()[1], min_rows)
+    run_tasks([partial(fill, start, stop) for start, stop in ranges])
 
 
 class AllocationTracker:

@@ -669,8 +669,8 @@ class TestCli:
         assert not (tmp_path / "x.csv").exists()
 
     def test_bench_with_a_wrong_fast_kernel_writes_its_reports_and_exits_3(self, tmp_path, capsys, monkeypatch):
-        def wrong(w, x, params, y=None):
-            result = rules.swta_update_fast(w, x, params, y)
+        def wrong(w, x, params, metric=False):
+            result = rules.swta_update_fast(w, x, params, metric)
             return UpdateResult(tc.elementwise(np.multiply, result.delta_w, 2.0), result.peak_temp_elements)
 
         monkeypatch.setitem(rules._KERNELS, ("swta", "fast"), wrong)

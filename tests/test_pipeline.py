@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import re
 import struct
+import threading
 import warnings
 from pathlib import Path
 
@@ -494,7 +495,8 @@ class TestPatchExtractionCount:
 
 class TestPretrainOnThePool:
     """Patch rows, forwards and stage outputs split over the pool, and the HPCA
-    metric beside the kernel, keep every bit of the inline run."""
+    kernel's products and metric blocks in one task list, keep every bit of
+    the inline run."""
 
     @staticmethod
     def _pretrain(pool_of, workers, stack, images, config):
@@ -521,16 +523,75 @@ class TestPretrainOnThePool:
         assert all(np.array_equal(a, b) for a, b in zip(inline[0], split[0]))
         assert inline[1] == split[1]
 
+    @pytest.mark.parametrize("rule", rules.RULES)
+    def test_layerwise_bench_stack(self, rule, pool_of):
+        # in the second phase conv1 is frozen: its metric alone runs its blocks on the pool
+        images, config = _images(64).images, TrainConfig(epochs=1, batch_size=64, schedule="layerwise")
+        inline = self._pretrain(pool_of, 1, _bench_stack(rule), images, config)
+        split = self._pretrain(pool_of, 2, _bench_stack(rule), images, config)
+        assert all(np.array_equal(a, b) for a, b in zip(inline[0], split[0]))
+        assert inline[1] == split[1]
+
+    @pytest.mark.parametrize("impl", ["fast", "naive"])
+    @pytest.mark.parametrize(
+        "n, count, side",
+        [(13, 3, 32), (1, 3, 32), (13, 1, 16)],
+        ids=["odd-n-three-blocks", "one-neuron", "one-metric-block"],
+    )
+    def test_hpca_task_lists_of_every_shape(self, n, count, side, impl, pool_of):
+        # 3072 patch rows make three metric blocks, 256 rows one, below the 1024 of a block
+        def stack():
+            g = ConvGeometry(5, 5, 3, padding=2)
+            return [HebbLayer(init_weights(n, g.patch_size, seed=n), LearningParams(rule="hpca"), g, impl)]
+
+        images, config = _images(count, shape=(3, side, side)).images, TrainConfig(epochs=2, batch_size=count)
+        inline = self._pretrain(pool_of, 1, stack(), images, config)
+        split = self._pretrain(pool_of, 2, stack(), images, config)
+        assert all(np.array_equal(a, b) for a, b in zip(inline[0], split[0]))
+        assert inline[1] == split[1]
+
+    def test_fast_hpca_stage_runs_its_list_on_both_threads(self, pool_of, monkeypatch):
+        # each product waits for the other, and each thread's first metric
+        # block for the other thread's, so a stage that did not hand them to
+        # the second thread would time out
+        g = ConvGeometry(5, 5, 3, padding=2)
+        layer = HebbLayer(init_weights(32, g.patch_size, seed=0), LearningParams(rule="hpca"), g)
+        x, b_eff = Tensor(_images(16).images), 16 * 32 * 32
+        products, blocks = [], []
+        meet_products, meet_blocks = threading.Barrier(2, timeout=30), threading.Barrier(2, timeout=30)
+
+        def matmul(a, b, _orig=tc.matmul):
+            if a.shape[-1] == b_eff:  # Y^T X or Y^T Y, the only products over the batch
+                meet_products.wait()
+                products.append(threading.get_ident())
+            return _orig(a, b)
+
+        def einsum(*args, _orig=np.einsum):
+            if threading.get_ident() not in blocks:
+                meet_blocks.wait()
+            blocks.append(threading.get_ident())
+            return _orig(*args)
+
+        monkeypatch.setattr(tc, "matmul", matmul)
+        monkeypatch.setattr(np, "einsum", einsum)
+        with pool_of(2):
+            _, value, _ = pipeline._hebb_stage(layer, x, True, False)
+        assert len(products) == 2 and len(set(products)) == 2
+        assert len(blocks) == 3 * 16 and set(blocks) == set(products)
+        monkeypatch.undo()
+        rows = layer_rows(layer, x)
+        assert value == rules.layer_metric(layer.weights, rows, rules.forward_linear(layer.weights, rows), layer.params)
+
     def test_hpca_kernel_peak_is_that_of_a_direct_call(self, pool_of, monkeypatch):
-        # the metric runs beside the kernel; its allocations must not raise the kernel's peak
+        # the metric runs in the kernel's task list; its allocations must not raise the kernel's peak
         calls = []
 
         def update_fn(rule, impl, _orig=rules.update_fn):
             kernel = _orig(rule, impl)
 
-            def recorded(w, x, params, y=None):
-                result = kernel(w, x, params, y)
-                calls.append((w, x, params, y, result.peak_temp_elements))
+            def recorded(w, x, params, metric=False):
+                result = kernel(w, x, params, metric)
+                calls.append((w, x, params, metric, result.peak_temp_elements))
                 return result
 
             return recorded
@@ -539,8 +600,9 @@ class TestPretrainOnThePool:
         with pool_of(2):
             pretrain(_bench_stack(), _images(64), TrainConfig(epochs=1, batch_size=64))
         assert len(calls) == 2
-        for w, x, params, y, peak in calls:
-            assert peak == rules.hpca_update_fast(w, x, params, y).peak_temp_elements
+        for w, x, params, metric, peak in calls:
+            assert metric
+            assert peak == rules.hpca_update_fast(w, x, params).peak_temp_elements
 
     def test_overflow_keeps_the_callers_errstate(self, pool_of):
         # 2 images of 1024 patch rows: the patches and forward split, the metric runs beside the kernel

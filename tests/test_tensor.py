@@ -104,12 +104,15 @@ class TestMatmul:
 
 
 @contextmanager
-def _matmul_calls():
+def _matmul_calls(meet=None):
     """A list of ``(thread, rows of the left operand)``, one per
-    ``np.matmul`` call in the block."""
+    ``np.matmul`` call in the block; each call first waits at ``meet``, a
+    barrier, when one is given."""
     calls, original = [], np.matmul
 
     def spy(lhs, rhs, **kw):
+        if meet is not None:
+            meet.wait()
         calls.append((threading.get_ident(), lhs.shape[-2]))
         return original(lhs, rhs, **kw)
 
@@ -185,12 +188,14 @@ class TestMatmulRowSplit:
 
     def test_rows_fill_on_the_pool_and_inline_in_one_call(self, pool_of):
         a, b = Tensor(np.ones((1, 64, 1024))), Tensor(np.ones((1, 1024, 75)))
-        with pool_of(2), _matmul_calls() as calls:
-            tc.matmul(a, b)
+        with pool_of(2):
+            # each range waits for the other, so the caller cannot take both
+            with _matmul_calls(threading.Barrier(2, timeout=30)) as calls:
+                tc.matmul(a, b)
             assert sorted(rows for _, rows in calls) == [28, 36]  # 3 blocks of 12 rows, then 28
             assert len({thread for thread, _ in calls}) == 2
-            calls.clear()
-            tc.overlap(lambda: tc.matmul(a, b), lambda: None)
+            with _matmul_calls() as calls:
+                tc.run_tasks([lambda: tc.matmul(a, b), lambda: None])
             assert calls == [(threading.get_ident(), 64)]
 
 
@@ -535,8 +540,10 @@ class TestPoolWorkers:
 
 
 class TestSplitRows:
-    """Row ranges on the pool: the caller fills the first, workers the rest,
-    and the call runs inline with one worker or on a worker."""
+    """Calls on the pool: the caller runs the first call of a ``run_tasks``
+    list, and it and the workers take the rest in list order; ``split_rows``
+    hands its row ranges to ``run_tasks``.  Calls run inline with one worker
+    or on a worker."""
 
     @pytest.mark.parametrize(
         "count, parts, min_rows, ranges",
@@ -558,22 +565,47 @@ class TestSplitRows:
         tc.split_rows(lambda start, stop: calls.append((threading.get_ident(), start, stop)), count, min_rows)
         return calls
 
+    @staticmethod
+    def _meeting(first, second=None):
+        """``first`` and ``second`` (by default ``first`` again), each after
+        a wait for the other to start, so they run on two threads at once or
+        time out."""
+        barrier = threading.Barrier(2, timeout=30)
+
+        def meet(fn):
+            def call(*args):
+                barrier.wait()
+                return fn(*args)
+
+            return call
+
+        return meet(first), meet(second or first)
+
     def test_two_workers_split_from_the_caller(self, pool_of):
         with pool_of(2):
-            calls = sorted(self._split(1000), key=lambda c: c[1])
-            (first, *_), (second, *_) = calls
-            assert [c[1:] for c in calls] == [(0, 500), (500, 1000)]
+            calls = []
+            tc.split_rows(self._meeting(lambda start, stop: calls.append((threading.get_ident(), start, stop)))[0], 1000)
+            (first, *_), (second, *_) = sorted(calls, key=lambda c: c[1])
+            assert sorted(c[1:] for c in calls) == [(0, 500), (500, 1000)]
             assert first == threading.get_ident() != second
             assert self._split(511, 256) == [(threading.get_ident(), 0, 511)]
+
+    def test_results_come_back_in_list_order(self, pool_workers):
+        def late(value):
+            time.sleep(0.02 * (value == 0))
+            return value
+
+        assert tc.run_tasks([lambda value=v: late(value) for v in range(7)]) == list(range(7))
+        assert tc.run_tasks([]) == []
 
     def test_one_worker_runs_inline(self, pool_of):
         main = threading.get_ident()
         with pool_of(1):
             assert self._split(1000) == [(main, 0, 1000)]
             order = []
-            assert tc.overlap(lambda: order.append(threading.get_ident()) or 1,
-                              lambda: order.append(threading.get_ident()) or 2) == (1, 2)
-            assert order == [main, main]  # main first, then side
+            assert tc.run_tasks([lambda: order.append((1, threading.get_ident())) or 1,
+                                 lambda: order.append((2, threading.get_ident())) or 2]) == [1, 2]
+            assert order == [(1, main), (2, main)]
 
     def test_on_a_worker_runs_inline(self, pool_of):
         # both workers wait on the barrier together, so a split that waited on
@@ -582,9 +614,9 @@ class TestSplitRows:
 
         def nested(_):
             barrier.wait()
-            me = threading.get_ident()
-            side = tc.overlap(lambda: None, threading.get_ident)[1]
-            return self._split(1000) == [(me, 0, 1000)] and side == me
+            me, order = threading.get_ident(), []
+            calls = [lambda i=i: order.append(i) or threading.get_ident() for i in range(3)]
+            return self._split(1000) == [(me, 0, 1000)] and tc.run_tasks(calls) == [me] * 3 and order == [0, 1, 2]
 
         results = []
         with pool_of(2):
@@ -602,32 +634,35 @@ class TestSplitRows:
             inner[start] = self._split(1000)
 
         with pool_of(2):
-            tc.split_rows(fill, 2)
+            tc.split_rows(self._meeting(fill)[0], 2)
             assert len(self._split(1000)) == 2  # and the caller's next split uses the pool
         assert inner[0] == [(threading.get_ident(), 0, 1000)]
         ((worker, start, stop),) = inner[1]
         assert (start, stop) == (0, 1000) and worker != threading.get_ident()
 
-    def test_overlap_runs_side_on_a_worker(self, pool_of):
+    def test_run_tasks_runs_a_call_on_a_worker(self, pool_of):
         with pool_of(2):
-            main, side = tc.overlap(threading.get_ident, threading.get_ident)
-        assert main == threading.get_ident() != side
+            first, second = tc.run_tasks(list(self._meeting(threading.get_ident)))
+        assert first == threading.get_ident() != second
 
-    def test_overlap_main_splits_inline_and_later_splits_use_the_pool(self, pool_of):
-        # inside main the side has the second CPU; once overlap returns, or
-        # raises, the caller's splits go to the pool again
+    def test_calls_split_inline_and_later_splits_use_the_pool(self, pool_of):
+        # inside a call the other calls have the second CPU; once run_tasks
+        # returns, or raises, the caller's splits go to the pool again
         def raises(error):
             raise error
 
         me = threading.get_ident()
         with pool_of(2):
-            assert tc.overlap(lambda: self._split(1000), lambda: None)[0] == [(me, 0, 1000)]
+            assert tc.run_tasks([lambda: self._split(1000), lambda: None])[0] == [(me, 0, 1000)]
+            assert len(self._split(1000)) == 2
+            inner = tc.run_tasks(list(self._meeting(lambda: self._split(1000))))
+            assert [len(calls) for calls in inner] == [1, 1]
             assert len(self._split(1000)) == 2
             with pytest.raises(KeyError):
-                tc.overlap(lambda: raises(KeyError("main")), lambda: None)
+                tc.run_tasks([lambda: raises(KeyError("first")), lambda: None])
             assert len(self._split(1000)) == 2
             with pytest.raises(ValueError):
-                tc.overlap(lambda: None, lambda: raises(ValueError("side")))
+                tc.run_tasks([lambda: None, lambda: raises(ValueError("second"))])
             assert len(self._split(1000)) == 2
 
     def test_first_error_in_range_order_after_every_range(self, pool_of):
@@ -644,31 +679,36 @@ class TestSplitRows:
             tc.split_rows(fill, 10)
         assert done == [5]
 
-    def test_overlap_raises_main_error_after_side(self, pool_of):
+    def test_first_error_in_list_order_after_every_call(self, pool_of):
         done = []
 
-        def side():
-            time.sleep(0.05)
-            done.append(1)
-            raise ValueError("side")
+        def fails(error, delay):
+            def call():
+                time.sleep(delay)
+                done.append(error)
+                raise error
 
-        def main():
-            raise KeyError("main")
+            return call
 
         with pool_of(2):
-            with pytest.raises(KeyError, match="main"):
-                tc.overlap(main, side)
-            assert done == [1]
-            with pytest.raises(ValueError, match="side"):
-                tc.overlap(lambda: None, side)
+            with pytest.raises(KeyError, match="first"):
+                tc.run_tasks([fails(KeyError("first"), 0.0), fails(ValueError("second"), 0.05)])
+            assert len(done) == 2
+            # the second call fails first in time, on the worker
+            with pytest.raises(KeyError, match="first"):
+                tc.run_tasks(list(self._meeting(fails(KeyError("first"), 0.05), fails(ValueError("second"), 0.0))))
+            assert len(done) == 4 and isinstance(done[2], ValueError)
+            with pytest.raises(ValueError, match="second"):
+                tc.run_tasks([lambda: None, fails(ValueError("second"), 0.05)])
 
     def test_workers_keep_the_callers_errstate(self, pool_of):
         big = np.full(4, 1e300)
         with pool_of(2), np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
                 tc.split_rows(lambda start, stop: big[start:stop] * big[start:stop], 4)
+            # the caller waits in the first call, so a worker runs the second
             with pytest.raises(FloatingPointError):
-                tc.overlap(lambda: None, lambda: big * big)
+                tc.run_tasks(list(self._meeting(lambda: None, lambda: big * big)))
 
     def test_more_workers_than_cores_fill_each_row_once(self, pool_of):
         interval = sys.getswitchinterval()
