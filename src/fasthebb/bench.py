@@ -7,7 +7,10 @@ numbers line up exactly with the kernels' space-complexity bounds.  The
 kernels run on the BLAS thread count :mod:`~fasthebb.tensor` leaves in
 place, one unless the environment sets it, and on the pool's workers, which
 fill their per-row work and the rows of their products; the environment
-block reports both counts, as ``threads`` and ``pool_workers``.
+block reports both counts, as ``threads`` and ``pool_workers``, and the CPU
+core whose OpenBLAS kernels ran, as ``blas_core`` (null without OpenBLAS):
+where a product may be cut without changing a bit was measured on one such
+kernel set.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from . import rules
 from .errors import UsageError
 from .layers import init_weights
 from .rules import LearningParams
-from .tensor import Tensor, openblas_threads, pool_workers
+from .tensor import Tensor, openblas_core, openblas_threads, pool_workers
 
 __all__ = [
     "BenchRow",
@@ -130,6 +133,7 @@ def bench_kernels(
         "precision": np.dtype(dtype).name,
         "threads": threads[0]() if threads else None,  # read back from BLAS
         "pool_workers": pool_workers(),  # the fast kernels' products split over these
+        "blas_core": openblas_core(),
     })
     for rule in rule_names:
         for b, n, s in grid:

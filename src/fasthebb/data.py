@@ -214,7 +214,8 @@ _FHDS_HEADER = 28  # magic, version, ndim = 4 and four u32 extents
 
 def _fhds_header(raw: bytes, path, size: int) -> tuple[int, ...]:
     """The B x C x H x W image shape from the header at the start of ``raw``,
-    checked against the ``size`` in bytes of the whole file."""
+    checked against the ``size`` in bytes of the whole file, which must be
+    that of the header, the images, the class count and the labels."""
     if raw[:4] != FHDS_MAGIC:
         raise CorruptFile(f"{path}: expected FHDS magic, got {raw[:4]!r}")
     try:
@@ -235,12 +236,18 @@ def _fhds_header(raw: bytes, path, size: int) -> tuple[int, ...]:
             f"{path}: impossible image shape {shape}: needs {8 * count} bytes, "
             f"{size - _FHDS_HEADER} follow the header"
         )
+    end = _FHDS_HEADER + 8 * count + 4 + 4 * shape[0]
+    if end > size:
+        raise CorruptFile(f"{path}: truncated FHDS file")
+    if end < size:
+        raise CorruptFile(f"{path}: {size - end} bytes follow the labels that end the FHDS file")
     return shape
 
 
 def fhds_shape(path) -> tuple[int, ...]:
     """The C x H x W shape of one image of an FHDS file, read from its header
-    alone, with the checks :func:`load_dataset` makes of that header."""
+    alone, with the checks :func:`load_dataset` makes of that header and of
+    the file's size."""
     with open(path, "rb") as fh:
         return _fhds_header(fh.read(_FHDS_HEADER), path, os.fstat(fh.fileno()).st_size)[1:]
 
@@ -257,17 +264,14 @@ def _read_exactly(fh, buf: np.ndarray, path) -> None:
 def load_dataset(path) -> Dataset:
     """Read an FHDS file written by :func:`save_dataset`.
 
-    The header is checked against the file size before any image buffer
-    exists, and the pixels are read straight into the one array the
-    :class:`Dataset` keeps, so loading grows the process by one copy of the
-    image block.  NaN and Inf are counted over fixed blocks of the pixels,
+    The file size is checked against the header, which gives it exactly,
+    before any image buffer exists, and the pixels are read straight into
+    the one array the :class:`Dataset` keeps, so loading grows the process
+    by one copy of the image block.  NaN and Inf are counted over fixed blocks of the pixels,
     never with a bool array as long as the data."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        shape = _fhds_header(fh.read(_FHDS_HEADER), path, size)
+        shape = _fhds_header(fh.read(_FHDS_HEADER), path, os.fstat(fh.fileno()).st_size)
         count = math.prod(shape)
-        if _FHDS_HEADER + 8 * count + 4 + 4 * shape[0] > size:
-            raise CorruptFile(f"{path}: truncated FHDS file")
         images = np.empty(shape, dtype="<f8")
         _read_exactly(fh, images, path)
         tail = np.empty(1 + shape[0], dtype="<u4")  # class count, then the labels

@@ -4,13 +4,14 @@ constant-then-halving learning-rate schedule, Nesterov momentum, and early
 stopping on validation accuracy.
 
 Both phases use the thread pool of :mod:`~fasthebb.tensor` where that keeps
-every bit: feature extraction splits its blocks of images over it, and the
-layers split patch rows, forwards, ReLU and max-pool outputs over it.  In a
-pretrain step the SWTA kernel splits the neuron rows of its batch
-contraction over it (:func:`~fasthebb.tensor.matmul`), each row still
-contracted over the whole batch, and the HPCA kernel runs its two whole
-batch contractions and its layer metric's row blocks as one task list on
-it (:func:`~fasthebb.tensor.run_tasks`)."""
+every bit: feature extraction hands it blocks of images cut by
+:func:`~fasthebb.tensor.gemm_ranges`, and the layers split patch rows,
+forwards, ReLU and max-pool outputs over it.  In a pretrain step the SWTA
+kernel splits the neuron rows of its batch contraction over it
+(:func:`~fasthebb.tensor.matmul`), each row still contracted over the whole
+batch, and the HPCA kernel runs its two whole batch contractions and its
+layer metric's row blocks as one task list on it
+(:func:`~fasthebb.tensor.run_tasks`)."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import errno
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -207,39 +209,33 @@ def pretrain(
     return stack, metrics
 
 
-_BLOCK_IMAGES = 16  # images per forward when every Hebbian layer has that many rows per image
-_BATCH_IMAGES = 256  # images per forward otherwise
+_BLOCK_IMAGES = 16  # images per block to aim for: a block's stage buffers stay in cache
 
 
 def extract_features(stack: Sequence, data: Dataset) -> np.ndarray:
     """Forward all samples through the stack, flattening the final stage.
 
     The stages' ``out_shape`` give the feature width before any forward, so
-    the images go through in blocks that :func:`~fasthebb.tensor.split_rows`
-    hands out in ranges, each block's output copied once into its rows of one
+    the images go through in blocks that :func:`~fasthebb.tensor.run_tasks`
+    hands to the pool, each block's output copied once into its rows of one
     preallocated feature matrix viewed at that output's shape (so a final
     ``Flatten`` is not run); the stages inside a block run inline on its
-    thread.  A block of 16 images keeps the stage buffers in cache, but it
-    may only be used where it changes no bit: a GEMM's output rows keep their
-    bits at any row count only from :data:`~fasthebb.tensor.SAME_ROWS_FROM`
-    rows up.  So 16-image blocks apply when every Hebbian layer is a conv
-    layer with at least that many patch rows (out_h * out_w) per image, and
-    any other stack, one with a dense Hebbian layer (one row per image)
-    included, goes through in 256-image batches."""
-    n, shape, size = len(data), data.images.shape[1:], _BLOCK_IMAGES
+    thread.  The blocks hold about ``_BLOCK_IMAGES`` images, cut where
+    :func:`~fasthebb.tensor.gemm_ranges` allows for every Hebbian layer's
+    forward, so every feature has the bits of one forward over all images."""
+    n, shape, products = len(data), data.images.shape[1:], []
     for stage in stack:
         shape = stage.out_shape(shape)
-        if isinstance(stage, HebbLayer) and int(np.prod(shape[1:])) < tc.SAME_ROWS_FROM:
-            size = _BATCH_IMAGES
+        if isinstance(stage, HebbLayer):
+            products.append((int(np.prod(shape[1:])), stage.num_neurons, stage.input_size))
     features = np.empty((n, int(np.prod(shape))), dtype=data.images.dtype)
     stages = stack[:-1] if stack and isinstance(stack[-1], ly.Flatten) else stack
 
-    def fill(first: int, stop: int) -> None:
-        for start in range(first * size, min(stop * size, n), size):
-            out = forward_stack(stages, Tensor(data.images[start : start + size]))
-            features[start : start + size].reshape(out.shape)[...] = out.data
+    def fill(start: int, stop: int) -> None:
+        out = forward_stack(stages, Tensor(data.images[start:stop]))
+        features[start:stop].reshape(out.shape)[...] = out.data
 
-    tc.split_rows(fill, -(-n // size))
+    tc.run_tasks([partial(fill, *r) for r in tc.gemm_ranges(n, -(-n // _BLOCK_IMAGES), products)])
     return features
 
 
@@ -468,6 +464,9 @@ def load_checkpoint(path) -> CheckpointData:
         offset += 4
         if offset + text_len > len(raw):
             raise CorruptFile(f"{path}: truncated config echo")
+        if offset + text_len < len(raw):
+            extra = len(raw) - offset - text_len
+            raise CorruptFile(f"{path}: {extra} bytes follow the config echo that ends the checkpoint")
         echo = raw[offset : offset + text_len].decode("utf-8")
     except struct.error as exc:
         raise CorruptFile(f"{path}: truncated checkpoint") from exc

@@ -260,7 +260,7 @@ def update_fn(rule: str, impl: str):
         raise ConfigError(f"no kernel for rule={rule!r} impl={impl!r}") from None
 
 
-_METRIC_ROWS = 1024  # fewest rows in a block of the HPCA metric: a block's x, y and yWWᵀ stay in cache
+_METRIC_ROWS = 1024  # rows per block of the HPCA metric to aim for: a block's x, y and yWWᵀ stay in cache
 
 
 def _residual_blocks(w: Tensor, x: Tensor, y: Tensor):
@@ -281,7 +281,7 @@ def _residual_blocks(w: Tensor, x: Tensor, y: Tensor):
             + np.einsum("ij,ij->i", yg, yb)
         )
 
-    blocks = [partial(block, start, stop) for start, stop in tc.row_ranges(b, b // _METRIC_ROWS)]
+    blocks = [partial(block, start, stop) for start, stop in tc.gemm_ranges(b, b // _METRIC_ROWS, [(1, n, n)])]
     return blocks, lambda: float(np.mean(np.sqrt(np.maximum(sq, 0.0))))
 
 
@@ -293,14 +293,13 @@ def layer_metric(w: Tensor, x: Tensor, y: Tensor, params: LearningParams) -> flo
 
     HPCA's residual norm ``‖x − Wᵀy‖`` comes from the identity
     ``‖x − Wᵀy‖² = ‖x‖² − 2‖y‖² + yᵀ(WWᵀ)y``, which holds because ``y = W·x``
-    with the same weights.  It runs in blocks of ``_METRIC_ROWS`` to
-    2·``_METRIC_ROWS`` rows (one block when there are fewer), more than
-    ``SAME_ROWS_FROM``, so each row has the bits of one product over all rows;
-    :func:`~fasthebb.tensor.run_tasks` hands the blocks to the pool, each
-    filling its own rows of the b_eff squared norms, so one block per pool
-    worker is alive at once, and no temporary but those norms exceeds
-    max(2·_METRIC_ROWS·N, N·S, N·N).  A squared residual that rounds below
-    zero is clamped to 0 before the root.
+    with the same weights.  Its rows run in b_eff // ``_METRIC_ROWS`` blocks
+    (one when there are fewer), cut by :func:`~fasthebb.tensor.gemm_ranges`
+    for ``yWWᵀ`` so each row has the bits of one product over all rows, that
+    :func:`~fasthebb.tensor.run_tasks` hands to the pool, each filling its own
+    rows of the b_eff squared norms: one block per pool worker is alive at
+    once, and no temporary but those norms exceeds max(a block's rows·N, N·S,
+    N·N).  A squared residual that rounds below zero is clamped to 0 first.
 
     SWTA's mean max score is ``mean(1.0/Σ)`` over the row sums ``Σ`` that
     :func:`~fasthebb.tensor.softmax` returns: at a row's maximum the softmax

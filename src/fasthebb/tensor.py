@@ -43,15 +43,16 @@ inline in order on the calling thread when the pool has one worker, on a
 pool worker, and on a caller while it runs a call of its own list.  Only
 work whose bits do not depend on the thread that runs it goes to the pool:
 copies (:func:`transpose` among them), per-row arithmetic whose every row
-depends on that row alone (:func:`softmax`), the rows of a :func:`matmul`
-in ranges of whole :data:`GEMM_ROW_BLOCK` blocks above
-:data:`SPLIT_GEMM_ABOVE` multiply-adds, and whole calls that each fill
-their own output.
+depends on that row alone (:func:`softmax`), whole calls that each fill
+their own output, and the rows of a product in the ranges of
+:func:`gemm_ranges`, the one rule for where :func:`matmul`, the HPCA
+metric's row blocks and feature extraction's image blocks cut a product.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import threading
 from functools import partial
@@ -71,11 +72,12 @@ __all__ = [
     "transpose",
     "reshape",
     "openblas_threads",
-    "SAME_ROWS_FROM",
+    "openblas_core",
     "SPLIT_GEMM_ABOVE",
     "GEMM_ROW_BLOCK",
     "SPLIT_ROWS_FROM",
     "row_ranges",
+    "gemm_ranges",
     "pool_workers",
     "run_tasks",
     "split_rows",
@@ -108,19 +110,38 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
-def openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy
-    loaded, or None when that library is not mapped into the process."""
+def _openblas():
+    """The OpenBLAS that numpy loaded, or None when that library is not
+    mapped into the process."""
     try:
         with open("/proc/self/maps") as fh:
-            lib = next(line.split()[-1] for line in fh if "libscipy_openblas64_" in line)
-        handle = ctypes.CDLL(lib)
+            return ctypes.CDLL(next(line.split()[-1] for line in fh if "libscipy_openblas64_" in line))
+    except (OSError, StopIteration):
+        return None
+
+
+def openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded, or None without that library."""
+    try:
+        handle = _openblas()
         get, set_ = handle.scipy_openblas_get_num_threads64_, handle.scipy_openblas_set_num_threads64_
-    except (OSError, StopIteration, AttributeError):
+    except AttributeError:  # no library, or not these functions
         return None
     get.restype, get.argtypes = ctypes.c_int, []
     set_.restype, set_.argtypes = None, [ctypes.c_int]
     return get, set_
+
+
+def openblas_core():
+    """The name of the CPU core whose kernels the loaded OpenBLAS runs (such
+    as ``SkylakeX``), or None without that library."""
+    try:
+        corename = _openblas().scipy_openblas_get_corename64_
+    except AttributeError:
+        return None
+    corename.restype, corename.argtypes = ctypes.c_char_p, []
+    return corename().decode()
 
 
 def _one_blas_thread() -> None:
@@ -183,11 +204,7 @@ def _pool_to_share():
     return (pool, workers) if workers > 1 else (None, 1)
 
 
-# GEMM rows from which each output row's bits no longer depend on the row
-# count (OpenBLAS 0.3.31, S <= 3072, N <= 100; 16 rows at S=784 already differ)
-SAME_ROWS_FROM = 256
-
-# rows*N*K that each range of a :func:`matmul` row split must exceed: on
+# rows*N*K that each range of a :func:`gemm_ranges` cut must exceed: on
 # OpenBLAS 0.3.31, in float32 and float64 at N 2-2400 and K 8-131072, every
 # range of at least 2 rows above this that starts at a multiple of
 # GEMM_ROW_BLOCK had the bits of one product over all rows; at or below it
@@ -215,6 +232,24 @@ def row_ranges(count: int, parts: int, min_rows: int = 1) -> list[tuple[int, int
     parts = max(1, min(parts, count // min_rows))
     bounds = [count * i // parts for i in range(parts + 1)]
     return list(zip(bounds, bounds[1:]))
+
+
+def gemm_ranges(count: int, parts: int, products) -> list[tuple[int, int]]:
+    """At most ``parts`` near-equal consecutive ``(start, stop)`` ranges of
+    ``range(count)`` items, where each product over the items, given as the
+    ``(rows per item, N, K)`` of a 1 x M x K by 1 x K x N product, keeps the
+    bits of one product: in each, a range starts at a multiple of
+    :data:`GEMM_ROW_BLOCK` rows and holds at least 2 rows and more than
+    :data:`SPLIT_GEMM_ABOVE` multiply-adds, the last range too, whose last
+    step may be short.  A 1-column product (GEMV) is never cut."""
+    step, least = 1, 1  # items per step, fewest items in a range
+    for rows, n, k in products:
+        step = math.lcm(step, GEMM_ROW_BLOCK // math.gcd(GEMM_ROW_BLOCK, rows))
+        min_rows = max(2, SPLIT_GEMM_ABOVE // (n * k or 1) + 1) if n > 1 else rows * count
+        least = max(least, -(-min_rows // rows))
+    tail = (count - 1) % step + 1  # items in the last step
+    ranges = row_ranges(-(-count // step), parts, -(-(least - tail) // step) + 1)
+    return [(start * step, min(stop * step, count)) for start, stop in ranges if start < stop]
 
 
 def pool_workers() -> int:
@@ -380,11 +415,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix multiplication contracting the last dim of ``a`` with
     the second-to-last dim of ``b``; leading dims broadcast on singletons.
 
-    A 1 x M x K by 1 x K x N product with N >= 2 fills its output in row
-    ranges through :func:`split_rows`, each range starting at a multiple of
-    :data:`GEMM_ROW_BLOCK` rows, at least 2 rows long and above
-    :data:`SPLIT_GEMM_ABOVE` multiply-adds, where every row has the bits of
-    one product over all rows; any other product is one ``np.matmul``."""
+    A 1 x M x K by 1 x K x N product fills its rows on the pool in their
+    :func:`gemm_ranges`, one per worker, so every row has the bits of one
+    product over all rows; any other product is one ``np.matmul``."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatch("matmul operands need at least 2 dimensions")
     if a.ndim != b.ndim:
@@ -395,19 +428,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     _check_batch_dims(a.shape[:-2], b.shape[:-2])
     (*lead, m, k), n = a.shape, b.shape[-1]
-    if lead != [1] or b.shape[0] != 1 or n < 2:
+    if lead != [1] or b.shape[0] != 1:
         return Tensor(np.matmul(a.data, b.data))
     out = np.empty((1, m, n), dtype=np.result_type(a.data, b.data))
-    # ranges of whole blocks; the last block has ``tail`` rows, so every
-    # range takes enough blocks that the last range too has min_rows rows
-    min_rows = max(2, SPLIT_GEMM_ABOVE // (n * k or 1) + 1)
-    tail = (m - 1) % GEMM_ROW_BLOCK + 1
-
-    def fill(first: int, stop: int) -> None:
-        rows = slice(first * GEMM_ROW_BLOCK, stop * GEMM_ROW_BLOCK)
-        np.matmul(a.data[:, rows], b.data, out=out[:, rows])
-
-    split_rows(fill, -(-m // GEMM_ROW_BLOCK), -(-(min_rows - tail) // GEMM_ROW_BLOCK) + 1)
+    ranges = gemm_ranges(m, _pool_to_share()[1], [(1, n, k)])
+    run_tasks([partial(np.matmul, a.data[:, start:stop], b.data, out=out[:, start:stop]) for start, stop in ranges])
     return Tensor(out)
 
 

@@ -446,6 +446,15 @@ class TestBenchKernels:
         assert report.environment["pool_workers"] == pool_workers
         assert json.loads(report.to_json())["environment"]["pool_workers"] == pool_workers
 
+    def test_environment_names_the_blas_core(self, monkeypatch):
+        report = bench_kernels([(16, 3, 5)], ["hpca"], reps=5, seed=0)
+        core = json.loads(report.to_json())["environment"]["blas_core"]
+        if tc.openblas_threads() is not None:  # numpy's OpenBLAS names its kernels' core, such as SkylakeX
+            assert isinstance(core, str) and core and core == tc.openblas_core()
+        monkeypatch.setattr(tc, "_openblas", lambda: None)
+        report = bench_kernels([(16, 3, 5)], ["hpca"], reps=5, seed=0)
+        assert '"blas_core": null' in report.to_json()
+
     def test_float32_mode(self):
         report = bench_kernels([(32, 4, 8)], reps=5, seed=0, dtype=np.float32)
         assert report.environment["precision"] == "float32"

@@ -248,6 +248,22 @@ class TestFhdsFormat:
         )):
             dio.load_dataset(path)
 
+    @pytest.mark.parametrize("read", [dio.load_dataset, dio.fhds_shape])
+    def test_appended_bytes(self, tmp_path, read):
+        path = tmp_path / "x.fhds"
+        dio.save_dataset(path, make_labeled_dataset(4, 2))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(CorruptFile, match=re.escape(f"{path}: 8 bytes follow the labels that end the FHDS file")):
+            read(path)
+
+    @pytest.mark.parametrize("read", [dio.load_dataset, dio.fhds_shape])
+    def test_cut_label_block(self, tmp_path, read):
+        path = tmp_path / "x.fhds"
+        dio.save_dataset(path, make_labeled_dataset(4, 2))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(CorruptFile, match=re.escape(f"{path}: truncated FHDS file")):
+            read(path)
+
     def test_extents_whose_product_overflows(self, tmp_path):
         path = tmp_path / "o.fhds"
         dio.save_dataset(path, make_labeled_dataset(4, 2))

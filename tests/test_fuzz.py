@@ -1,7 +1,8 @@
 """Damaged input files end every CLI path with a documented exit code and at
 most one stderr line: a small checkpoint, a small FHDS dataset and the config
-file ``pretrain`` reads are truncated or byte-flipped, then ``eval``,
-``probe`` and ``pretrain`` run on them in-process."""
+file ``pretrain`` reads are truncated, byte-flipped or given bytes past
+their end, then ``eval``, ``probe`` and ``pretrain`` run on them
+in-process."""
 
 import contextlib
 import io
@@ -96,9 +97,29 @@ ECHO_TEST_PATH_END = -len(CONFIG.split("test_path = {data}")[1].encode()) - 1  #
 def test_damaged_file_exits_with_a_code_and_one_line(root, target, command, cut, flips):
     if command not in READERS[target]:  # pretrain reads no checkpoint, eval and probe no config file
         command = READERS[target][0]
+    code, err = _run_on(root, target, lambda raw: _damage(raw, cut, flips), command)
+    assert code in (0, 1, 2, 3)
+    assert len(err.splitlines()) <= 1, err
+    if code == 0 and target == "m.fhb":  # an accepted checkpoint holds only finite numbers
+        ckpt = load_checkpoint(root / "m.fhb")
+        probe = [] if ckpt.probe is None else [ckpt.probe.weights, ckpt.probe.bias]
+        assert all(np.isfinite(a).all() for a in ckpt.weights + probe)
+
+
+@pytest.mark.parametrize("target, command", [(t, c) for t in ("m.fhb", "d.fhds") for c in READERS[t]])
+def test_appended_bytes_exit_2_naming_the_file(root, target, command):
+    code, err = _run_on(root, target, lambda raw: raw + bytes(8), command)
+    assert code == 2
+    assert err.startswith(f"error: {root / target}: 8 bytes follow ") and len(err.splitlines()) == 1, err
+
+
+def _run_on(root, target, change, command):
+    """The exit code and stderr of ``command`` run with ``target`` changed by
+    ``change`` (its bytes to new bytes) and the other files intact; no
+    warning may be raised, as each would print to stderr."""
     for name in READERS:
         raw = (root / "intact" / name).read_bytes()
-        (root / name).write_bytes(_damage(raw, cut, flips) if name == target else raw)
+        (root / name).write_bytes(change(raw) if name == target else raw)
     argv = {
         "eval": ["eval", "--ckpt", str(root / "m.fhb")],
         "probe": ["probe", "--ckpt", str(root / "m.fhb"), "--regime", "25", "--out", str(root / "p.fhb")],
@@ -106,13 +127,8 @@ def test_damaged_file_exits_with_a_code_and_one_line(root, target, command, cut,
     }[command]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        with warnings.catch_warnings(record=True) as caught:  # each would print to stderr
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(argv)
-    assert code in (0, 1, 2, 3)
-    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
     assert not caught, [str(w.message) for w in caught]
-    if code == 0 and target == "m.fhb":  # an accepted checkpoint holds only finite numbers
-        ckpt = load_checkpoint(root / "m.fhb")
-        probe = [] if ckpt.probe is None else [ckpt.probe.weights, ckpt.probe.bias]
-        assert all(np.isfinite(a).all() for a in ckpt.weights + probe)
+    return code, err.getvalue()

@@ -395,14 +395,56 @@ def forward_sizes(monkeypatch):
 class TestExtractFeaturesInBlocks:
     """Blocks of images on the thread pool give every bit of one forward."""
 
-    @pytest.mark.parametrize("n", [1, 15, 16, 17, 33, 256, 257])
-    def test_conv_stack_equals_one_forward(self, n, pool_workers, forward_sizes):
+    # conv1's 1024 and conv2's 256 rows per image fill whole 12-row blocks in
+    # steps of 3 images, and one image is above the bound in both, so blocks
+    # of about 16 images hold 15 or 18, and the last one the rest
+    @pytest.mark.parametrize(
+        "n, sizes",
+        [
+            (1, [1]),
+            (15, [15]),
+            (16, [16]),
+            (17, [8, 9]),
+            (33, [9, 12, 12]),
+            (256, [15] * 10 + [16] + [18] * 5),
+            (257, [15] * 16 + [17]),
+        ],
+    )
+    def test_conv_stack_equals_one_forward(self, n, sizes, pool_workers, forward_sizes):
         stack, ds = _bench_stack(), _images(n)
         want = _flat_forward(stack, ds.images)
         forward_sizes.clear()
         got = extract_features(stack, ds)
         assert got.shape == want.shape and np.array_equal(got, want)
-        assert sorted(forward_sizes) == sorted([16] * (n // 16) + ([n % 16] if n % 16 else []))
+        assert sorted(forward_sizes) == sizes
+
+    # 40 images of 3 x 16 x 16: 256 rows per image, S = 27 or 75; blocks of
+    # 16 images, which start off the 12-row blocks (at 4096 rows) or hold at
+    # most 100**3 multiply-adds, give other bits than one forward at
+    # N x S = 2 x 75, 10 x 27 and 230 x 27 or 75
+    @pytest.mark.parametrize("kernel", [3, 5])
+    @pytest.mark.parametrize("n", [2, 10, 230])
+    def test_narrow_and_wide_conv_layers_equal_one_forward(self, n, kernel, pool_workers):
+        g = ConvGeometry(kernel, kernel, 3, padding=kernel // 2)
+        stack = [HebbLayer(init_weights(n, g.patch_size, seed=n), LearningParams(rule="hpca"), g), ReLU()]
+        ds = _images(40, shape=(3, 16, 16))
+        assert np.array_equal(extract_features(stack, ds), _flat_forward(stack, ds.images))
+
+    def test_conv_stack_of_narrow_and_wide_layers_equals_one_forward(self, pool_workers, forward_sizes):
+        # the narrow layer needs 6 images above the bound, the wide one 1
+        g1, g2 = ConvGeometry(5, 5, 3, padding=2), ConvGeometry(3, 3, 10, padding=1)
+        stack = [
+            HebbLayer(init_weights(10, g1.patch_size, seed=1), LearningParams(), g1),
+            ReLU(),
+            HebbLayer(init_weights(230, g2.patch_size, seed=2), LearningParams(rule="hpca"), g2),
+            ReLU(),
+            Flatten(),
+        ]
+        ds = _images(40, shape=(3, 16, 16))
+        want = _flat_forward(stack, ds.images)
+        forward_sizes.clear()
+        assert np.array_equal(extract_features(stack, ds), want)
+        assert sorted(forward_sizes) == [12, 13, 15]
 
     def test_final_flatten_is_not_run(self, pool_workers, monkeypatch):
         # the copy into the feature matrix flattens the last conv block itself
@@ -411,27 +453,45 @@ class TestExtractFeaturesInBlocks:
         monkeypatch.setattr(Flatten, "forward", lambda self, x: pytest.fail("Flatten.forward ran"))
         assert np.array_equal(extract_features(stack, ds), want)
 
-    def test_dense_stack_keeps_256_image_batches(self, pool_workers, forward_sizes):
+    def test_dense_stack_takes_blocks_above_the_bound(self, pool_workers, forward_sizes):
+        # one row per image: blocks start at multiples of 12 images and hold
+        # at least 80, the fewest rows of 16 x 784 above 100**3 multiply-adds
         stack = [HebbLayer(init_weights(16, 784, seed=0), LearningParams(rule="swta")), ReLU()]
         ds = _images(300, shape=(1, 28, 28))
-        want = np.concatenate([_flat_forward(stack, ds.images[:256]), _flat_forward(stack, ds.images[256:])])
+        want = _flat_forward(stack, ds.images)
         forward_sizes.clear()
         assert np.array_equal(extract_features(stack, ds), want)
-        assert sorted(forward_sizes) == [44, 256]
+        assert sorted(forward_sizes) == [96, 96, 108]
 
-    def test_conv_layer_with_few_rows_keeps_256_image_batches(self, forward_sizes):
+    def test_conv_layer_with_few_rows_takes_blocks_above_the_bound(self, pool_workers, forward_sizes):
+        # the last conv layer gives 14 x 14 = 196 rows per image, and its
+        # 4 x 288 products need 869 rows, 5 images, to be above 100**3
         stack = _bench_stack()[:3] + [HebbLayer(init_weights(4, 288, seed=1), LearningParams(), ConvGeometry(3, 3, 32))]
-        extract_features(stack, _images(20))  # the last conv layer gives 14 x 14 = 196 rows per image
-        assert forward_sizes == [20]
+        ds = _images(20)
+        want = _flat_forward(stack, ds.images)
+        forward_sizes.clear()
+        assert np.array_equal(extract_features(stack, ds), want)
+        assert sorted(forward_sizes) == [9, 11]
 
-    def test_workers_keep_the_callers_errstate(self, pool_workers):
-        stack = [HebbLayer(Tensor(np.full((1, 2, 4), 1e300)), LearningParams()), ReLU()]
-        ds = Dataset(np.full((300, 1, 1, 4), 1e300), np.zeros(300, dtype=np.int64), 1)  # two blocks: one per thread
+    def test_workers_keep_the_callers_errstate(self, pool_workers, monkeypatch):
+        # two blocks of 84 images; on two workers each waits for the other, so
+        # a pool worker runs one of them
+        meet, blocks = threading.Barrier(pool_workers, timeout=30), []
+
+        def forward(stack, x, _orig=pipeline.forward_stack):
+            meet.wait()
+            blocks.append((threading.get_ident(), x.shape[0]))
+            return _orig(stack, x)
+
+        monkeypatch.setattr(pipeline, "forward_stack", forward)
+        stack = [HebbLayer(Tensor(np.full((1, 16, 784), 1e300)), LearningParams()), ReLU()]
+        ds = Dataset(np.full((168, 1, 1, 784), 1e300), np.zeros(168, dtype=np.int64), 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # a warning in any thread raises
             with np.errstate(all="ignore"):
                 feats = extract_features(stack, ds)
         assert np.all(np.isinf(feats))  # the products overflow
+        assert [size for _, size in blocks] == [84, 84] and len({thread for thread, _ in blocks}) == pool_workers
 
     def test_forked_child_extracts_features(self):
         stack, ds = _bench_stack(), _images(20)
@@ -489,7 +549,7 @@ class TestPatchExtractionCount:
 
     def test_extract_features_extracts_once_per_conv_layer_per_block(self, pool_workers, patch_calls, forward_sizes):
         extract_features(_bench_stack(), _images(40))
-        assert sorted(forward_sizes) == [8, 16, 16]
+        assert sorted(forward_sizes) == [12, 13, 15]
         assert sorted(g.kernel_h for g in patch_calls) == [3] * 3 + [5] * 3
 
 
@@ -535,11 +595,12 @@ class TestPretrainOnThePool:
     @pytest.mark.parametrize("impl", ["fast", "naive"])
     @pytest.mark.parametrize(
         "n, count, side",
-        [(13, 3, 32), (1, 3, 32), (13, 1, 16)],
+        [(33, 3, 32), (1, 3, 32), (13, 1, 16)],
         ids=["odd-n-three-blocks", "one-neuron", "one-metric-block"],
     )
     def test_hpca_task_lists_of_every_shape(self, n, count, side, impl, pool_of):
-        # 3072 patch rows make three metric blocks, 256 rows one, below the 1024 of a block
+        # 3072 patch rows make three metric blocks at N = 33; 256 rows, or
+        # one neuron, make one
         def stack():
             g = ConvGeometry(5, 5, 3, padding=2)
             return [HebbLayer(init_weights(n, g.patch_size, seed=n), LearningParams(rule="hpca"), g, impl)]
@@ -858,6 +919,13 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 8])
         with pytest.raises(CorruptFile, match=re.escape(f"{path}: truncated config echo")):
+            load_checkpoint(path)
+
+    def test_appended_bytes(self, tmp_path):
+        path = tmp_path / "x.fhb"
+        save_checkpoint(path, self._stack(), None, "some config")
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(CorruptFile, match=re.escape(f"{path}: 8 bytes follow the config echo that ends the checkpoint")):
             load_checkpoint(path)
 
     # the first weight block's rank byte is at 13, its extents (1, 3, 5) at 14-25

@@ -76,13 +76,16 @@ class TestForwardLinear:
 
     @pytest.mark.parametrize("n, s", [(96, 1152), (96, 2304), (256, 1152), (256, 2304)])
     def test_row_ranges_equal_one_product_at_wide_layers(self, n, s, pool_of):
-        # the premise of SAME_ROWS_FROM at the widths of a deeper stack: any
-        # range of at least that many rows has the bits of one product
-        b = 2 * tc.SAME_ROWS_FROM + 77
+        # the premise of gemm_ranges at the widths of a deeper stack: a range
+        # that starts at a multiple of 12 rows and holds at least 2 rows and
+        # more than 100**3 multiply-adds has the bits of one product
+        b = 589
         w, x = rand_case(b, n, s, seed=n + s)
         rows, wt = x.data.reshape(1, b, s), np.swapaxes(w.data, 1, 2).copy()
         want = np.matmul(rows, wt)
-        for start, stop in [(0, 256), (1, 257), (255, 511), (300, b)]:
+        cuts = [(0, 12), (12, 300), (252, 516), (576, b)]
+        cuts += [r for parts in (2, 3, 7) for r in tc.gemm_ranges(b, parts, [(1, n, s)])]
+        for start, stop in cuts:
             assert np.array_equal(np.matmul(rows[:, start:stop], wt), want[:, start:stop])
         with pool_of(2):
             assert np.array_equal(forward_linear(w, x).data, want.reshape(b, n, 1))
@@ -414,7 +417,7 @@ def test_update_fn_unknown():
 @pytest.mark.parametrize("impl", ["naive", "fast"])
 def test_kernels_return_the_layer_metric_when_asked(rule, impl):
     # SWTA's softmax gives the metric for free, so its kernels return it unasked too
-    w, x = rand_case(3000, 3, 4, seed=5)  # two HPCA metric blocks
+    w, x = rand_case(3000, 32, 4, seed=5)  # two HPCA metric blocks
     params = LearningParams(rule=rule)
     kernel = rules.update_fn(rule, impl)
     want = rules.layer_metric(w, x, forward_linear(w, x), params)
@@ -428,11 +431,51 @@ def test_kernels_return_the_layer_metric_when_asked(rule, impl):
 @pytest.mark.parametrize("n, s", [(32, 75), (64, 288)])
 @pytest.mark.parametrize("b", [255, 256, 1024, 1025, 2047, 2048, 2560, 5000])
 def test_hpca_metric_in_row_blocks_equals_one_pass(b, n, s):
-    # blocks of 1024 to 2047 rows: every row keeps the bits of the whole-batch formula
+    # blocks of about 1024 rows: every row keeps the bits of the whole-batch formula
     w, x = rand_case(b, n, s, seed=b)
     y = forward_linear(w, x)
+    assert rules.layer_metric(w, x, y, LearningParams(rule="hpca")) == _one_pass_hpca_metric(w, x, y)
+
+
+def _one_pass_hpca_metric(w, x, y):
+    """The HPCA metric's formula over the whole batch at once."""
     x2, y2 = x.data[:, 0], y.data[:, :, 0]
     yg = np.matmul(y2[None], np.matmul(w.data, np.swapaxes(w.data, 1, 2).copy()))[0]
     sq = np.einsum("ij,ij->i", x2, x2) - 2.0 * np.einsum("ij,ij->i", y2, y2) + np.einsum("ij,ij->i", yg, y2)
-    want = float(np.mean(np.sqrt(np.maximum(sq, 0.0))))
-    assert rules.layer_metric(w, x, y, LearningParams(rule="hpca")) == want
+    return float(np.mean(np.sqrt(np.maximum(sq, 0.0))))
+
+
+def _first_row(view):
+    """The index of the first row of ``view`` in the buffer it views."""
+    root = view
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    return (view.ctypes.data - root.ctypes.data) // view.strides[-2]
+
+
+@pytest.mark.parametrize("in_kernel", [False, True], ids=["layer_metric", "kernel"])
+def test_hpca_metric_blocks_are_premise_cuts(in_kernel, pool_workers, monkeypatch):
+    # at N = 230, blocks that start off the 12-row blocks gave rows of yWWᵀ
+    # with other bits in their last 230 % 8 columns than one product
+    b, n, s = 20000, 230, 75
+    w, x = rand_case(b, n, s, seed=6)
+    y, params = forward_linear(w, x), LearningParams(rule="hpca")
+    calls, original = [], np.matmul
+
+    def spy(lhs, rhs, **kw):
+        out = original(lhs, rhs, **kw)
+        if rhs.shape == (1, n, n):  # only the metric's yWWᵀ has an N x N right operand
+            calls.append((_first_row(lhs), lhs.shape[-2], rhs, out))
+        return out
+
+    monkeypatch.setattr(np, "matmul", spy)
+    value = hpca_update_fast(w, x, params, metric=True).metric if in_kernel else rules.layer_metric(w, x, y, params)
+    monkeypatch.undo()
+    assert value == _one_pass_hpca_metric(w, x, y)
+    calls.sort(key=lambda call: call[0])
+    assert [start for start, *_ in calls] == [0] + list(np.cumsum([rows for _, rows, *_ in calls])[:-1])
+    assert sum(rows for _, rows, *_ in calls) == b and len(calls) == b // 1024
+    one = np.matmul(y.data.reshape(1, b, n), calls[0][2])
+    for start, rows, _, out in calls:
+        assert start % tc.GEMM_ROW_BLOCK == 0 and rows >= 2 and rows * n * n > tc.SPLIT_GEMM_ABOVE
+        assert np.array_equal(out, one[:, start : start + rows])

@@ -134,21 +134,45 @@ def _split_and_one_product(m, n, k, dtype):
 
 
 # M x N x K of the premise sweep, without products above 2**26 multiply-adds
-# or a K x N operand above 2**21 elements
+# or a K x N operand above 2**21 elements; K = 27, 75 and 288 are the conv
+# patch sizes that feature blocks and conv1's forward are cut at, and
+# M = 1024 and 4096, swept at those K only, give them rows enough to be cut
 _PREMISE_SHAPES = [
     (m, n, k)
-    for m in (4, 5, 16, 33, 34, 64, 256)
+    for m in (4, 5, 16, 33, 34, 64, 256, 1024, 4096)
     for n in (2, 7, 75, 230, 288, 784)
-    for k in (256, 1024, 3027, 4096, 16384, 65536)
-    if m * n * k <= 2**26 and n * k <= 2**21
+    for k in (27, 75, 256, 288, 1024, 3027, 4096, 16384, 65536)
+    if m * n * k <= 2**26 and n * k <= 2**21 and (m <= 256 or k in (27, 75, 288))
 ]
 
 
 class TestMatmulRowSplit:
     """A 1 x M x K by 1 x K x N product fills its rows on the pool only where
-    every range has the bits of one product: ranges that start at a multiple
-    of ``GEMM_ROW_BLOCK`` rows, have at least 2 rows and more than
-    ``SPLIT_GEMM_ABOVE`` multiply-adds, and N >= 2."""
+    every range has the bits of one product: the ``gemm_ranges`` that start
+    at a multiple of ``GEMM_ROW_BLOCK`` rows, have at least 2 rows and more
+    than ``SPLIT_GEMM_ABOVE`` multiply-adds, and N >= 2."""
+
+    @pytest.mark.parametrize(
+        "count, parts, products, ranges",
+        [
+            # 75 x 1024 needs 14 rows, and the last 12-row step holds 4
+            (64, 2, [(1, 75, 1024)], [(0, 36), (36, 64)]),
+            (64, 9, [(1, 75, 1024)], [(0, 24), (24, 48), (48, 64)]),
+            # 1024 and 256 rows per item fill whole 12-row blocks in steps of 3 items
+            (17, 2, [(1024, 32, 75), (256, 64, 288)], [(0, 9), (9, 17)]),
+            # steps of 4 items (225 rows) and of 12 (49 rows) make steps of 12;
+            # 10 x 75 needs 1334 rows, 6 items, so the 4-item last step cannot stand alone
+            (40, 4, [(225, 10, 75), (49, 230, 90)], [(0, 24), (24, 40)]),
+            # the most items any product needs: 2 x 75 needs 6667 rows, 27 items
+            (40, 3, [(256, 2, 75)], [(0, 40)]),
+            (60, 3, [(256, 2, 75), (256, 230, 75)], [(0, 30), (30, 60)]),
+            (4096, 2, [(1, 1, 4096)], [(0, 4096)]),  # one column: the GEMV path is never cut
+            (10, 3, [], [(0, 3), (3, 6), (6, 10)]),
+            (0, 2, [(1, 75, 1024)], []),
+        ],
+    )
+    def test_gemm_ranges(self, count, parts, products, ranges):
+        assert tc.gemm_ranges(count, parts, products) == ranges
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_two_workers_give_the_bits_of_one_product(self, dtype, pool_of):
