@@ -20,9 +20,13 @@ layer metric of the batch (:func:`layer_metric`), taken from that same Y,
 when the caller asks with ``metric``, as pretraining does; the SWTA kernels
 return it always, since their softmax gives it for free.  So the forward
 dies with the kernel: the fast SWTA kernel drops it once the scores exist
-and then holds at most two B x N buffers at once, and the fast HPCA kernel
-runs the metric's row blocks on the pool beside its two batch contractions,
-in one :func:`~fasthebb.tensor.run_tasks` list.
+and then holds at most two B x N buffers at once, writing C*R over its
+scores and their transposed copy in one pass, and each fast kernel hands
+the pool one :func:`~fasthebb.tensor.run_tasks` list.  SWTA's list holds
+the row ranges of its pull (C*R)^T X beside the sum over b of C*R; HPCA's
+holds its two batch contractions, each one whole product, beside the
+metric's row blocks, since cutting those products into ranges in the same
+list made the HPCA pretrain epoch slower.
 """
 
 from __future__ import annotations
@@ -119,11 +123,12 @@ def aggregate(coeffs: Tensor, per_sample: Tensor) -> Tensor:
     return tc.reduce_sum(tc.elementwise(np.multiply, coeffs, per_sample))
 
 
-def _swta_scores(w: Tensor, x: Tensor, params: LearningParams):
-    """The scores R, the guarded column sums that C = R / sum_b R divides by,
-    and the layer metric ``mean(1/Σ)`` over the softmax row sums Σ (see
-    :func:`layer_metric`)."""
-    r, row_sums = tc.softmax(forward_linear(w, x), params.temperature)  # B x N x 1, B x 1 x 1
+def _swta_scores(w: Tensor, x: Tensor, params: LearningParams, out=None):
+    """The scores R, in ``out`` when it is given (see
+    :func:`~fasthebb.tensor.softmax`), the guarded column sums that
+    C = R / sum_b R divides by, and the layer metric ``mean(1/Σ)`` over the
+    softmax row sums Σ (see :func:`layer_metric`)."""
+    r, row_sums = tc.softmax(forward_linear(w, x), params.temperature, out)  # B x N x 1, B x 1 x 1
     col_sums = tc.reduce_sum(r)  # 1 x N x 1
     # sum_b R[b,n] > 0 holds in exact arithmetic; at low temperature the
     # scores of a losing neuron can underflow to 0.0, in which case the
@@ -163,31 +168,42 @@ def swta_update_fast(
     with Q = sum_b (C*R).  The layer metric comes back whatever ``metric``
     says.
 
-    The per-row work (the softmax, C*R and its transposed copy) is split over
-    the pool by :func:`~fasthebb.tensor.split_rows`, each row computed from
-    that row alone, and so are the neuron rows of the product with X
-    (:func:`~fasthebb.tensor.matmul`), each contracted over the whole batch;
-    the column sums stay on one thread, so every bit is that of one pass.
+    The softmax fills a score buffer that the kernel owns.  Once sum_b R is
+    taken, one :func:`~fasthebb.tensor.split_rows` pass over blocks of
+    :data:`~fasthebb.tensor.ROW_BLOCK` rows writes each block's C into a
+    scratch of one block per range, C*R over the block's scores, and the
+    block into the transposed 1 x N x B copy.  The ranges of the pull
+    (C*R)^T X (:func:`~fasthebb.tensor.gemm_calls`) and the sequential
+    Q = sum_b C*R then run as one :func:`~fasthebb.tensor.run_tasks` list,
+    so Q fills the slack of the shorter range.  Every row is computed from
+    that row alone and every sum over b on one thread, so every bit is that
+    of one pass.  The forward dies with the softmax, so at most two B x N
+    buffers are alive at once: the forward and the scores, then the scores
+    and their transposed copy; beside them only the N x S terms (the
+    forward's transpose of W among them) and one block's scratch per range.
     """
     b, n, s = _check_update_shapes(w, x)
     with AllocationTracker() as tr:
-        r, safe, value = _swta_scores(w, x, params)
-        rd, sd = r.data, safe.data
-        buf = np.empty(rd.shape, dtype=np.result_type(rd, sd))
+        scores = np.empty((b, n, 1), dtype=np.result_type(w.data, x.data, params.temperature))
+        _, safe, value = _swta_scores(w, x, params, scores)
+        cr_t = np.empty((1, n, b), dtype=scores.dtype)
+        rows, cols = scores.reshape(b, n), cr_t.reshape(n, b)
+        sd, block = safe.data.reshape(1, n), tc.ROW_BLOCK
 
-        def fill(start: int, stop: int) -> None:
-            rows = buf[start:stop]  # C = R / sum_b R, in the buffer that becomes C*R
-            np.divide(rd[start:stop], sd, out=rows)
-            rows *= rd[start:stop]
+        def fill(first: int, stop: int) -> None:
+            c = np.empty((min(block, b), n), dtype=scores.dtype)  # C = R / sum_b R of one block
+            for i in range(first * block, stop * block, block):
+                r_rows = rows[i : i + block]
+                c_rows = c[: len(r_rows)]
+                np.divide(r_rows, sd, out=c_rows)
+                np.multiply(c_rows, r_rows, out=r_rows)  # C*R over the scores
+                cols[:, i : i + block] = r_rows.T
 
-        tc.split_rows(fill, b, tc.SPLIT_ROWS_FROM)
-        del r, rd  # two B x N buffers at once
-        cr = Tensor(buf)  # B x N x 1
-        q = tc.reduce_sum(cr)  # 1 x N x 1
-        cr_t = tc.transpose(tc.reshape(cr, (1, b, n)))  # 1 x N x B
-        pull = tc.matmul(cr_t, tc.reshape(x, (1, b, s)))  # 1 x N x S
+        tc.split_rows(fill, -(-b // block))
+        pull, pull_calls = tc.gemm_calls(Tensor(cr_t), tc.reshape(x, (1, b, s)))  # 1 x N x S
+        q = tc.run_tasks([*pull_calls, partial(tc.reduce_sum, Tensor(scores))])[-1]  # 1 x N x 1
         decay = tc.elementwise(np.multiply, q, w)  # 1 x N x S
-        delta_w = tc.elementwise(np.multiply, tc.elementwise(np.subtract, pull, decay), params.eta)
+        delta_w = tc.elementwise(np.multiply, tc.elementwise(np.subtract, Tensor(pull), decay), params.eta)
     return UpdateResult(delta_w, tr.largest, value)
 
 

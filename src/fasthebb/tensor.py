@@ -33,8 +33,9 @@ whose workers fill the CPUs that BLAS leaves idle: the CPUs this process may
 run on, divided by the thread count of the loaded OpenBLAS, which import pins
 to one unless the environment sets it.  So by default the per-row work, the
 output rows of the batch contractions and independent calls such as the
-HPCA kernel's two products and its metric's row blocks run on every CPU,
-while no contraction over the batch is split.  ``run_tasks`` takes a list
+HPCA kernel's two products and its metric's row blocks, or the SWTA
+kernel's sum over the batch beside the row ranges of its pull, run on every
+CPU, while no contraction over the batch is split.  ``run_tasks`` takes a list
 of calls: the calling thread runs the first, and it and the pool workers
 then take the next call in list order until none is left, each call
 running inline.  :func:`split_rows` fills one buffer as the
@@ -45,8 +46,10 @@ work whose bits do not depend on the thread that runs it goes to the pool:
 copies (:func:`transpose` among them), per-row arithmetic whose every row
 depends on that row alone (:func:`softmax`), whole calls that each fill
 their own output, and the rows of a product in the ranges of
-:func:`gemm_ranges`, the one rule for where :func:`matmul`, the HPCA
-metric's row blocks and feature extraction's image blocks cut a product.
+:func:`gemm_ranges`, the one rule for where a product is cut: the HPCA
+metric's row blocks and feature extraction's image blocks follow it, and
+:func:`gemm_calls` turns it into the calls that fill one product, which
+:func:`matmul` runs as its list and a kernel may run beside other calls.
 """
 
 from __future__ import annotations
@@ -75,9 +78,10 @@ __all__ = [
     "openblas_core",
     "SPLIT_GEMM_ABOVE",
     "GEMM_ROW_BLOCK",
-    "SPLIT_ROWS_FROM",
+    "ROW_BLOCK",
     "row_ranges",
     "gemm_ranges",
+    "gemm_calls",
     "pool_workers",
     "run_tasks",
     "split_rows",
@@ -219,10 +223,12 @@ SPLIT_GEMM_ABOVE = 100**3
 # in 17-row halves differs; starts at multiples of 4, 8 or 16 differed too)
 GEMM_ROW_BLOCK = 12
 
-# fewest rows in a range of a row-wise split of cheap per-row arithmetic
-# (:func:`softmax`, the fast SWTA kernel's C*R): below that, handing a range
-# to a worker costs more than its arithmetic
-SPLIT_ROWS_FROM = 1024
+# rows per block of the row-wise passes: :func:`softmax` splits its rows in
+# ranges of at least this many, below which handing a range to a worker
+# costs more than its arithmetic, and :func:`transpose` and the fast SWTA
+# kernel's C*R pass copy blocks of this many source rows, which stay in cache
+# with the output columns they fill
+ROW_BLOCK = 1024
 
 
 def row_ranges(count: int, parts: int, min_rows: int = 1) -> list[tuple[int, int]]:
@@ -415,9 +421,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix multiplication contracting the last dim of ``a`` with
     the second-to-last dim of ``b``; leading dims broadcast on singletons.
 
-    A 1 x M x K by 1 x K x N product fills its rows on the pool in their
-    :func:`gemm_ranges`, one per worker, so every row has the bits of one
-    product over all rows; any other product is one ``np.matmul``."""
+    A 1 x M x K by 1 x K x N product is :func:`run_tasks` over the calls of
+    :func:`gemm_calls`, which fill its rows in their :func:`gemm_ranges`, one
+    per worker, so every row has the bits of one product over all rows; any
+    other product is one ``np.matmul``."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatch("matmul operands need at least 2 dimensions")
     if a.ndim != b.ndim:
@@ -427,13 +434,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"contracted dims differ: {a.shape[-1]} vs {b.shape[-2]}"
         )
     _check_batch_dims(a.shape[:-2], b.shape[:-2])
-    (*lead, m, k), n = a.shape, b.shape[-1]
-    if lead != [1] or b.shape[0] != 1:
+    if a.shape[:-2] != (1,) or b.shape[0] != 1:
         return Tensor(np.matmul(a.data, b.data))
-    out = np.empty((1, m, n), dtype=np.result_type(a.data, b.data))
-    ranges = gemm_ranges(m, _pool_to_share()[1], [(1, n, k)])
-    run_tasks([partial(np.matmul, a.data[:, start:stop], b.data, out=out[:, start:stop]) for start, stop in ranges])
+    out, calls = gemm_calls(a, b)
+    run_tasks(calls)
     return Tensor(out)
+
+
+def gemm_calls(a: Tensor, b: Tensor) -> tuple[np.ndarray, list]:
+    """The empty output buffer of the 1 x M x K by 1 x K x N product of ``a``
+    and ``b``, and the calls that fill it, one per range of its
+    :func:`gemm_ranges` (one range per pool worker), longest first.
+
+    Run through :func:`run_tasks`, possibly beside other calls, they leave
+    every row with the bits of one product over all rows; the calling thread
+    takes the longest range, so a worker that takes a shorter one has slack
+    for the list's further calls."""
+    (_, m, k), n = a.shape, b.shape[-1]
+    out = np.empty((1, m, n), dtype=np.result_type(a.data, b.data))
+    ranges = sorted(gemm_ranges(m, _pool_to_share()[1], [(1, n, k)]), key=lambda r: r[0] - r[1])
+    return out, [partial(np.matmul, a.data[:, start:stop], b.data, out=out[:, start:stop]) for start, stop in ranges]
 
 
 def elementwise(op: np.ufunc, a: Tensor, b) -> Tensor:
@@ -466,20 +486,23 @@ def reduce_sum(a: Tensor) -> Tensor:
     return Tensor(np.cumsum(src, axis=0)[-1:] + 0.0)
 
 
-def softmax(y: Tensor, temperature: float) -> tuple[Tensor, Tensor]:
+def softmax(y: Tensor, temperature: float, out: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Temperature softmax along axis 1 with max-subtraction for stability,
     and the sums of the shifted exponentials that it divided by (axis 1 kept
     as a singleton).
 
-    One score buffer and one row-sum buffer are filled by :func:`split_rows`
-    in ranges of at least :data:`SPLIT_ROWS_FROM` rows; each range scales its rows,
-    then shifts, exponentiates, sums and normalises them in place.  A row's
-    max, sum and division read that row alone, so every row has the bits of
-    one pass over all rows."""
+    The scores fill ``out`` when it is given, a writable row-major array of
+    ``y``'s shape and of the dtype of ``y / temperature``, which the caller
+    owns and may overwrite once it is done with the returned read-only view;
+    otherwise a new buffer.  The score and row-sum buffers are filled by
+    :func:`split_rows` in ranges of at least :data:`ROW_BLOCK` rows; each
+    range scales its rows, then shifts, exponentiates, sums and normalises
+    them in place.  A row's max, sum and division read that row alone, so
+    every row has the bits of one pass over all rows."""
     if not temperature > 0:
         raise UsageError(f"temperature must be > 0, got {temperature}")
     src = y.data
-    z = np.empty(src.shape, dtype=np.result_type(src, temperature))
+    z = np.empty(src.shape, dtype=np.result_type(src, temperature)) if out is None else out
     sums = np.empty(src.shape[:1] + (1,) + src.shape[2:], dtype=z.dtype)
 
     def fill(start: int, stop: int) -> None:
@@ -490,7 +513,7 @@ def softmax(y: Tensor, temperature: float) -> tuple[Tensor, Tensor]:
         np.sum(rows, axis=1, keepdims=True, out=sums[start:stop])
         rows /= sums[start:stop]
 
-    split_rows(fill, src.shape[0], SPLIT_ROWS_FROM)
+    split_rows(fill, src.shape[0], ROW_BLOCK)
     return Tensor(z), Tensor(sums)
 
 
@@ -502,30 +525,32 @@ def tril_mask(n: int, dtype) -> Tensor:
     return Tensor(np.tril(np.ones((1, n, n), dtype=dtype)))
 
 
-# source rows copied per block by :func:`transpose`: a block of source rows
-# and the output columns it fills stay in cache together
-_TRANSPOSE_BLOCK = 1024
-
-
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two dimensions into a new row-major buffer.
 
-    The copy runs in blocks of ``_TRANSPOSE_BLOCK`` source rows, each written
+    The copy runs in blocks of :data:`ROW_BLOCK` source rows, each written
     to the matching column range of the output, and :func:`split_rows` hands
     ranges of whole blocks to the pool; the values are those of
-    ``np.swapaxes(a, -1, -2).copy()``.  A view would be cheaper but changes
-    which path BLAS takes on the result, and with it the bits of products.
+    ``np.swapaxes(a, -1, -2).copy()``.  A transposed view saves the copy
+    but slows the product that reads it, and changes which path BLAS takes,
+    and with it the bits, at some shapes.  On one thread (OpenBLAS 0.3.31,
+    SkylakeX, float64) the SWTA pull took 15.9 ms through a view at
+    65536 x 32 x 75 and 16.4 ms at 16384 x 64 x 288, against 15.5 and
+    15.9 ms through the copy, which itself took about 5 and 2 ms; the bits
+    were the same there, but differed at 88 of 280 smaller shapes tried
+    (32 x 75 x 75 in float64 among them).  The fast SWTA kernel fills its
+    transposed copy inside a pass it makes anyway.
     """
     src = a.data
     rows = src.shape[-2]
     out = np.empty(src.shape[:-2] + (src.shape[-1], rows), dtype=src.dtype)
 
     def fill(first: int, stop: int) -> None:
-        for i in range(first * _TRANSPOSE_BLOCK, stop * _TRANSPOSE_BLOCK, _TRANSPOSE_BLOCK):
-            block = slice(i, i + _TRANSPOSE_BLOCK)
+        for i in range(first * ROW_BLOCK, stop * ROW_BLOCK, ROW_BLOCK):
+            block = slice(i, i + ROW_BLOCK)
             out[..., block] = np.swapaxes(src[..., block, :], -1, -2)
 
-    split_rows(fill, -(-rows // _TRANSPOSE_BLOCK))
+    split_rows(fill, -(-rows // ROW_BLOCK))
     return Tensor(out)
 
 

@@ -13,7 +13,7 @@ from fasthebb.rules import (
     swta_update_fast,
     swta_update_naive,
 )
-from fasthebb.tensor import Tensor
+from fasthebb.tensor import AllocationTracker, Tensor
 
 
 def rand_case(b, n, s, seed):
@@ -285,6 +285,81 @@ def test_swta_two_workers_give_the_bits_of_one(kernel, b, n, s, temperature, dty
     assert np.array_equal(one.delta_w.data, two.delta_w.data)
     assert one.metric == two.metric
     assert one.peak_temp_elements == two.peak_temp_elements
+
+
+def _swta_chain(w, x, params):
+    """The fast SWTA update as a chain of whole tensor-core calls, each on
+    its own buffer: softmax, Σ_b R, C·R by divide and multiply, Σ_b C·R,
+    (C·R)ᵀ by transpose, and the pull by matmul.  Its delta_w, metric and
+    largest temporary."""
+    b, n, s = x.shape[0], w.shape[1], w.shape[2]
+    with AllocationTracker() as tr:
+        r, row_sums = tc.softmax(forward_linear(w, x), params.temperature)
+        col_sums = tc.reduce_sum(r).data
+        cr = Tensor(r.data / np.where(col_sums > 0, col_sums, 1.0) * r.data)
+        del r
+        q = tc.reduce_sum(cr)
+        pull = tc.matmul(tc.transpose(tc.reshape(cr, (1, b, n))), tc.reshape(x, (1, b, s)))
+        decay = tc.elementwise(np.multiply, q, w)
+        delta_w = tc.elementwise(np.multiply, tc.elementwise(np.subtract, pull, decay), params.eta)
+    return delta_w.data, float(np.mean(1.0 / row_sums.data)), tr.largest
+
+
+def _swta_case(b, n, s, dtype):
+    """A seeded case whose last neuron trails the first by x_0 >= 5 on every
+    sample, so at T = 0.003 its whole column of scores underflows to 0.0."""
+    w, x = rand_case(b, n, s, seed=b + n)
+    w, x = w.data.copy(), x.data * 3.0
+    x[:, 0, 0] = 5.0 + np.abs(x[:, 0, 0])
+    w[0, -1] = w[0, 0]
+    w[0, -1, 0] -= 1.0
+    return Tensor(w.astype(dtype)), Tensor(x.astype(dtype))
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.05, 0.003])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "b, n, s",
+    [(65536, 32, 75), (16384, 64, 288), (3001, 10, 27), (2050, 230, 64), (1025, 1, 9)],
+    ids=["conv1", "conv2", "b-off-block", "n-off-row-block", "one-neuron"],
+)
+def test_fast_swta_has_the_bits_of_the_whole_call_chain(b, n, s, dtype, temperature, pool_workers):
+    # the fused pass over 1024-row blocks and the pull's ranges beside Σ_b C·R
+    # keep every bit of the chain, B not a multiple of the block, N not of
+    # the GEMM row block and N = 1 (reduce_sum's one-column path) included
+    w, x = _swta_case(b, n, s, dtype)
+    params = LearningParams(eta=0.1, temperature=temperature, rule="swta")
+    want, want_metric, want_peak = _swta_chain(w, x, params)
+    got = swta_update_fast(w, x, params)
+    uint = np.uint64 if dtype == np.float64 else np.uint32
+    assert got.delta_w.dtype == dtype
+    assert np.array_equal(got.delta_w.data.view(uint), want.view(uint))
+    assert got.metric == want_metric
+    assert got.peak_temp_elements == want_peak
+    if temperature == 0.003 and n > 1:
+        assert np.all(got.delta_w.data[0, -1] == 0.0)  # the underflowed column
+
+
+@pytest.mark.parametrize("b, n, s", [(65536, 32, 75), (16384, 64, 288)], ids=["conv1", "conv2"])
+def test_fast_swta_holds_two_b_by_n_buffers(b, n, s, pool_workers, peak_bytes):
+    # the docstring's count: two B x N buffers, the N x S terms, the weights'
+    # transpose (N x S) and one block's scratch, with 2 MiB for what numpy
+    # and Python hold beside them (the B row sums and row maxima among them)
+    w, x = rand_case(b, n, s, seed=3)
+    params = LearningParams(eta=0.1, rule="swta")
+    swta_update_fast(w, x, params)  # warm-up: the pool's threads and numpy's caches are not the kernel's
+    assert peak_bytes(swta_update_fast, w, x, params) <= 8 * (2 * b * n + n * s + n * n + tc.ROW_BLOCK * n) + 2**21
+
+
+def test_scores_without_a_buffer_outlive_a_kernel_call(pool_workers):
+    # the kernel overwrites only the score buffer it made itself
+    w, x = rand_case(3001, 10, 27, seed=5)
+    params = LearningParams(eta=0.1, temperature=0.5, rule="swta")
+    scores, _ = tc.softmax(forward_linear(w, x), params.temperature)
+    kept = scores.data.copy()
+    swta_update_fast(w, x, params)
+    assert not scores.data.flags.writeable
+    assert np.array_equal(scores.data, kept)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -210,6 +210,25 @@ class TestMatmulRowSplit:
         assert len(calls) == 2
         assert np.array_equal(split, one)
 
+    @pytest.mark.parametrize("m, n, k", [(32, 75, 4096), (230, 64, 4096)], ids=["12-20-cut", "230-rows"])
+    def test_calls_fill_the_gemm_ranges_longest_first(self, m, n, k, pool_of):
+        rng = np.random.default_rng(m)
+        a, b = rng.standard_normal((1, m, k)), rng.standard_normal((1, k, n))
+        with pool_of(2):
+            out, calls = tc.gemm_calls(Tensor(a), Tensor(b))
+            want = sorted(tc.gemm_ranges(m, 2, [(1, n, k)]), key=lambda r: r[0] - r[1])
+        out[...] = np.nan
+        filled = []
+        for call in calls:  # the rows each call fills, in list order
+            before = np.isnan(out[0, :, 0])
+            call()
+            rows = np.flatnonzero(before & ~np.isnan(out[0, :, 0]))
+            filled.append((int(rows[0]), int(rows[-1]) + 1))
+            assert len(rows) == filled[-1][1] - filled[-1][0]
+        assert filled == want and len(want) == 2
+        assert [stop - start for start, stop in filled] == sorted((stop - start for start, stop in filled), reverse=True)
+        assert np.array_equal(out, np.matmul(a, b))
+
     def test_rows_fill_on_the_pool_and_inline_in_one_call(self, pool_of):
         a, b = Tensor(np.ones((1, 64, 1024))), Tensor(np.ones((1, 1024, 75)))
         with pool_of(2):
@@ -346,7 +365,7 @@ class TestSoftmax:
         if temperature == 0.02:
             assert np.all(got[:, 0] == 0.0)
 
-    ROWS = tc.SPLIT_ROWS_FROM
+    ROWS = tc.ROW_BLOCK
 
     @pytest.mark.parametrize("temperature", [1.0, 0.02])
     @pytest.mark.parametrize(
@@ -369,6 +388,17 @@ class TestSoftmax:
         assert np.array_equal(one_sums.data, two_sums.data)
         if temperature == 0.02:
             assert np.all(two.data[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_fills_the_callers_buffer(self, dtype, pool_workers):
+        # the caller keeps its buffer writable and gets the bits of a new buffer
+        y = Tensor(np.random.default_rng(3).standard_normal((2 * self.ROWS + 1, 10, 1)).astype(dtype))
+        out = np.empty(y.shape, dtype=dtype)
+        got, sums = tc.softmax(y, 0.3, out)
+        want, want_sums = tc.softmax(y, 0.3)
+        assert np.shares_memory(got.data, out) and out.flags.writeable
+        assert not got.data.flags.writeable and not want.data.flags.writeable
+        assert np.array_equal(got.data, want.data) and np.array_equal(sums.data, want_sums.data)
 
     def test_overflow_in_a_workers_range_keeps_the_callers_errstate(self, pool_of):
         # the first 1024 rows are the caller's range, the rest a worker's; only
@@ -400,7 +430,7 @@ class TestTrilMask:
             tc.tril_mask(0, np.float64)
 
 
-BLOCK = tc._TRANSPOSE_BLOCK
+BLOCK = tc.ROW_BLOCK
 
 
 class TestTranspose:
