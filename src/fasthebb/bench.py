@@ -1,16 +1,10 @@
 """Benchmark harness: times naive vs fast kernels on seeded inputs across a
 size grid, checks their equivalence inline, and emits CSV/JSON reports.
 
-Memory is reported as tensor elements allocated through the tensor core
-(the largest temporary of each kernel invocation), not OS RSS, so the
-numbers line up exactly with the kernels' space-complexity bounds.  The
-kernels run on the BLAS thread count :mod:`~fasthebb.tensor` leaves in
-place, one unless the environment sets it, and on the pool's workers, which
-fill their per-row work and the rows of their products; the environment
-block reports both counts, as ``threads`` and ``pool_workers``, and the CPU
-core whose OpenBLAS kernels ran, as ``blas_core`` (null without OpenBLAS):
-where a product may be cut without changing a bit was measured on one such
-kernel set.
+Memory is reported as each kernel's largest temporary in tensor elements
+(``peak_temp_elements``), not OS RSS.  The JSON environment block reports
+what the medians depend on: the BLAS thread count, the pool's workers and
+the OpenBLAS core (``threads``, ``pool_workers``, ``blas_core``).
 """
 
 from __future__ import annotations
@@ -108,14 +102,10 @@ def bench_kernels(
     seed: int = 0,
     dtype=np.float64,
 ) -> BenchReport:
-    """Benchmark naive vs fast kernels over (B, N, S) sizes.
-
-    Both implementations run on identical seeded inputs; both rows of a size
-    carry the inline equivalence verdict of the fast result against the naive
-    one, so an out-of-tolerance pair is reported with ``equiv_ok`` False.
-    That pair is also the untimed warm-up and gives each row's peak, so each
-    kernel runs ``reps + 1`` times per size.
-    """
+    """Benchmark naive vs fast kernels over (B, N, S) sizes on identical
+    seeded inputs.  One untimed run of each gives both rows of a size their
+    peak and their ``equiv_ok`` verdict (fast against naive within
+    ``EQUIV_TOL``), so each kernel runs ``reps + 1`` times per size."""
     if reps < 5:
         raise UsageError(f"reps must be >= 5, got {reps}")
     if rule_names is None:

@@ -262,13 +262,10 @@ def _read_exactly(fh, buf: np.ndarray, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read an FHDS file written by :func:`save_dataset`.
-
-    The file size is checked against the header, which gives it exactly,
-    before any image buffer exists, and the pixels are read straight into
-    the one array the :class:`Dataset` keeps, so loading grows the process
-    by one copy of the image block.  NaN and Inf are counted over fixed blocks of the pixels,
-    never with a bool array as long as the data."""
+    """Read an FHDS file written by :func:`save_dataset`.  The file size is
+    checked against the header before any image buffer exists, the pixels
+    are read straight into the array the :class:`Dataset` keeps, and NaN and
+    Inf are counted in fixed blocks, so loading costs one copy of the images."""
     with open(path, "rb") as fh:
         shape = _fhds_header(fh.read(_FHDS_HEADER), path, os.fstat(fh.fileno()).st_size)
         count = math.prod(shape)
@@ -279,8 +276,7 @@ def load_dataset(path) -> Dataset:
     if tail[0] > FHDS_MAX_CLASSES:  # split_regime allocates and loops per class
         raise CorruptFile(f"{path}: class count {tail[0]} exceeds {FHDS_MAX_CLASSES}")
     flat = images.reshape(-1)
-    # one buffer for every block: a fresh array per block raised the peak RSS
-    # of the benchmark's kernels workload from 189 to 204 MB
+    # one buffer for every block: a fresh array per block raises the peak RSS
     finite = np.empty(min(count, _FINITE_BLOCK), dtype=bool)
     bad = 0
     for start in range(0, count, _FINITE_BLOCK):

@@ -108,11 +108,10 @@ def _data_path(section: dict, test: bool) -> str:
 
 
 def input_shape(cfg: dict) -> tuple[int, int, int]:
-    """The C x H x W shape of one train sample of the [data] section, found
-    without loading any image: from the FHDS header, the CIFAR-10 layout or
-    the synthetic ``dims``.  Every [model] layer spec is parsed first, so a
-    layer of an unknown kind or with an unknown option is named before a data
-    file that cannot be read."""
+    """The C x H x W shape of one train sample of the [data] section, from the
+    FHDS header, the CIFAR-10 layout or the synthetic ``dims``.  Every [model]
+    layer spec is parsed first, so a bad layer is named before a data file
+    that cannot be read."""
     _layer_specs(cfg)
     section = cfg.get("data", {})
     kind = _data_kind(section)

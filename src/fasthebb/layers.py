@@ -1,15 +1,9 @@
 """Hebbian dense/conv layers, patch extraction, and fixed-function stages.
 
-A convolutional Hebbian update is, by construction, the dense update applied
-to the flattened patch batch: every window of every image becomes one row of
-a single larger mini-batch, and aggregation runs over all of them.
-
-A conv stage's output is B x N x out_h x out_w, stored channels-last (see
-:mod:`~fasthebb.tensor`): it is a view of the forward rows, which come out of
-the product as B x out_h x out_w x N.  ReLU and max pooling keep that layout,
-and the next conv gathers its patches from it; the dataset's images are
-row-major.  :class:`Flatten`, and the rows of a dense layer, copy a
-channels-last input into C x H x W order.
+A convolutional Hebbian update is the dense update applied to the flattened
+patch batch: every window of every image is one row of one larger
+mini-batch.  A conv stage's output is a channels-last view of its forward
+rows (:func:`layer_output`), a layout every later stage accepts.
 """
 
 from __future__ import annotations
@@ -65,12 +59,9 @@ class ConvGeometry:
 
 @dataclass(frozen=True)
 class PatchBatch:
-    """All windows of all images flattened into one batch.
-
-    ``patches`` is b_eff x 1 x S with b_eff = B * out_h * out_w; rows are
-    enumerated image-major, then row-major over offsets, and each row holds
-    the window values channel-major then row-major.
-    """
+    """All windows of all images as one b_eff x 1 x S batch ``patches``,
+    b_eff = B * out_h * out_w: rows image-major, then row-major over offsets;
+    each row channel-major, then row-major."""
 
     patches: Tensor
 
@@ -180,16 +171,11 @@ def _patch_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int, channe
 
 
 def extract_patches(images: Tensor, geometry: ConvGeometry) -> PatchBatch:
-    """Flatten every window of every image into one large batch.  The batch is
-    one buffer, gathered in ranges of images by
-    :func:`~fasthebb.tensor.split_rows`, each range padding its own images,
-    through one cached index of the patch offsets of a padded image.  A
-    channels-last source (a conv stage's output) is gathered from its
-    B x H x W x C buffer, with an index for that layout, so every row holds
-    the same values in the same order as from a row-major source.  An index
-    holds out_h * out_w * S intp values per conv shape and layout (about
-    0.6 MB for 3 x 32 x 32 images at k=5, 30 MB for 224 x 224 RGB images at
-    k=5), and the cache keeps the last 8."""
+    """Flatten every window of every image into one batch, gathered by
+    :func:`~fasthebb.tensor.split_rows` in ranges of images through a cached
+    index of one padded image's patch offsets.  A row-major and a
+    channels-last source give the same rows.  The cache keeps the last 8
+    indices, out_h * out_w * S intp values each."""
     if images.ndim != 4:
         raise ShapeMismatch(f"expected BxCxHxW images, got {images.shape}")
     b, c, h, w = images.shape

@@ -1,17 +1,11 @@
 """Two-phase semi-supervised protocol: unsupervised Hebbian pretraining over
 all samples, then a supervised linear probe on the labeled subset, with the
 constant-then-halving learning-rate schedule, Nesterov momentum, and early
-stopping on validation accuracy.
+stopping on validation accuracy; and the FHB1 checkpoint format.
 
-Both phases use the thread pool of :mod:`~fasthebb.tensor` where that keeps
-every bit: feature extraction hands it blocks of images cut by
-:func:`~fasthebb.tensor.gemm_ranges`, and the layers split patch rows,
-forwards, ReLU and max-pool outputs over it.  In a pretrain step the SWTA
-kernel splits the neuron rows of its batch contraction over it
-(:func:`~fasthebb.tensor.matmul`), each row still contracted over the whole
-batch, and the HPCA kernel runs its two whole batch contractions and its
-layer metric's row blocks as one task list on it
-(:func:`~fasthebb.tensor.run_tasks`)."""
+Both phases use the :mod:`~fasthebb.tensor` thread pool only where that keeps
+every bit: :func:`extract_features` hands it blocks of images, and the
+layers and update kernels (:mod:`~fasthebb.rules`) hand it their own work."""
 
 from __future__ import annotations
 
@@ -93,11 +87,9 @@ def learning_rate(base: float, epoch: int, epochs: int) -> float:
 
 @dataclass
 class PretrainMetrics:
-    """Per-epoch means of each Hebbian layer's :func:`~fasthebb.rules.layer_metric`,
-    each taken on its batch under the weights before the batch's update (as an
-    SGD loop logs its loss), plus the plateau epoch: the last
-    phase's, judged on the layers that phase trains, as an index into
-    ``epoch_metrics`` (None when that phase has none)."""
+    """Per-epoch means of each Hebbian layer's batch metrics (see
+    :func:`_hebb_stage`), and the plateau epoch of the last phase, judged on
+    the layers it trains, as an index into ``epoch_metrics`` (or None)."""
 
     epoch_metrics: list[list[float]] = field(default_factory=list)
     converged_epoch: Optional[int] = None
@@ -111,15 +103,12 @@ def _batch_iter(n: int, batch_size: int, rng) -> list[np.ndarray]:
 def _hebb_stage(
     layer: HebbLayer, x: Tensor, train: bool, output: bool
 ) -> tuple[HebbLayer, float, Optional[Tensor]]:
-    """One batch through one Hebbian layer.  Its rows and their forward y under
-    the weights the update starts from feed the update and the metric, as an SGD
-    loop logs its loss: a training stage has the kernel run that forward and
-    return the metric (``hebb_update(..., metric=True)``), so the forward dies
-    with the kernel, and a frozen stage runs it once for the metric and the
-    output.  When ``output`` is set the stage output is a view of the
-    forward under the updated weights (else None).  So a training stage holds
-    its rows and at most two b_eff x N buffers at once, and all but the
-    output die before the next layer builds its rows."""
+    """One batch through one Hebbian layer: the layer, its metric and, when
+    ``output`` is set, the stage output (else None).  The metric comes from
+    the forward under the weights the update starts from, as an SGD loop logs
+    its loss; the output is a view of the forward under the updated weights.
+    A training stage holds its rows and at most two b_eff x N buffers at
+    once: its kernel runs the first forward and returns the metric."""
     rows = ly.layer_rows(layer, x)
     if not train:
         y = rules.forward_linear(layer.weights, rows)
@@ -213,16 +202,12 @@ _BLOCK_IMAGES = 16  # images per block to aim for: a block's stage buffers stay 
 
 
 def extract_features(stack: Sequence, data: Dataset) -> np.ndarray:
-    """Forward all samples through the stack, flattening the final stage.
-
-    The stages' ``out_shape`` give the feature width before any forward, so
-    the images go through in blocks that :func:`~fasthebb.tensor.run_tasks`
-    hands to the pool, each block's output copied once into its rows of one
-    preallocated feature matrix viewed at that output's shape (so a final
-    ``Flatten`` is not run); the stages inside a block run inline on its
-    thread.  The blocks hold about ``_BLOCK_IMAGES`` images, cut where
-    :func:`~fasthebb.tensor.gemm_ranges` allows for every Hebbian layer's
-    forward, so every feature has the bits of one forward over all images."""
+    """Forward all samples through the stack into one preallocated feature
+    matrix, flattening the final stage (a trailing ``Flatten`` is not run).
+    The images go to :func:`~fasthebb.tensor.run_tasks` in blocks of about
+    ``_BLOCK_IMAGES``, cut where :func:`~fasthebb.tensor.gemm_ranges` allows
+    for every Hebbian layer's forward, so every feature has the bits of one
+    forward over all images."""
     n, shape, products = len(data), data.images.shape[1:], []
     for stage in stack:
         shape = stage.out_shape(shape)

@@ -1,32 +1,12 @@
 """SWTA and HPCA update kernels, each in naive and fused (fast) form, and
-each rule's training metric.
+each rule's training metric (:func:`layer_metric`).
 
-Shapes follow the (batch b, neuron n, size s) convention:
-
-* inputs  X: B x 1 x S
-* weights W: 1 x N x S
-* outputs Y: B x N x 1
-
-The naive kernels materialize the full B x N x S per-sample update and then
-aggregate over b, with at most two B x N x S tensors alive at once; the fast
-kernels contract b early with matrix products, so their largest temporary is
-max(N*B, N*S, N*N) elements, as counted by
-:class:`~fasthebb.tensor.AllocationTracker` and reported as
-``peak_temp_elements``.  Both forms of a rule are algebraically identical;
-tests hold them to 1e-10 relative Frobenius error in double precision.
-
-Every kernel runs the forward Y of X under W itself, and returns the rule's
-layer metric of the batch (:func:`layer_metric`), taken from that same Y,
-when the caller asks with ``metric``, as pretraining does; the SWTA kernels
-return it always, since their softmax gives it for free.  So the forward
-dies with the kernel: the fast SWTA kernel drops it once the scores exist
-and then holds at most two B x N buffers at once, writing C*R over its
-scores and their transposed copy in one pass, and each fast kernel hands
-the pool one :func:`~fasthebb.tensor.run_tasks` list.  SWTA's list holds
-the row ranges of its pull (C*R)^T X beside the sum over b of C*R; HPCA's
-holds its two batch contractions, each one whole product, beside the
-metric's row blocks, since cutting those products into ranges in the same
-list made the HPCA pretrain epoch slower.
+Shapes: inputs X are B x 1 x S, weights W 1 x N x S, outputs Y B x N x 1.
+Every kernel is ``kernel(w, x, params, metric=False) -> UpdateResult``,
+runs the forward Y of X under W itself and reports its largest temporary
+(:class:`~fasthebb.tensor.AllocationTracker`).  Both forms of a rule are
+algebraically identical; tests hold them to 1e-10 relative Frobenius error
+in double precision.
 """
 
 from __future__ import annotations
@@ -103,10 +83,8 @@ def _check_update_shapes(w: Tensor, x: Tensor) -> tuple[int, int, int]:
 
 
 def forward_linear(w: Tensor, x: Tensor) -> Tensor:
-    """Y[b,n] = sum_s W[n,s] * X[b,s] (dot product, no bias).
-
-    Y is one product, whose rows :func:`~fasthebb.tensor.matmul` splits over
-    the pool where every row keeps the bits of one product over all rows."""
+    """Y[b,n] = sum_s W[n,s] * X[b,s] (dot product, no bias), with the bits
+    of one product."""
     b, n, s = _check_update_shapes(w, x)
     y = tc.matmul(tc.reshape(x, (1, b, s)), tc.transpose(w))  # 1 x B x N
     return tc.reshape(y, (b, n, 1))
@@ -130,9 +108,8 @@ def _swta_scores(w: Tensor, x: Tensor, params: LearningParams, out=None):
     softmax row sums Σ (see :func:`layer_metric`)."""
     r, row_sums = tc.softmax(forward_linear(w, x), params.temperature, out)  # B x N x 1, B x 1 x 1
     col_sums = tc.reduce_sum(r)  # 1 x N x 1
-    # sum_b R[b,n] > 0 holds in exact arithmetic; at low temperature the
-    # scores of a losing neuron can underflow to 0.0, in which case the
-    # whole column is zero and C can be anything (its contribution vanishes)
+    # a losing neuron's scores can all underflow to 0.0 at low temperature;
+    # its column then contributes nothing, whatever C is
     safe = Tensor(np.where(col_sums.data > 0, col_sums.data, 1.0))
     return r, safe, float(np.mean(1.0 / row_sums.data))
 
@@ -141,11 +118,9 @@ def swta_update_naive(
     w: Tensor, x: Tensor, params: LearningParams, metric: bool = False
 ) -> UpdateResult:
     """Reference SWTA path: builds the B x N x S per-sample update, then
-    aggregates with score-weighted coefficients C = R / sum_b R.  The layer
-    metric comes back whatever ``metric`` says.
-
-    Each B x N x S tensor is dropped once the next exists, so at most two
-    are alive at once."""
+    aggregates with score-weighted coefficients C = R / sum_b R, holding at
+    most two B x N x S tensors at once.  The layer metric comes back
+    whatever ``metric`` says."""
     _check_update_shapes(w, x)
     with AllocationTracker() as tr:
         r, safe, value = _swta_scores(w, x, params)
@@ -164,23 +139,15 @@ def swta_update_fast(
 ) -> UpdateResult:
     """Fused SWTA path: contracts b before any B x N x S object exists.
 
-    delta_w = eta * matmul((C*R)_{1,n,b}, X_{1,b,s}) - eta * Q * W
-    with Q = sum_b (C*R).  The layer metric comes back whatever ``metric``
-    says.
-
-    The softmax fills a score buffer that the kernel owns.  Once sum_b R is
-    taken, one :func:`~fasthebb.tensor.split_rows` pass over blocks of
-    :data:`~fasthebb.tensor.ROW_BLOCK` rows writes each block's C into a
-    scratch of one block per range, C*R over the block's scores, and the
-    block into the transposed 1 x N x B copy.  The ranges of the pull
-    (C*R)^T X (:func:`~fasthebb.tensor.gemm_calls`) and the sequential
-    Q = sum_b C*R then run as one :func:`~fasthebb.tensor.run_tasks` list,
-    so Q fills the slack of the shorter range.  Every row is computed from
-    that row alone and every sum over b on one thread, so every bit is that
-    of one pass.  The forward dies with the softmax, so at most two B x N
-    buffers are alive at once: the forward and the scores, then the scores
-    and their transposed copy; beside them only the N x S terms (the
-    forward's transpose of W among them) and one block's scratch per range.
+    delta_w = eta * ((C*R)^T X - Q * W) with Q = sum_b C*R; the layer metric
+    comes back whatever ``metric`` says.  C*R overwrites the kernel's own
+    score buffer in one :func:`~fasthebb.tensor.split_rows` pass that also
+    fills its transposed copy; the pull's :func:`~fasthebb.tensor.gemm_calls`
+    and Q then run as one :func:`~fasthebb.tensor.run_tasks` list.  A row of
+    C*R reads only itself and each sum over b runs on one thread, so the bits
+    are those of one pass.  At most two B x N buffers are alive at once;
+    beside them only N x S terms (the forward's transpose of W among them)
+    and one :data:`~fasthebb.tensor.ROW_BLOCK` x N scratch per range.
     """
     b, n, s = _check_update_shapes(w, x)
     with AllocationTracker() as tr:
@@ -215,9 +182,8 @@ def hpca_update_naive(
     E[b,n,s] = X[b,s] - sum_{n'<=n} Y[b,n'] * W[n',s]
     delta_w  = (eta/B) * sum_b Y[b,n] * E[b,n,s]
 
-    With ``metric`` the layer metric of the batch comes back too.
-    Each B x N x S tensor is dropped once the next exists, so at most two
-    are alive at once.
+    At most two B x N x S tensors are alive at once.  With ``metric`` the
+    layer metric comes back too.
     """
     b, n, s = _check_update_shapes(w, x)
     with AllocationTracker() as tr:
@@ -240,10 +206,10 @@ def hpca_update_fast(
 
     P = (Y^T Y) * L;  delta_w = (eta/B) * (matmul(Y^T, X) - matmul(P, W))
 
-    Y^T Y and Y^T X, each one whole product contracted over the batch, run
-    side by side in one :func:`~fasthebb.tensor.run_tasks` list; with
-    ``metric`` the list also holds the row blocks of the layer metric, which
-    comes back too.  Which thread runs a call changes none of its bits.
+    Y^T Y and Y^T X, each one whole product, run in one
+    :func:`~fasthebb.tensor.run_tasks` list, with the layer metric's row
+    blocks when ``metric`` is set; the bits do not depend on the threads.
+    ``peak_temp_elements`` is at most max(N*B, N*S, N*N).
     """
     b, n, s = _check_update_shapes(w, x)
     with AllocationTracker() as tr:
@@ -276,9 +242,6 @@ def update_fn(rule: str, impl: str):
         raise ConfigError(f"no kernel for rule={rule!r} impl={impl!r}") from None
 
 
-_METRIC_ROWS = 1024  # rows per block of the HPCA metric to aim for: a block's x, y and yWWᵀ stay in cache
-
-
 def _residual_blocks(w: Tensor, x: Tensor, y: Tensor):
     """The HPCA layer metric (see :func:`layer_metric`) as the calls that
     each fill one row block of the squared residual norms, and the call
@@ -297,30 +260,22 @@ def _residual_blocks(w: Tensor, x: Tensor, y: Tensor):
             + np.einsum("ij,ij->i", yg, yb)
         )
 
-    blocks = [partial(block, start, stop) for start, stop in tc.gemm_ranges(b, b // _METRIC_ROWS, [(1, n, n)])]
+    blocks = [partial(block, start, stop) for start, stop in tc.gemm_ranges(b, b // tc.ROW_BLOCK, [(1, n, n)])]
     return blocks, lambda: float(np.mean(np.sqrt(np.maximum(sq, 0.0))))
 
 
 def layer_metric(w: Tensor, x: Tensor, y: Tensor, params: LearningParams) -> float:
-    """Cheap per-batch training metric from a layer's rows x and their forward
-    y = W·x.  Pretraining takes it under the weights the batch's update starts
-    from, from the same y the update uses, as an SGD loop logs its loss; a
-    kernel returns this same value as :attr:`UpdateResult.metric`.
+    """Cheap per-batch training metric of a layer's rows x and their forward
+    y = W·x, the value a kernel returns as :attr:`UpdateResult.metric`.
 
-    HPCA's residual norm ``‖x − Wᵀy‖`` comes from the identity
-    ``‖x − Wᵀy‖² = ‖x‖² − 2‖y‖² + yᵀ(WWᵀ)y``, which holds because ``y = W·x``
-    with the same weights.  Its rows run in b_eff // ``_METRIC_ROWS`` blocks
-    (one when there are fewer), cut by :func:`~fasthebb.tensor.gemm_ranges`
-    for ``yWWᵀ`` so each row has the bits of one product over all rows, that
-    :func:`~fasthebb.tensor.run_tasks` hands to the pool, each filling its own
-    rows of the b_eff squared norms: one block per pool worker is alive at
-    once, and no temporary but those norms exceeds max(a block's rows·N, N·S,
-    N·N).  A squared residual that rounds below zero is clamped to 0 first.
-
-    SWTA's mean max score is ``mean(1.0/Σ)`` over the row sums ``Σ`` that
-    :func:`~fasthebb.tensor.softmax` returns: at a row's maximum the softmax
-    stores ``exp(0)/Σ = 1.0/Σ``, the largest value of the row, so this is bit
-    for bit ``mean(max(softmax(y/T)))``."""
+    HPCA: the mean residual norm ``‖x − Wᵀy‖``, from ``‖x‖² − 2‖y‖² +
+    yᵀ(WWᵀ)y`` (which holds as ``y = W·x``), a square below zero clamped to
+    0.  Its rows run on the pool in b // :data:`~fasthebb.tensor.ROW_BLOCK`
+    blocks (at least one) cut by :func:`~fasthebb.tensor.gemm_ranges`, each
+    filling its rows of the b squared norms; beside those no temporary
+    exceeds max(a block's rows·N, N·S, N·N).
+    SWTA: ``mean(1/Σ)`` over the softmax row sums Σ, bit for bit
+    ``mean(max(softmax(y/T)))``, since a row's maximum scores ``exp(0)/Σ``."""
     if params.rule == RULE_SWTA:
         return float(np.mean(1.0 / tc.softmax(y, params.temperature)[1].data))
     blocks, residual = _residual_blocks(w, x, y)

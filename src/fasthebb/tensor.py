@@ -1,55 +1,15 @@
-"""Minimal dense tensor core.
+"""Minimal dense tensor core: immutable float tensors (:class:`Tensor`), the
+operations the kernels use, each keeping its operands' float dtype,
+:class:`AllocationTracker`, and the per-process thread pool.
 
-Tensors are immutable wrappers around numpy arrays with explicit
-broadcasting rules: only extent-1 (singleton) dimensions broadcast, any other
-mismatch raises :class:`ShapeMismatch`.  All operations are pure functions
-returning new tensors.  A tensor's shape is its logical shape (B x C x H x W
-for images); its buffer is row-major, or, for a 4-d tensor, channels-last:
-row-major in B x H x W x C order, as a conv layer's forward rows come out of
-their product.  numpy's strides carry that layout, so every operation reads
-either one by its logical indices, and :func:`reshape` of a channels-last
-tensor copies its values into row-major order of those indices.
-:class:`Tensor` is the one constructor: it keeps the dtype of a native float32
-or float64 array and makes anything else float64, and every operation keeps
-its operands' float dtype, so a float32 batch stays float32 through every
-stage.
-
-:func:`reduce_sum` adds strictly left to right, bit for bit like a sequential
-loop; which numpy routine does that is chosen from the input's shape alone,
-on a row-major copy of a channels-last input.
-:class:`AllocationTracker` is a context manager that counts elements of every
-tensor allocated through this module, so kernels can report the largest
-temporary they built.
-
-Every operation returns a fresh buffer, so a training step allocates and frees
-hundreds of megabytes.  At import the module tells glibc's allocator to keep
-freed memory in the process heap instead of handing each large buffer back to
-the kernel on free; the next step then reuses pages it has already touched
-rather than faulting in and zeroing new ones.  The cost is that the process
-keeps its peak resident size after its largest step.
-
-:func:`run_tasks` is the one way work reaches the per-process thread pool,
-whose workers fill the CPUs that BLAS leaves idle: the CPUs this process may
-run on, divided by the thread count of the loaded OpenBLAS, which import pins
-to one unless the environment sets it.  So by default the per-row work, the
-output rows of the batch contractions and independent calls such as the
-HPCA kernel's two products and its metric's row blocks, or the SWTA
-kernel's sum over the batch beside the row ranges of its pull, run on every
-CPU, while no contraction over the batch is split.  ``run_tasks`` takes a list
-of calls: the calling thread runs the first, and it and the pool workers
-then take the next call in list order until none is left, each call
-running inline.  :func:`split_rows` fills one buffer as the
-:func:`row_ranges` of its rows handed to ``run_tasks``.  The calls run
-inline in order on the calling thread when the pool has one worker, on a
-pool worker, and on a caller while it runs a call of its own list.  Only
-work whose bits do not depend on the thread that runs it goes to the pool:
-copies (:func:`transpose` among them), per-row arithmetic whose every row
-depends on that row alone (:func:`softmax`), whole calls that each fill
-their own output, and the rows of a product in the ranges of
-:func:`gemm_ranges`, the one rule for where a product is cut: the HPCA
-metric's row blocks and feature extraction's image blocks follow it, and
-:func:`gemm_calls` turns it into the calls that fill one product, which
-:func:`matmul` runs as its list and a kernel may run beside other calls.
+At import, glibc's allocator is told to keep freed memory for reuse
+(:func:`_keep_freed_memory`) and OpenBLAS is pinned to one thread
+(:func:`_one_blas_thread`); the pool's workers fill the other CPUs.
+:func:`run_tasks` is the one way work reaches the pool, which takes only
+work whose bits do not depend on the thread that runs it: copies, per-row
+arithmetic, whole calls that fill their own output, and the rows of a
+product in the ranges of :func:`gemm_ranges`, the one rule for where a
+product is cut.
 """
 
 from __future__ import annotations
@@ -96,11 +56,9 @@ _M_ARENA_MAX = -8
 
 
 def _keep_freed_memory() -> None:
-    """Serve buffers up to 1 GiB from the heap, give its top back to the
-    kernel only when 2 GiB of it are free, so freed buffers stay mapped for
-    reuse, and keep one heap for all threads, so a buffer a pool worker frees
-    is reused by the next step on any thread; does nothing without glibc's
-    ``mallopt``."""
+    """Serve buffers up to 1 GiB from the heap, trim it only when 2 GiB are
+    free, and keep one heap for all threads, so the next step on any thread
+    reuses pages this one touched; does nothing without glibc's ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):  # no C library (Windows), or not glibc
@@ -186,8 +144,7 @@ def _thread_pool():
     global _pool, _pool_pid
     with _pool_lock:
         if _pool_pid != os.getpid():
-            # imported here: concurrent.futures takes ~10 ms to import, which
-            # a process that never uses the pool should not pay at start
+            # imported here, so a process that never uses the pool never imports it
             from concurrent.futures import ThreadPoolExecutor
 
             workers = _pool_workers()
@@ -198,9 +155,8 @@ def _thread_pool():
 
 def _pool_to_share():
     """The pool that may take part of a call's work and its worker count, or
-    (None, 1) when the call runs inline: on a pool worker, whose wait on the
-    pool could deadlock once every worker waits; on a caller running a call
-    of its own :func:`run_tasks` list, whose other calls already have the
+    (None, 1) inline: on a pool worker, whose wait could deadlock the pool;
+    inside a call of a :func:`run_tasks` list, whose other calls have the
     other CPUs; and with a one-worker pool."""
     if getattr(_this_thread, "inline", False):
         return None, 1
@@ -208,26 +164,15 @@ def _pool_to_share():
     return (pool, workers) if workers > 1 else (None, 1)
 
 
-# rows*N*K that each range of a :func:`gemm_ranges` cut must exceed: on
-# OpenBLAS 0.3.31, in float32 and float64 at N 2-2400 and K 8-131072, every
-# range of at least 2 rows above this that starts at a multiple of
-# GEMM_ROW_BLOCK had the bits of one product over all rows; at or below it
-# OpenBLAS takes its small-matrix path (16x75x1024 in 8-row halves already
-# differs), and a 1-row range or a 1-column output takes the GEMV path
+# rows*N*K each range of a cut must exceed: at or below it OpenBLAS 0.3.31
+# takes its small-matrix path, whose bits differ from one product's
 SPLIT_GEMM_ABOVE = 100**3
 
-# rows of the float64 GEMM kernel's row blocks (OpenBLAS 0.3.31, its
-# SkylakeX kernels): a row computed in a full block can round differently in its
-# last N % 8 columns from the same row in a shorter block, so a split keeps
-# every bit only where its ranges start at multiples of this (34x230x3027
-# in 17-row halves differs; starts at multiples of 4, 8 or 16 differed too)
+# OpenBLAS 0.3.31 SkylakeX float64 GEMM row block: a range that starts
+# elsewhere can round its last N % 8 columns differently
 GEMM_ROW_BLOCK = 12
 
-# rows per block of the row-wise passes: :func:`softmax` splits its rows in
-# ranges of at least this many, below which handing a range to a worker
-# costs more than its arithmetic, and :func:`transpose` and the fast SWTA
-# kernel's C*R pass copy blocks of this many source rows, which stay in cache
-# with the output columns they fill
+# rows per block that stay in cache, and that are worth handing to a worker
 ROW_BLOCK = 1024
 
 
@@ -242,12 +187,11 @@ def row_ranges(count: int, parts: int, min_rows: int = 1) -> list[tuple[int, int
 
 def gemm_ranges(count: int, parts: int, products) -> list[tuple[int, int]]:
     """At most ``parts`` near-equal consecutive ``(start, stop)`` ranges of
-    ``range(count)`` items, where each product over the items, given as the
+    ``range(count)`` items in which each product over the items, given as the
     ``(rows per item, N, K)`` of a 1 x M x K by 1 x K x N product, keeps the
-    bits of one product: in each, a range starts at a multiple of
+    bits of one product: every range starts at a multiple of
     :data:`GEMM_ROW_BLOCK` rows and holds at least 2 rows and more than
-    :data:`SPLIT_GEMM_ABOVE` multiply-adds, the last range too, whose last
-    step may be short.  A 1-column product (GEMV) is never cut."""
+    :data:`SPLIT_GEMM_ABOVE` multiply-adds.  A 1-column product is never cut."""
     step, least = 1, 1  # items per step, fewest items in a range
     for rows, n, k in products:
         step = math.lcm(step, GEMM_ROW_BLOCK // math.gcd(GEMM_ROW_BLOCK, rows))
@@ -268,13 +212,11 @@ def run_tasks(calls) -> list:
     """The results of ``calls``, each called with no arguments, in list order.
 
     The calling thread runs the first call; then it and up to one pool worker
-    per further call keep taking the next call in list order until none is
-    left.  Every call runs inline, so its own splits do not wait on the pool,
-    and under the caller's floating-point error settings.  The first error
-    in list order is raised once every call has ended.  Inline (with a
-    one-worker pool, on a pool worker, or inside a call of an enclosing
-    list) the calls run in order on the calling thread, and so does a list
-    of one call, whose own splits may then use the pool."""
+    per further call take the next call in list order until none is left.
+    Every call runs inline (its own splits do not use the pool) under the
+    caller's floating-point error settings.  The first error in list order is
+    raised once every call has ended.  Inline, and for a list of one call,
+    the calls run in order on the calling thread."""
     pool, workers = _pool_to_share()
     if workers == 1 or len(calls) < 2:
         return [call() for call in calls]
@@ -315,25 +257,17 @@ def run_tasks(calls) -> list:
 
 
 def split_rows(fill, count: int, min_rows: int = 1) -> None:
-    """Call ``fill(start, stop)`` on the :func:`row_ranges` of ``count``, one
-    range per pool worker and each at least ``min_rows`` long, through
-    :func:`run_tasks`: the calling thread fills the first range, and the
-    call returns when every range is filled, raising the first error in
-    range order.  Inline, it is one ``fill(0, count)`` on the calling
-    thread."""
+    """:func:`run_tasks` over ``fill(start, stop)`` for the :func:`row_ranges`
+    of ``count``, one per pool worker and each at least ``min_rows`` long;
+    inline, one ``fill(0, count)``."""
     ranges = row_ranges(count, _pool_to_share()[1], min_rows)
     run_tasks([partial(fill, start, stop) for start, stop in ranges])
 
 
 class AllocationTracker:
-    """Records element counts of tensors allocated while active.
-
-    ``largest`` is the element count of the single biggest tensor seen,
-    ``total`` the cumulative count.  Only allocations that go through the
-    tensor core are counted (not numpy scratch space, nor views of an
-    existing buffer), which is exactly the accounting the space-complexity
-    checks need.
-    """
+    """While active, records the element counts of the tensors made through
+    :class:`Tensor` on any thread (not numpy scratch, nor views of an existing
+    buffer): ``largest`` is the biggest, ``total`` their sum."""
 
     def __init__(self):
         self.largest = 0
@@ -361,12 +295,12 @@ _FLOATS = frozenset((np.dtype(np.float32), np.dtype(np.float64)))  # native byte
 
 
 class Tensor:
-    """Dense tensor of floats, row-major or (4-d) channels-last.  A native
-    float32 or float64 array keeps its dtype; any other data becomes float64.
-    ``data`` is read-only; a row-major or channels-last float array is
-    wrapped without a copy, through a read-only view, so the caller's own
-    array stays writable, and any other array is copied to row-major order.
-    So a 4-d ``data`` that is not row-major is channels-last."""
+    """Dense float tensor.  Its shape is logical (B x C x H x W for images);
+    its read-only ``data`` is row-major or, 4-d only, channels-last (row-major
+    in B x H x W x C order).  A native float32 or float64 array keeps its
+    dtype, any other data becomes float64; a row-major or channels-last float
+    array is wrapped through a read-only view, and any other is copied to
+    row-major order."""
 
     __slots__ = ("data",)
 
@@ -419,12 +353,10 @@ def _check_batch_dims(a_shape, b_shape) -> None:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix multiplication contracting the last dim of ``a`` with
-    the second-to-last dim of ``b``; leading dims broadcast on singletons.
-
-    A 1 x M x K by 1 x K x N product is :func:`run_tasks` over the calls of
-    :func:`gemm_calls`, which fill its rows in their :func:`gemm_ranges`, one
-    per worker, so every row has the bits of one product over all rows; any
-    other product is one ``np.matmul``."""
+    the second-to-last dim of ``b``; leading dims broadcast on singletons,
+    and other mismatches raise :class:`ShapeMismatch`.  A 1 x M x K by
+    1 x K x N product runs as :func:`gemm_calls`, any other as one
+    ``np.matmul``; either way every row has the bits of one product."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatch("matmul operands need at least 2 dimensions")
     if a.ndim != b.ndim:
@@ -443,13 +375,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def gemm_calls(a: Tensor, b: Tensor) -> tuple[np.ndarray, list]:
     """The empty output buffer of the 1 x M x K by 1 x K x N product of ``a``
-    and ``b``, and the calls that fill it, one per range of its
-    :func:`gemm_ranges` (one range per pool worker), longest first.
-
-    Run through :func:`run_tasks`, possibly beside other calls, they leave
-    every row with the bits of one product over all rows; the calling thread
-    takes the longest range, so a worker that takes a shorter one has slack
-    for the list's further calls."""
+    and ``b``, and the calls that fill it, one per :func:`gemm_ranges` range
+    (one per pool worker), longest first.  Run through :func:`run_tasks`,
+    beside other calls or not, they give every row one product's bits."""
     (_, m, k), n = a.shape, b.shape[-1]
     out = np.empty((1, m, n), dtype=np.result_type(a.data, b.data))
     ranges = sorted(gemm_ranges(m, _pool_to_share()[1], [(1, n, k)]), key=lambda r: r[0] - r[1])
@@ -458,8 +386,8 @@ def gemm_calls(a: Tensor, b: Tensor) -> tuple[np.ndarray, list]:
 
 def elementwise(op: np.ufunc, a: Tensor, b) -> Tensor:
     """``op(a, b)`` for a numpy ufunc ``op`` (``np.add``, ``np.subtract``,
-    ``np.multiply``, ``np.divide``) with singleton-only broadcasting; ``b``
-    may be a scalar."""
+    ``np.multiply``, ``np.divide``); ``b`` may be a scalar.  Only singleton
+    dims broadcast: other mismatches raise :class:`ShapeMismatch`."""
     if isinstance(b, Tensor):
         if a.ndim != b.ndim:
             raise ShapeMismatch(f"rank mismatch: {a.shape} vs {b.shape}")
@@ -471,34 +399,24 @@ def elementwise(op: np.ufunc, a: Tensor, b) -> Tensor:
 
 
 def reduce_sum(a: Tensor) -> Tensor:
-    """Sum over the batch (axis 0), keeping it as a singleton.
-
-    The accumulation is strictly left to right over the batch: every result
-    is bit for bit ``acc = 0.0; for v in values: acc += v``.
-    """
+    """Sum over the batch (axis 0), kept as a singleton, strictly left to
+    right: bit for bit ``acc = 0.0; for v in values: acc += v``."""
     src = np.ascontiguousarray(a.data)
     if int(np.prod(a.shape[1:])) > 1:
-        # on a row-major array numpy then adds whole trailing slices in order
+        # on a row-major array numpy adds whole trailing slices in order
         return Tensor(np.sum(src, axis=0, keepdims=True))
-    # one value per sample (a one-neuron layer), where np.sum would add in
-    # pairs; cumsum adds sequentially, and + 0.0 starts the sum from +0.0 as
-    # np.sum does
+    # np.sum would add one value per sample in pairs; + 0.0 starts from +0.0
     return Tensor(np.cumsum(src, axis=0)[-1:] + 0.0)
 
 
 def softmax(y: Tensor, temperature: float, out: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Temperature softmax along axis 1 with max-subtraction for stability,
-    and the sums of the shifted exponentials that it divided by (axis 1 kept
-    as a singleton).
-
-    The scores fill ``out`` when it is given, a writable row-major array of
-    ``y``'s shape and of the dtype of ``y / temperature``, which the caller
-    owns and may overwrite once it is done with the returned read-only view;
-    otherwise a new buffer.  The score and row-sum buffers are filled by
-    :func:`split_rows` in ranges of at least :data:`ROW_BLOCK` rows; each
-    range scales its rows, then shifts, exponentiates, sums and normalises
-    them in place.  A row's max, sum and division read that row alone, so
-    every row has the bits of one pass over all rows."""
+    """Temperature softmax along axis 1 with max-subtraction, and the sums of
+    the shifted exponentials it divided by (axis 1 kept as a singleton).
+    The scores fill ``out`` when given: a writable row-major array of ``y``'s
+    shape and of the dtype of ``y / temperature`` that the caller may
+    overwrite once done with the returned view.  Rows are filled by
+    :func:`split_rows` in ranges of at least :data:`ROW_BLOCK`; a row reads
+    only itself, so its bits do not depend on the ranges."""
     if not temperature > 0:
         raise UsageError(f"temperature must be > 0, got {temperature}")
     src = y.data
@@ -526,21 +444,10 @@ def tril_mask(n: int, dtype) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    """Swap the last two dimensions into a new row-major buffer.
-
-    The copy runs in blocks of :data:`ROW_BLOCK` source rows, each written
-    to the matching column range of the output, and :func:`split_rows` hands
-    ranges of whole blocks to the pool; the values are those of
-    ``np.swapaxes(a, -1, -2).copy()``.  A transposed view saves the copy
-    but slows the product that reads it, and changes which path BLAS takes,
-    and with it the bits, at some shapes.  On one thread (OpenBLAS 0.3.31,
-    SkylakeX, float64) the SWTA pull took 15.9 ms through a view at
-    65536 x 32 x 75 and 16.4 ms at 16384 x 64 x 288, against 15.5 and
-    15.9 ms through the copy, which itself took about 5 and 2 ms; the bits
-    were the same there, but differed at 88 of 280 smaller shapes tried
-    (32 x 75 x 75 in float64 among them).  The fast SWTA kernel fills its
-    transposed copy inside a pass it makes anyway.
-    """
+    """``np.swapaxes(a, -1, -2)`` copied into a new row-major buffer, in
+    blocks of :data:`ROW_BLOCK` source rows split over the pool.  A copy,
+    not a view: a product reading a transposed view can take another BLAS
+    path and so other bits."""
     src = a.data
     rows = src.shape[-2]
     out = np.empty(src.shape[:-2] + (src.shape[-1], rows), dtype=src.dtype)

@@ -2,12 +2,16 @@
 caller outside its own tests: a reference in the package source, other than
 its own definition and ``__all__`` entry, or in the benchmark.  Every error
 the package raises is one the CLI maps to an exit code, and every error class
-is raised."""
+is raised.  No docstring or comment in the package holds a time figure:
+measurements belong in ``CHANGES.md``."""
 
 import ast
 import builtins
 import importlib
+import io
 import pkgutil
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -107,3 +111,31 @@ def test_every_error_class_is_raised():
     """No error class goes unused; ``FastHebbError`` is the base the CLI catches."""
     raised = {name for _, _, name in _raises()}
     assert sorted(_error_classes() - raised) == ["FastHebbError"]
+
+
+_TIME_FIGURE = re.compile(r"\d+(?:\.\d+)?\s?(?:ms|µs|ns)\b")
+
+
+def _docs_and_comments(source):
+    """``(line, text)`` for each docstring (read with ``ast``) and comment
+    (read with ``tokenize``) of ``source``; other strings are not included."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc is not None:
+                yield node.body[0].lineno, doc
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            yield tok.start[0], tok.string
+
+
+def test_docs_and_comments_hold_no_time_figures():
+    """A docstring states a contract and a comment a reason; a figure such as
+    ``15.9 ms`` is a measurement of one machine."""
+    found = [
+        (path.name, line, match)
+        for path in sorted((ROOT / "src" / "fasthebb").glob("*.py"))
+        for line, text in _docs_and_comments(path.read_text(encoding="utf-8"))
+        for match in _TIME_FIGURE.findall(text)
+    ]
+    assert found == []
