@@ -103,31 +103,20 @@ def load_cifar10(path) -> Dataset:
     return Dataset(images, labels, CIFAR_CLASSES)
 
 
-def _cholesky(cov: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigError(f"covariance is not positive definite: {exc}") from exc
-
-
-def synth_gaussian(num: int, dims: int, covariance_spec, seed: int) -> Dataset:
-    """Zero-mean Gaussian samples with the given covariance (matrix, diagonal
-    vector, or scalar), reproducible from the seed.  Labels are all zero."""
-    cov = np.asarray(covariance_spec, dtype=np.float64)
-    if cov.ndim == 0:
-        cov = np.eye(dims) * float(cov)
-    elif cov.ndim == 1:
-        if len(cov) != dims:
-            raise ConfigError(f"diagonal has {len(cov)} entries, expected {dims}")
-        cov = np.diag(cov)
-    elif cov.shape != (dims, dims):
-        raise ConfigError(f"covariance shape {cov.shape} != ({dims},{dims})")
-    chol = _cholesky(cov)
-    rng = np.random.default_rng(seed)
-    samples = rng.standard_normal((num, dims)) @ chol.T
-    return Dataset(
-        samples.reshape(num, 1, 1, dims), np.zeros(num, dtype=np.int64), 1
-    )
+def synth_gaussian(num: int, dims: int, variances, seed: int) -> Dataset:
+    """``default_rng(seed).standard_normal((num, dims)) * sqrt(variances)``,
+    scaled in place, with all-zero labels.  ``variances`` (the config's
+    ``cov_diag``) is one variance per dimension, or one for all; each must be
+    > 0, checked before any draw."""
+    var = np.asarray(variances, dtype=np.float64).ravel()
+    if var.size not in (1, dims):
+        raise ConfigError(f"diagonal has {var.size} entries, expected {dims} or 1")
+    bad = var[~(var > 0)]
+    if bad.size:
+        raise ConfigError(f"covariance is not positive definite: variance {bad[0]:g} is not > 0")
+    samples = np.random.default_rng(seed).standard_normal((num, dims))
+    samples *= np.sqrt(var)
+    return Dataset(samples.reshape(num, 1, 1, dims), np.zeros(num, dtype=np.int64), 1)
 
 
 def synth_clusters(

@@ -222,38 +222,39 @@ def run_tasks(calls) -> list:
         return [call() for call in calls]
     from concurrent.futures import Future, wait
 
-    results, err = [Future() for _ in calls], np.geterr()
-    pending, lock = iter(range(1, len(calls))), threading.Lock()
+    results, failed, err = [None] * len(calls), {}, np.geterr()
+    pending, lock = iter(range(len(calls))), threading.Lock()
 
-    def run(i: int) -> None:
-        try:
-            results[i].set_result(calls[i]())
-        except Exception as exc:  # raised in list order once every call has ended
-            results[i].set_exception(exc)
+    def take() -> int | None:
+        with lock:
+            return next(pending, None)
 
-    def drain() -> None:
-        while True:
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            run(i)
+    def drain(i: int | None) -> None:
+        while i is not None:
+            try:
+                results[i] = calls[i]()
+            except Exception as exc:  # raised in list order once every call has ended
+                failed[i] = Future()
+                failed[i].set_exception(exc)
+            i = take()
 
     def work() -> None:
         with np.errstate(**err):  # numpy does not carry the caller's settings to other threads
-            drain()
+            drain(take())
 
+    first = take()  # the caller's, taken before any worker starts
     drains = [pool.submit(work) for _ in range(min(workers, len(calls)) - 1)]
     _this_thread.inline = True
     try:
-        run(0)
-        drain()
+        drain(first)
     finally:
         _this_thread.inline = False
         wait(drains)
     for done in drains:
         done.result()
-    return [result.result() for result in results]
+    if failed:
+        failed[min(failed)].result()
+    return results
 
 
 def split_rows(fill, count: int, min_rows: int = 1) -> None:

@@ -84,7 +84,8 @@ def test_03_hpca_convergence():
     theta = 0.7
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     cov = rot @ np.diag([9.0, 1.0]) @ rot.T
-    ds = dio.synth_gaussian(500, 2, cov, seed=3)
+    x = np.random.default_rng(3).standard_normal((500, 2)) @ np.linalg.cholesky(cov).T
+    ds = dio.Dataset(x.reshape(500, 1, 1, 2), np.zeros(500, dtype=np.int64), 1)
     x = ds.images.reshape(500, 2)
     evals, evecs = np.linalg.eigh(x.T @ x / 500)
     top = evecs[:, np.argmax(evals)]

@@ -264,6 +264,10 @@ BAD_INPUTS = {
         _demo("kind = clusters", "kind = gaussian\ncov_diag = " + ",".join(["1"] * 15 + ["1e151"])),
         2, "'cov_diag' entries must be <= 1e+150, got 1e+151",
     ),
+    "cov-diag-zero": (
+        _demo("kind = clusters", "kind = gaussian\ncov_diag = " + ",".join(["1"] * 15 + ["0"])),
+        2, "covariance is not positive definite: variance 0 is not > 0",
+    ),
     # test_num is checked whenever [data] is built, not first by probe
     "test-num-0": (_demo("test_num = 120", "test_num = 0"), 2, "'test_num' must be >= 1, got 0"),
     # 40 samples at 1% round to no labeled sample

@@ -7,6 +7,7 @@ import pytest
 from fasthebb import data as dio
 from fasthebb.data import Dataset, Regime, load_cifar10, split_regime
 from fasthebb.errors import ConfigError, CorruptFile
+from fasthebb.experiment import build_dataset
 
 
 def make_cifar_file(tmp_path, records):
@@ -83,9 +84,36 @@ class TestSynthetic:
 
     def test_gaussian_bad_covariance(self):
         with pytest.raises(ConfigError, match="covariance is not positive definite"):
-            dio.synth_gaussian(10, 2, [[1.0, 2.0], [2.0, 1.0]], seed=0)
+            dio.synth_gaussian(10, 2, [1.0, 0.0], seed=0)
         with pytest.raises(ConfigError, match="diagonal has 2 entries, expected 3"):
             dio.synth_gaussian(10, 3, [1.0, 2.0], seed=0)
+
+    @pytest.mark.parametrize(
+        "num, dims, variances, seed",
+        [(50, 4, 2.5, 9), (7, 1, 3.0, 1), (1, 1, [0.5], 2), (40, 16, [4, 3, 2] + [1] * 12 + [0.5], 10000)],
+        ids=["one-for-all", "dims-1", "dims-1-list", "cov-diag-16"],
+    )
+    def test_gaussian_is_a_per_dimension_scale(self, num, dims, variances, seed):
+        expected = np.random.default_rng(seed).standard_normal((num, dims)) * np.sqrt(variances)
+        ds = dio.synth_gaussian(num, dims, variances, seed)
+        assert ds.images.shape == (num, 1, 1, dims)
+        assert ds.images.tobytes() == expected.tobytes()
+
+    def test_one_cov_diag_value_serves_all_dims(self):
+        ds = build_dataset({"data": {"kind": "gaussian", "num": "5", "dims": "3", "cov_diag": "2"}})
+        assert ds.images.tobytes() == dio.synth_gaussian(5, 3, 2.0, 0).images.tobytes()
+
+    def test_gaussian_holds_no_dims_by_dims_buffer(self, peak_bytes):
+        # at most four num x dims buffers and 1 MiB; a dims x dims matrix is 75 MB
+        dio.synth_gaussian(16, 3072, 1.0, 0)  # warm-up: first-call allocations are not the generator's
+        assert peak_bytes(dio.synth_gaussian, 16, 3072, 1.0, 0) <= 4 * 16 * 3072 * 8 + 2**20
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -1.0])
+    def test_gaussian_variance_must_be_positive(self, bad):
+        with pytest.raises(ConfigError, match=r"covariance is not positive definite: variance (nan|0|-1) is not > 0"):
+            dio.synth_gaussian(10, 3, [1.0, bad, 2.0], seed=0)
+        with pytest.raises(ConfigError, match="covariance is not positive definite"):
+            dio.synth_gaussian(10, 3, bad, seed=0)
 
     def test_gaussian_top_eigenvector(self):
         # diag(9,1): top eigenvector of the empirical second moment within
