@@ -25,6 +25,7 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "fhds_shape",
+    "FhdsImages",
 ]
 
 CIFAR_SHAPE = (3, 32, 32)  # channels, height, width of one image
@@ -43,14 +44,18 @@ class Dataset:
 
     ``images`` is B x C x H x W float64; pixel data is scaled to [0,1],
     synthetic feature data lives in C=H=1 with W = dims and is unbounded.
+    It is held as a C-contiguous float64 array, except that the
+    :class:`FhdsImages` of a loaded FHDS file is kept as it is, on disk;
+    indexing either returns a float64 array.
     """
 
-    images: np.ndarray
+    images: np.ndarray | FhdsImages
     labels: np.ndarray
     class_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "images", np.ascontiguousarray(self.images, dtype=np.float64))
+        if not isinstance(self.images, FhdsImages):
+            object.__setattr__(self, "images", np.ascontiguousarray(self.images, dtype=np.float64))
         object.__setattr__(self, "labels", np.ascontiguousarray(self.labels, dtype=np.int64))
         if self.images.ndim != 4:
             raise CorruptFile(f"images must be BxCxHxW, got {self.images.shape}")
@@ -186,14 +191,19 @@ def split_regime(dataset: Dataset, regime: Regime) -> tuple[Dataset, np.ndarray]
 
 def save_dataset(path, dataset: Dataset) -> None:
     """Dump to the FHDS format: magic, u32 version, u32 ndim, u32 extents,
-    little-endian f64 image data, then u32 class count and u32 labels."""
+    little-endian f64 image data, then u32 class count and u32 labels.  The
+    images are written in blocks of about 1 MiB, so a :class:`FhdsImages`
+    is read block by block."""
+    images = dataset.images
+    step = max(1, _FINITE_BLOCK // max(1, math.prod(images.shape[1:])))
     with open(path, "wb") as fh:
         fh.write(FHDS_MAGIC)
         fh.write(struct.pack("<I", FHDS_VERSION))
-        fh.write(struct.pack("<I", dataset.images.ndim))
-        for extent in dataset.images.shape:
+        fh.write(struct.pack("<I", images.ndim))
+        for extent in images.shape:
             fh.write(struct.pack("<I", extent))
-        fh.write(dataset.images.astype("<f8").tobytes())
+        for start in range(0, len(images), step):
+            fh.write(np.ascontiguousarray(images[start : start + step], dtype="<f8"))
         fh.write(struct.pack("<I", dataset.class_count))
         fh.write(dataset.labels.astype("<u4").tobytes())
 
@@ -241,7 +251,7 @@ def fhds_shape(path) -> tuple[int, ...]:
         return _fhds_header(fh.read(_FHDS_HEADER), path, os.fstat(fh.fileno()).st_size)[1:]
 
 
-_FINITE_BLOCK = 1 << 20  # values per block of the NaN/Inf count: a 1 MiB bool array
+_FINITE_BLOCK = 1 << 17  # values per block of a pass over all pixels: a 1 MiB float64 buffer
 
 
 def _read_exactly(fh, buf: np.ndarray, path) -> None:
@@ -250,27 +260,84 @@ def _read_exactly(fh, buf: np.ndarray, path) -> None:
         raise CorruptFile(f"{path}: truncated FHDS file")
 
 
+class FhdsImages:
+    """The read-only B x C x H x W float64 images of an FHDS file, left on
+    disk.  ``images[key]``, for a slice, an integer or an integer index
+    array, returns a fresh float64 array that numpy owns.  Each run of
+    consecutive rows comes in one ``readinto``, and each read opens the file
+    itself, so threads may read at once.  A short read is :class:`CorruptFile`:
+    the file must not change while its images are in use.  ``np.asarray`` and
+    :meth:`reshape` read every image."""
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, path, shape: tuple[int, ...]):
+        self.path, self.shape = path, tuple(shape)
+        self._row_bytes = 8 * math.prod(self.shape[1:])
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        n = self.shape[0]
+        if isinstance(key, slice):
+            idx = np.arange(*key.indices(n))
+        else:
+            idx = np.asarray(key)
+            if isinstance(key, tuple) or idx.size and idx.dtype.kind not in "iu":
+                raise UsageError("FHDS images take one index: a slice, an integer or an integer array")
+            idx = idx.astype(np.int64)
+            if idx.size and (idx.min() < -n or idx.max() >= n):
+                raise UsageError(f"image index out of range for {n} images")
+            idx = np.where(idx < 0, idx + n, idx)
+        out = np.empty((*idx.shape, *self.shape[1:]), dtype="<f8")
+        flat, rows = idx.ravel(), out.reshape(idx.size, *self.shape[1:])
+        if flat.size:
+            cuts = (np.flatnonzero(np.diff(flat) != 1) + 1).tolist()  # where a run of consecutive rows ends
+            with open(self.path, "rb") as fh:
+                for start, end in zip([0, *cuts], [*cuts, flat.size]):
+                    fh.seek(_FHDS_HEADER + self._row_bytes * int(flat[start]))
+                    _read_exactly(fh, rows[start:end], self.path)
+        return out.astype(np.float64, copy=False)  # the file's little-endian bytes as native float64
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise UsageError("FHDS images are read from the file: an array of them is a copy")
+        return self[:] if dtype is None else self[:].astype(dtype, copy=False)
+
+    def reshape(self, *shape) -> np.ndarray:
+        return self[:].reshape(*shape)
+
+
 def load_dataset(path) -> Dataset:
-    """Read an FHDS file written by :func:`save_dataset`.  The file size is
-    checked against the header before any image buffer exists, the pixels
-    are read straight into the array the :class:`Dataset` keeps, and NaN and
-    Inf are counted in fixed blocks, so loading costs one copy of the images."""
+    """Open an FHDS file written by :func:`save_dataset`.  Its labels are
+    read; its images stay in the file, as a :class:`FhdsImages` that reads
+    them at each index, so the memory held does not grow with the pixels.
+    The checks run in this order: the header, the file size against it
+    (before any buffer exists), the class count, a count of NaN and Inf over
+    every pixel, read in 1 MiB blocks through one buffer, and the labels.
+    The file must not change while the dataset is in use."""
     with open(path, "rb") as fh:
         shape = _fhds_header(fh.read(_FHDS_HEADER), path, os.fstat(fh.fileno()).st_size)
         count = math.prod(shape)
-        images = np.empty(shape, dtype="<f8")
-        _read_exactly(fh, images, path)
+        fh.seek(_FHDS_HEADER + 8 * count)
         tail = np.empty(1 + shape[0], dtype="<u4")  # class count, then the labels
         _read_exactly(fh, tail, path)
-    if tail[0] > FHDS_MAX_CLASSES:  # split_regime allocates and loops per class
-        raise CorruptFile(f"{path}: class count {tail[0]} exceeds {FHDS_MAX_CLASSES}")
-    flat = images.reshape(-1)
-    # one buffer for every block: a fresh array per block raises the peak RSS
-    finite = np.empty(min(count, _FINITE_BLOCK), dtype=bool)
-    bad = 0
-    for start in range(0, count, _FINITE_BLOCK):
-        block = flat[start : start + _FINITE_BLOCK]
-        bad += len(block) - np.count_nonzero(np.isfinite(block, out=finite[: len(block)]))
+        if tail[0] > FHDS_MAX_CLASSES:  # split_regime allocates and loops per class
+            raise CorruptFile(f"{path}: class count {tail[0]} exceeds {FHDS_MAX_CLASSES}")
+        fh.seek(_FHDS_HEADER)
+        # one buffer for every block: a fresh array per block raises the peak RSS
+        buf = np.empty(min(count, _FINITE_BLOCK), dtype="<f8")
+        finite = np.empty(len(buf), dtype=bool)
+        bad = 0
+        for start in range(0, count, len(buf)):
+            block = buf[: count - start]
+            _read_exactly(fh, block, path)
+            bad += len(block) - np.count_nonzero(np.isfinite(block, out=finite[: len(block)]))
     if bad:
         raise CorruptFile(f"{path}: {bad} of {count} image values are NaN or Inf")
-    return Dataset(images, tail[1:].astype(np.int64), int(tail[0]))
+    return Dataset(FhdsImages(path, shape), tail[1:].astype(np.int64), int(tail[0]))

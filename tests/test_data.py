@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from fasthebb import data as dio
+from fasthebb.cli import main
 from fasthebb.data import Dataset, Regime, load_cifar10, split_regime
-from fasthebb.errors import ConfigError, CorruptFile
+from fasthebb.errors import ConfigError, CorruptFile, UsageError
 from fasthebb.experiment import build_dataset
+from fasthebb.layers import HebbLayer, init_weights
+from fasthebb.pipeline import TrainConfig, pretrain
+from fasthebb.rules import LearningParams
 
 
 def make_cifar_file(tmp_path, records):
@@ -358,3 +362,133 @@ class TestFhdsFormat:
                 dio.load_dataset(path)
 
         assert peak_bytes(load) < 2**20
+
+
+def write_fhds(path, images, labels, classes):
+    dio.save_dataset(path, Dataset(images, labels, classes))
+    return dio.load_dataset(path)
+
+
+class TestFhdsImagesStayOnDisk:
+    """``load_dataset`` keeps the labels; its images are read at each index."""
+
+    @pytest.fixture
+    def loaded(self, tmp_path):
+        images = np.random.default_rng(5).random((30, 2, 3, 4))
+        return write_fhds(tmp_path / "d.fhds", images, np.arange(30) % 3, 3), images
+
+    def test_loaded_images_are_a_file_backed_array(self, loaded):
+        ds, images = loaded
+        assert isinstance(ds.images, dio.FhdsImages)
+        assert ds.images.shape == (30, 2, 3, 4) and ds.images.ndim == 4 and len(ds.images) == len(ds) == 30
+        assert ds.images.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "key",
+        [slice(None), slice(4, 9), slice(None, None, 3), slice(-5, None), slice(9, 4), 7, -1,
+         [3, 4, 5, 9, 10, 2, 29, 0, 1], np.array([[1, 2], [2, 1]]), np.array([], dtype=np.int64), []],
+        ids=["all", "range", "step", "negative-start", "empty-slice", "int", "negative-int",
+             "runs-and-jumps", "2d-array", "empty-array", "empty-list"],
+    )
+    def test_indexing_returns_a_fresh_float64_array(self, loaded, key):
+        ds, images = loaded
+        got = ds.images[key]
+        want = images[key]
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.flags.owndata and got.flags.writeable
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_consecutive_rows_come_in_one_read(self, loaded, monkeypatch):
+        ds, images = loaded
+        reads = []
+
+        def read(fh, buf, path, _orig=dio._read_exactly):
+            reads.append(len(buf))
+            return _orig(fh, buf, path)
+
+        monkeypatch.setattr(dio, "_read_exactly", read)
+        assert np.array_equal(ds.images[[3, 4, 5, 9, 10, 2]], images[[3, 4, 5, 9, 10, 2]])
+        assert np.array_equal(ds.images[2:20], images[2:20])
+        assert reads == [3, 2, 1, 18]
+
+    @pytest.mark.parametrize("key", [30, -31, [0, 30], np.array([0.0, 1.0]), np.zeros(30, dtype=bool), (0, 1)],
+                             ids=["past-end", "before-start", "one-past-end", "floats", "bool-mask", "tuple"])
+    def test_bad_index_is_a_usage_error(self, loaded, key):
+        with pytest.raises(UsageError):
+            loaded[0].images[key]
+
+    def test_asarray_and_reshape_read_every_image(self, loaded):
+        ds, images = loaded
+        assert np.array_equal(np.asarray(ds.images), images)
+        assert np.asarray(ds.images, dtype=np.float32).dtype == np.float32
+        assert np.array_equal(ds.images.reshape(30, 1, 24), images.reshape(30, 1, 24))
+        assert np.array_equal(ds.images.reshape((30, -1)), images.reshape(30, -1))
+        with pytest.raises(ValueError):
+            np.asarray(ds.images, copy=False)
+
+    def test_subset_is_in_memory(self, loaded):
+        ds, images = loaded
+        sub = ds.subset(np.array([1, 2, 3, 17]))
+        assert type(sub.images) is np.ndarray and np.array_equal(sub.images, images[[1, 2, 3, 17]])
+        labeled, _ = split_regime(ds, Regime(25, seed=2))
+        assert type(labeled.images) is np.ndarray
+
+    def test_save_of_a_loaded_dataset_writes_the_original_bytes(self, tmp_path):
+        # 5 images of 40000 values: blocks of 3 images (1 MiB / 320 KB), then 2
+        images = np.random.default_rng(9).standard_normal((5, 1, 2, 20_000))
+        path = tmp_path / "a.fhds"
+        ds = write_fhds(path, images, [0, 1, 0, 1, 1], 2)
+        dio.save_dataset(tmp_path / "b.fhds", ds)
+        assert (tmp_path / "b.fhds").read_bytes() == path.read_bytes()
+
+    def test_file_truncated_after_load_is_corrupt_on_indexing(self, tmp_path):
+        path = tmp_path / "d.fhds"
+        ds = write_fhds(path, np.ones((8, 1, 4, 4)), np.zeros(8), 1)
+        path.write_bytes(path.read_bytes()[: 28 + 8 * 16 * 5 + 8])
+        assert np.array_equal(ds.images[:5], np.ones((5, 1, 4, 4)))
+        for key in (slice(None), [0, 5], 5, slice(4, 6)):
+            with pytest.raises(CorruptFile, match=re.escape(f"{path}: truncated FHDS file")):
+                ds.images[key]
+
+    def test_eval_on_a_file_truncated_after_load_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "d.fhds"
+        dio.save_dataset(path, Dataset(np.ones((8, 1, 4, 4)), np.arange(8) % 2, 2))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[data]\nkind = fhds\npath = {path}\ntest_path = {path}\n"
+                       "[model]\nlayer1 = dense n=2\n[train]\nepochs = 1\n")
+        ckpt = str(tmp_path / "m.fhb")
+        assert main(["pretrain", "--config", str(cfg), "--out", ckpt]) == 0
+        assert main(["probe", "--ckpt", ckpt, "--regime", "100"]) == 0
+        capsys.readouterr()
+
+        def load_then_truncate(p, _orig=dio.load_dataset):
+            ds = _orig(p)
+            path.write_bytes(path.read_bytes()[:100])
+            return ds
+
+        monkeypatch.setattr(dio, "load_dataset", load_then_truncate)
+        assert main(["eval", "--ckpt", ckpt]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {path}: truncated FHDS file\n"
+
+    def test_load_and_one_epoch_hold_no_image_array(self, tmp_path, peak_bytes):
+        # 25,600 images of 1 x 1 x 1024 values: 209.7 MB of pixels.  The bound
+        # counts the labels (int64, with the u4 block read beside them) and
+        # the int64 shuffled order, 20 B an image; a batch of 64 images and
+        # one temporary of its size; the 1 MiB load buffer and its bool mask;
+        # and 1 MiB for weights, kernel temporaries and Python objects.
+        b, row, batch = 25_600, 1024, 64
+        bound = 20 * b + 2 * batch * row * 8 + 2**20 + 2**17 + 2**20
+        path = tmp_path / "big.fhds"
+        block = np.random.default_rng(4).random((256, row))
+        with open(path, "wb") as fh:
+            fh.write(b"FHDS" + struct.pack("<6I", 1, 4, b, 1, 1, row))
+            for _ in range(b // len(block)):
+                fh.write(block)
+            fh.write(struct.pack("<I", 10) + (np.arange(b) % 10).astype("<u4").tobytes())
+        stack = [HebbLayer(init_weights(4, row, seed=0), LearningParams(rule="hpca"))]
+        config = TrainConfig(epochs=1, batch_size=batch)
+        try:
+            held = peak_bytes(lambda: pretrain(stack, dio.load_dataset(path), config))
+        finally:
+            path.unlink()
+        assert held <= bound

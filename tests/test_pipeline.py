@@ -947,3 +947,32 @@ class TestCheckpoint:
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(CorruptFile, match=re.escape(f"{path}: {wording}")):
             load_checkpoint(path)
+
+
+class TestFhdsDatasetKeepsEveryBit:
+    """Images read from the file at each batch or block give the weights and
+    features of the same images in memory."""
+
+    @pytest.fixture
+    def both(self, tmp_path):
+        # 100 images: a shuffled batch of 64 and one of 36
+        ds = _images(100, seed=3)
+        dio.save_dataset(tmp_path / "d.fhds", ds)
+        loaded = dio.load_dataset(tmp_path / "d.fhds")
+        assert isinstance(loaded.images, dio.FhdsImages)
+        return ds, loaded
+
+    @pytest.mark.parametrize("rule", rules.RULES)
+    def test_pretrain_weights(self, both, rule, pool_workers):
+        config = TrainConfig(epochs=1, batch_size=64, seed=7)
+        (want, want_metrics), (got, got_metrics) = (pretrain(_bench_stack(rule), ds, config) for ds in both)
+        assert got_metrics.epoch_metrics == want_metrics.epoch_metrics
+        pairs = [(a.weights.data, b.weights.data) for a, b in zip(want, got) if isinstance(a, HebbLayer)]
+        assert len(pairs) == 2 and all(a.tobytes() == b.tobytes() for a, b in pairs)
+
+    def test_features(self, both, pool_workers, forward_sizes):
+        want = extract_features(_bench_stack(), both[0])
+        want_sizes = sorted(forward_sizes)
+        forward_sizes.clear()
+        assert extract_features(_bench_stack(), both[1]).tobytes() == want.tobytes()
+        assert sorted(forward_sizes) == want_sizes and len(want_sizes) > 1
