@@ -192,20 +192,27 @@ def split_regime(dataset: Dataset, regime: Regime) -> tuple[Dataset, np.ndarray]
 def save_dataset(path, dataset: Dataset) -> None:
     """Dump to the FHDS format: magic, u32 version, u32 ndim, u32 extents,
     little-endian f64 image data, then u32 class count and u32 labels.  The
-    images are written in blocks of about 1 MiB, so a :class:`FhdsImages`
-    is read block by block."""
-    images = dataset.images
+    images are written in blocks of about 1 MiB to a temp file beside
+    ``path``, which then replaces it, so a :class:`FhdsImages` is read block
+    by block, even when it reads from ``path`` itself."""
+    images, path = dataset.images, Path(path)
     step = max(1, _FINITE_BLOCK // max(1, math.prod(images.shape[1:])))
-    with open(path, "wb") as fh:
-        fh.write(FHDS_MAGIC)
-        fh.write(struct.pack("<I", FHDS_VERSION))
-        fh.write(struct.pack("<I", images.ndim))
-        for extent in images.shape:
-            fh.write(struct.pack("<I", extent))
-        for start in range(0, len(images), step):
-            fh.write(np.ascontiguousarray(images[start : start + step], dtype="<f8"))
-        fh.write(struct.pack("<I", dataset.class_count))
-        fh.write(dataset.labels.astype("<u4").tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(FHDS_MAGIC)
+            fh.write(struct.pack("<I", FHDS_VERSION))
+            fh.write(struct.pack("<I", images.ndim))
+            for extent in images.shape:
+                fh.write(struct.pack("<I", extent))
+            for start in range(0, len(images), step):
+                fh.write(np.ascontiguousarray(images[start : start + step], dtype="<f8"))
+            fh.write(struct.pack("<I", dataset.class_count))
+            fh.write(dataset.labels.astype("<u4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _FHDS_HEADER = 28  # magic, version, ndim = 4 and four u32 extents

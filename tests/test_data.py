@@ -439,6 +439,9 @@ class TestFhdsImagesStayOnDisk:
         ds = write_fhds(path, images, [0, 1, 0, 1, 1], 2)
         dio.save_dataset(tmp_path / "b.fhds", ds)
         assert (tmp_path / "b.fhds").read_bytes() == path.read_bytes()
+        dio.save_dataset(path, ds)  # over the file its images are read from
+        assert path.read_bytes() == (tmp_path / "b.fhds").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.fhds", "b.fhds"]
 
     def test_file_truncated_after_load_is_corrupt_on_indexing(self, tmp_path):
         path = tmp_path / "d.fhds"
