@@ -27,6 +27,8 @@ import sys
 from pathlib import Path
 from statistics import median
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("epoch-hpca", "epoch-swta", "probe", "kernels")
 SEEDS = tuple(range(3301, 3311))
@@ -60,19 +62,12 @@ def run_one(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"seed": seed, "result": result, "end_to_end": e2e, "environment": report["environment"]}
 
 
-def _quartiles(values: list[float]) -> dict:
-    v = sorted(values)
-
-    def at(q):  # linear interpolation between closest ranks
-        pos = q * (len(v) - 1)
-        lo = int(pos)
-        return v[lo] + (v[min(lo + 1, len(v) - 1)] - v[lo]) * (pos - lo)
-
-    return {"median": median(v), "q1": at(0.25), "q3": at(0.75)}
-
-
 def summary(runs: list[dict]) -> dict:
-    return {m: _quartiles([r["end_to_end"][m] for r in runs]) for m in METRICS}
+    out = {}
+    for m in METRICS:
+        q1, mid, q3 = np.percentile([r["end_to_end"][m] for r in runs], [25, 50, 75]).tolist()
+        out[m] = {"median": mid, "q1": q1, "q3": q3}
+    return out
 
 
 def pairs(runs: list[dict], base: list[dict], higher: dict[str, bool]) -> dict:
@@ -103,15 +98,14 @@ def main(argv=None) -> int:
             sides = [(ROOT, runs)] + ([(args.baseline, base)] if args.baseline else [])
             for checkout, into in sides[:: 1 if i % 2 else -1]:  # the baseline goes first on even turns
                 into.append(run_one(checkout, workload, seed, args.seconds))
+                environment = into[-1].pop("environment")
+                if checkout == ROOT:
+                    snapshot.setdefault("environment", environment)
                 print(workload, seed, checkout, into[-1]["end_to_end"], file=sys.stderr)
-        snapshot.setdefault("environment", runs[0]["environment"])
         entry = {"runs": runs, "summary": summary(runs)}
         if base:
             entry |= {"baseline_runs": base, "baseline_summary": summary(base), "pairs": pairs(runs, base, higher)}
         snapshot["workloads"][workload] = entry
-    for entry in snapshot["workloads"].values():
-        for r in entry["runs"] + entry.get("baseline_runs", []):
-            del r["environment"]
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n")
     return 0
 
