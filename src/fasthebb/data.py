@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 import struct
+import weakref
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -192,10 +195,12 @@ def split_regime(dataset: Dataset, regime: Regime) -> tuple[Dataset, np.ndarray]
 def save_dataset(path, dataset: Dataset) -> None:
     """Dump to the FHDS format: magic, u32 version, u32 ndim, u32 extents,
     little-endian f64 image data, then u32 class count and u32 labels.  The
-    images are written in blocks of about 1 MiB to a temp file beside
-    ``path``, which then replaces it, so a :class:`FhdsImages` is read block
-    by block, even when it reads from ``path`` itself."""
-    images, path = dataset.images, Path(path)
+    images are written in blocks of about 1 MiB to a temp file beside the
+    file ``path`` resolves to, which then takes that file's mode and
+    replaces it: a symlink keeps pointing at it, a dataset loaded from it
+    keeps reading the file it loaded, and a :class:`FhdsImages` can be saved
+    over its own file.  An existing file's owner is not kept."""
+    images, path = dataset.images, Path(path).resolve()
     step = max(1, _FINITE_BLOCK // max(1, math.prod(images.shape[1:])))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -209,6 +214,8 @@ def save_dataset(path, dataset: Dataset) -> None:
                 fh.write(np.ascontiguousarray(images[start : start + step], dtype="<f8"))
             fh.write(struct.pack("<I", dataset.class_count))
             fh.write(dataset.labels.astype("<u4").tobytes())
+        with suppress(FileNotFoundError):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -261,26 +268,34 @@ def fhds_shape(path) -> tuple[int, ...]:
 _FINITE_BLOCK = 1 << 17  # values per block of a pass over all pixels: a 1 MiB float64 buffer
 
 
-def _read_exactly(fh, buf: np.ndarray, path) -> None:
-    """Fill ``buf`` from ``fh``; a short read is a truncated file."""
-    if fh.readinto(memoryview(buf).cast("B")) != buf.nbytes:
-        raise CorruptFile(f"{path}: truncated FHDS file")
+def _read_exactly(fd: int, buf: np.ndarray, offset: int, path) -> None:
+    """Fill ``buf`` from ``fd`` at byte ``offset``, without moving the file
+    position, so threads can share ``fd``; the end of the file first is a
+    truncated file."""
+    view = memoryview(buf).cast("B")
+    while view.nbytes:
+        got = os.preadv(fd, [view], offset)
+        if not got:
+            raise CorruptFile(f"{path}: truncated FHDS file")
+        view, offset = view[got:], offset + got
 
 
 class FhdsImages:
     """The read-only B x C x H x W float64 images of an FHDS file, left on
     disk.  ``images[key]``, for a slice, an integer or an integer index
     array, returns a fresh float64 array that numpy owns.  Each run of
-    consecutive rows comes in one ``readinto``, and each read opens the file
-    itself, so threads may read at once.  A short read is :class:`CorruptFile`:
-    the file must not change while its images are in use.  ``np.asarray`` and
-    :meth:`reshape` read every image."""
+    consecutive rows comes in one positioned read of ``fd``, the open file
+    this array owns and closes, so threads may read at once and a file
+    replaced at ``path`` is not read.  A short read is :class:`CorruptFile`:
+    the open file must not be written while its images are in use.
+    ``np.asarray`` and :meth:`reshape` read every image."""
 
     dtype = np.dtype(np.float64)
 
-    def __init__(self, path, shape: tuple[int, ...]):
-        self.path, self.shape = path, tuple(shape)
+    def __init__(self, fd: int, path, shape: tuple[int, ...]):
+        self.path, self.shape, self._fd = path, tuple(shape), fd
         self._row_bytes = 8 * math.prod(self.shape[1:])
+        weakref.finalize(self, os.close, fd)
 
     @property
     def ndim(self) -> int:
@@ -297,18 +312,17 @@ class FhdsImages:
             idx = np.asarray(key)
             if isinstance(key, tuple) or idx.size and idx.dtype.kind not in "iu":
                 raise UsageError("FHDS images take one index: a slice, an integer or an integer array")
-            idx = idx.astype(np.int64)
-            if idx.size and (idx.min() < -n or idx.max() >= n):
+            if idx.size and (idx.min() < -n or idx.max() >= n):  # in its own dtype: a cast could wrap
                 raise UsageError(f"image index out of range for {n} images")
+            idx = idx.astype(np.int64)
             idx = np.where(idx < 0, idx + n, idx)
         out = np.empty((*idx.shape, *self.shape[1:]), dtype="<f8")
         flat, rows = idx.ravel(), out.reshape(idx.size, *self.shape[1:])
         if flat.size:
             cuts = (np.flatnonzero(np.diff(flat) != 1) + 1).tolist()  # where a run of consecutive rows ends
-            with open(self.path, "rb") as fh:
-                for start, end in zip([0, *cuts], [*cuts, flat.size]):
-                    fh.seek(_FHDS_HEADER + self._row_bytes * int(flat[start]))
-                    _read_exactly(fh, rows[start:end], self.path)
+            for start, end in zip([0, *cuts], [*cuts, flat.size]):
+                offset = _FHDS_HEADER + self._row_bytes * int(flat[start])
+                _read_exactly(self._fd, rows[start:end], offset, self.path)
         return out.astype(np.float64, copy=False)  # the file's little-endian bytes as native float64
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
@@ -323,28 +337,29 @@ class FhdsImages:
 def load_dataset(path) -> Dataset:
     """Open an FHDS file written by :func:`save_dataset`.  Its labels are
     read; its images stay in the file, as a :class:`FhdsImages` that reads
-    them at each index, so the memory held does not grow with the pixels.
-    The checks run in this order: the header, the file size against it
-    (before any buffer exists), the class count, a count of NaN and Inf over
-    every pixel, read in 1 MiB blocks through one buffer, and the labels.
-    The file must not change while the dataset is in use."""
+    them at each index through the file opened here, so the memory held does
+    not grow with the pixels.  The checks run in this order: the header, the
+    file size against it (before any buffer exists), the class count, a
+    count of NaN and Inf over every pixel, read in 1 MiB blocks through one
+    buffer, and the labels.  Replacing the file at ``path`` afterwards does
+    not change the dataset; writing into the open file is not allowed."""
     with open(path, "rb") as fh:
-        shape = _fhds_header(fh.read(_FHDS_HEADER), path, os.fstat(fh.fileno()).st_size)
+        fd = fh.fileno()
+        shape = _fhds_header(fh.read(_FHDS_HEADER), path, os.fstat(fd).st_size)
         count = math.prod(shape)
-        fh.seek(_FHDS_HEADER + 8 * count)
         tail = np.empty(1 + shape[0], dtype="<u4")  # class count, then the labels
-        _read_exactly(fh, tail, path)
+        _read_exactly(fd, tail, _FHDS_HEADER + 8 * count, path)
         if tail[0] > FHDS_MAX_CLASSES:  # split_regime allocates and loops per class
             raise CorruptFile(f"{path}: class count {tail[0]} exceeds {FHDS_MAX_CLASSES}")
-        fh.seek(_FHDS_HEADER)
         # one buffer for every block: a fresh array per block raises the peak RSS
         buf = np.empty(min(count, _FINITE_BLOCK), dtype="<f8")
         finite = np.empty(len(buf), dtype=bool)
         bad = 0
         for start in range(0, count, len(buf)):
             block = buf[: count - start]
-            _read_exactly(fh, block, path)
+            _read_exactly(fd, block, _FHDS_HEADER + 8 * start, path)
             bad += len(block) - np.count_nonzero(np.isfinite(block, out=finite[: len(block)]))
-    if bad:
-        raise CorruptFile(f"{path}: {bad} of {count} image values are NaN or Inf")
-    return Dataset(FhdsImages(path, shape), tail[1:].astype(np.int64), int(tail[0]))
+        if bad:
+            raise CorruptFile(f"{path}: {bad} of {count} image values are NaN or Inf")
+        images = FhdsImages(os.dup(fd), path, shape)  # the file checked here, whatever later sits at path
+    return Dataset(images, tail[1:].astype(np.int64), int(tail[0]))

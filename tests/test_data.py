@@ -1,3 +1,5 @@
+import gc
+import os
 import re
 import struct
 
@@ -401,17 +403,19 @@ class TestFhdsImagesStayOnDisk:
         ds, images = loaded
         reads = []
 
-        def read(fh, buf, path, _orig=dio._read_exactly):
+        def read(fd, buf, offset, path, _orig=dio._read_exactly):
             reads.append(len(buf))
-            return _orig(fh, buf, path)
+            return _orig(fd, buf, offset, path)
 
         monkeypatch.setattr(dio, "_read_exactly", read)
         assert np.array_equal(ds.images[[3, 4, 5, 9, 10, 2]], images[[3, 4, 5, 9, 10, 2]])
         assert np.array_equal(ds.images[2:20], images[2:20])
         assert reads == [3, 2, 1, 18]
 
-    @pytest.mark.parametrize("key", [30, -31, [0, 30], np.array([0.0, 1.0]), np.zeros(30, dtype=bool), (0, 1)],
-                             ids=["past-end", "before-start", "one-past-end", "floats", "bool-mask", "tuple"])
+    @pytest.mark.parametrize("key", [30, -31, [0, 30], np.array([2**64 - 1], dtype=np.uint64),
+                                     np.array([0.0, 1.0]), np.zeros(30, dtype=bool), (0, 1)],
+                             ids=["past-end", "before-start", "one-past-end", "uint64-max", "floats",
+                                  "bool-mask", "tuple"])
     def test_bad_index_is_a_usage_error(self, loaded, key):
         with pytest.raises(UsageError):
             loaded[0].images[key]
@@ -442,6 +446,33 @@ class TestFhdsImagesStayOnDisk:
         dio.save_dataset(path, ds)  # over the file its images are read from
         assert path.read_bytes() == (tmp_path / "b.fhds").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.fhds", "b.fhds"]
+
+    def test_save_follows_a_symlink_and_keeps_the_mode(self, tmp_path):
+        target, link = tmp_path / "t.fhds", tmp_path / "l.fhds"
+        write_fhds(target, np.zeros((2, 1, 1, 3)), [0, 1], 2)
+        target.chmod(0o640)
+        link.symlink_to(target)
+        ds = Dataset(np.ones((4, 1, 1, 3)), [1, 0, 1, 0], 2)
+        dio.save_dataset(link, ds)
+        assert link.is_symlink() and (target.stat().st_mode & 0o777) == 0o640
+        assert np.array_equal(dio.load_dataset(target).images[:], ds.images)
+
+    @pytest.mark.parametrize("images", [2 * np.ones((8, 1, 4, 4)), np.ones((9, 1, 4, 4))], ids=["same-shape", "larger"])
+    def test_a_file_saved_over_the_path_after_load_is_not_read(self, tmp_path, images):
+        path = tmp_path / "d.fhds"
+        ds = write_fhds(path, np.arange(128.0).reshape(8, 1, 4, 4), np.zeros(8), 1)
+        dio.save_dataset(path, Dataset(images, np.zeros(len(images)), 1))
+        assert np.array_equal(ds.images[[7, 0, 1]], np.arange(128.0).reshape(8, 1, 4, 4)[[7, 0, 1]])
+        assert np.array_equal(dio.load_dataset(path).images[:], images)
+
+    def test_the_file_closes_with_its_images(self, tmp_path):
+        ds = write_fhds(tmp_path / "d.fhds", np.ones((2, 1, 1, 1)), [0, 1], 2)
+        fd = ds.images._fd
+        os.fstat(fd)
+        del ds
+        gc.collect()
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
     def test_file_truncated_after_load_is_corrupt_on_indexing(self, tmp_path):
         path = tmp_path / "d.fhds"
