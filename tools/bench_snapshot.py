@@ -1,11 +1,12 @@
-"""Run the benchmark over its four workloads and a fixed seed set, and write
-the results as one ``BENCH_<n>.json`` file.
+"""Run the benchmark over its workloads and a fixed seed set, and write the
+results as one ``BENCH_<n>.json`` file.
 
     python3 tools/bench_snapshot.py --out BENCH_33.json
     python3 tools/bench_snapshot.py --out BENCH_33.json --baseline ../parent
 
 Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` in a checkout (this one by default).  The file holds every
+--trace 0`` in a checkout (this one by default), for every workload W and
+the run length T that ``BENCHMARK.json`` declares.  The file holds every
 run's result line and end-to-end figures, the median and interquartile
 range of ``items_per_s``, ``raw_items_per_s``, ``setup_s`` and
 ``peak_rss_mb`` per workload, the environment block of the first run, and
@@ -30,14 +31,8 @@ from statistics import median
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("epoch-hpca", "epoch-swta", "probe", "kernels")
 SEEDS = tuple(range(3301, 3311))
 METRICS = ("items_per_s", "raw_items_per_s", "setup_s", "peak_rss_mb")
-
-
-def _higher_is_better() -> dict[str, bool]:
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    return {m["name"]: m["better"] == "higher" for m in declared} | {"raw_items_per_s": True}
 
 
 def _git(checkout: Path) -> dict:
@@ -82,22 +77,20 @@ def pairs(runs: list[dict], base: list[dict], higher: dict[str, bool]) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--out", required=True, type=Path, help="the BENCH_<n>.json to write")
-    p.add_argument("--seeds", default=",".join(map(str, SEEDS)), help="comma-separated seeds")
-    p.add_argument("--seconds", type=float, default=10.0, help="measured seconds per run")
-    p.add_argument("--workloads", default=",".join(WORKLOADS))
     p.add_argument("--baseline", type=Path, help="a checkout to run each seed in as well")
     args = p.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    higher = _higher_is_better()
-    snapshot = {"seeds": seeds, "seconds": args.seconds, "git": _git(ROOT), "workloads": {}}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    higher = {m["name"]: m["better"] == "higher" for m in bench["end_to_end"]} | {"raw_items_per_s": True}
+    snapshot = {"seeds": list(SEEDS), "seconds": seconds, "git": _git(ROOT), "workloads": {}}
     if args.baseline:
         snapshot["baseline_git"] = _git(args.baseline)
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in bench["workloads"]):
         runs, base = [], []
-        for i, seed in enumerate(seeds):
+        for i, seed in enumerate(SEEDS):
             sides = [(ROOT, runs)] + ([(args.baseline, base)] if args.baseline else [])
             for checkout, into in sides[:: 1 if i % 2 else -1]:  # the baseline goes first on even turns
-                into.append(run_one(checkout, workload, seed, args.seconds))
+                into.append(run_one(checkout, workload, seed, seconds))
                 environment = into[-1].pop("environment")
                 if checkout == ROOT:
                     snapshot.setdefault("environment", environment)
